@@ -17,7 +17,6 @@ from .boolmat import (
     complement,
     complete_to,
     contains,
-    elementwise,
     is_compatible,
     tensor,
 )
@@ -76,10 +75,7 @@ from .production import (
     Swap,
     apply_production,
     apply_swap,
-    evolve_nihil,
-    nihilation,
     p_operator,
-    production_compatible,
     swap_census,
 )
 from .sequence import (

@@ -2,15 +2,20 @@
 
 Graphs are simple digraphs stored as a square Boolean edge matrix plus a
 Boolean node-presence vector.  Every "product" in the rewriting formulas is
-the elementwise AND; there is no row-by-column matrix product anywhere in
+the cell-by-cell AND; there is no row-by-column matrix product anywhere in
 this package.  Matrices are packed row-major into a single int (cell (i, j)
 is bit ``i * n + j``), vectors into an int with bit ``i`` for node ``i``.
+
+Both kinds share one packed type with ``& | ^`` and a bounded ``~``: the
+complement inside the value's universe (every node for a vector, every
+ordered node pair for a matrix).  ``complement(x, ambient)`` complements
+inside any other ambient, such as the block of a digraph's node set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import ClassVar, Iterable, Mapping
 
 
 class UniverseMismatchError(ValueError):
@@ -51,28 +56,74 @@ class NodeUniverse:
 
 
 def _check_universe(a, b) -> None:
-    if a.universe != b.universe:
+    if a.universe is not b.universe and a.universe != b.universe:
         raise UniverseMismatchError(
             f"universe mismatch: {a.universe.labels} vs {b.universe.labels}"
         )
 
 
+def _check_operand(a, b) -> None:
+    if type(a) is not type(b):
+        raise TypeError(
+            f"operands must be the same kind, not {type(a).__name__} and {type(b).__name__}"
+        )
+    _check_universe(a, b)
+
+
 @dataclass(frozen=True)
-class BoolVector:
+class _Packed:
+    """Cells of a vector (``_rank`` 1) or matrix (``_rank`` 2), packed into an int.
+
+    A value has ``len(universe) ** _rank`` cells.
+    """
+
     universe: NodeUniverse
     bits: int
+    _rank: ClassVar[int]
+    _kind: ClassVar[str]
 
     def __post_init__(self) -> None:
-        if self.bits < 0 or self.bits >> len(self.universe):
-            raise ValueError("vector bits out of range for universe")
+        if self.bits < 0 or self.bits >> len(self.universe) ** self._rank:
+            raise ValueError(f"{self._kind} bits out of range for universe")
 
     @classmethod
-    def zeros(cls, universe: NodeUniverse) -> "BoolVector":
+    def _full(cls, universe: NodeUniverse) -> int:
+        return (1 << len(universe) ** cls._rank) - 1
+
+    @classmethod
+    def zeros(cls, universe: NodeUniverse):
         return cls(universe, 0)
 
     @classmethod
-    def ones(cls, universe: NodeUniverse) -> "BoolVector":
-        return cls(universe, (1 << len(universe)) - 1)
+    def ones(cls, universe: NodeUniverse):
+        return cls(universe, cls._full(universe))
+
+    def count(self) -> int:
+        return self.bits.bit_count()
+
+    def is_zero(self) -> bool:
+        return self.bits == 0
+
+    def __and__(self, other):
+        _check_operand(self, other)
+        return type(self)(self.universe, self.bits & other.bits)
+
+    def __or__(self, other):
+        _check_operand(self, other)
+        return type(self)(self.universe, self.bits | other.bits)
+
+    def __xor__(self, other):
+        _check_operand(self, other)
+        return type(self)(self.universe, self.bits ^ other.bits)
+
+    def __invert__(self):
+        """Complement inside the universe: every cell not set in self."""
+        return type(self)(self.universe, self.bits ^ self._full(self.universe))
+
+
+class BoolVector(_Packed):
+    _rank = 1
+    _kind = "vector"
 
     @classmethod
     def from_labels(cls, universe: NodeUniverse, labels: Iterable[str]) -> "BoolVector":
@@ -104,45 +155,12 @@ class BoolVector:
     def tolist(self) -> list[int]:
         return [self[i] for i in range(len(self.universe))]
 
-    def count(self) -> int:
-        return self.bits.bit_count()
 
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def __and__(self, other: "BoolVector") -> "BoolVector":
-        _check_universe(self, other)
-        return BoolVector(self.universe, self.bits & other.bits)
-
-    def __or__(self, other: "BoolVector") -> "BoolVector":
-        _check_universe(self, other)
-        return BoolVector(self.universe, self.bits | other.bits)
-
-    def __xor__(self, other: "BoolVector") -> "BoolVector":
-        _check_universe(self, other)
-        return BoolVector(self.universe, self.bits ^ other.bits)
-
-
-@dataclass(frozen=True)
-class BoolMatrix:
+class BoolMatrix(_Packed):
     """Square Boolean edge matrix; row = source node, column = target node."""
 
-    universe: NodeUniverse
-    bits: int
-
-    def __post_init__(self) -> None:
-        n = len(self.universe)
-        if self.bits < 0 or self.bits >> (n * n):
-            raise ValueError("matrix bits out of range for universe")
-
-    @classmethod
-    def zeros(cls, universe: NodeUniverse) -> "BoolMatrix":
-        return cls(universe, 0)
-
-    @classmethod
-    def ones(cls, universe: NodeUniverse) -> "BoolMatrix":
-        n = len(universe)
-        return cls(universe, (1 << (n * n)) - 1)
+    _rank = 2
+    _kind = "matrix"
 
     @classmethod
     def from_edges(
@@ -185,33 +203,6 @@ class BoolMatrix:
         n = len(self.universe)
         return [[self[i, j] for j in range(n)] for i in range(n)]
 
-    def count(self) -> int:
-        return self.bits.bit_count()
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def transpose(self) -> "BoolMatrix":
-        n = len(self.universe)
-        bits = 0
-        for i in range(n):
-            for j in range(n):
-                if self[i, j]:
-                    bits |= 1 << (j * n + i)
-        return BoolMatrix(self.universe, bits)
-
-    def __and__(self, other: "BoolMatrix") -> "BoolMatrix":
-        _check_universe(self, other)
-        return BoolMatrix(self.universe, self.bits & other.bits)
-
-    def __or__(self, other: "BoolMatrix") -> "BoolMatrix":
-        _check_universe(self, other)
-        return BoolMatrix(self.universe, self.bits | other.bits)
-
-    def __xor__(self, other: "BoolMatrix") -> "BoolMatrix":
-        _check_universe(self, other)
-        return BoolMatrix(self.universe, self.bits ^ other.bits)
-
 
 @dataclass(frozen=True)
 class Digraph:
@@ -244,40 +235,18 @@ class Digraph:
         )
 
 
-_OPS = {
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-}
-
-
-def elementwise(op: str, a, b):
-    """Componentwise Boolean combination of two matrices or two vectors."""
-    if type(a) is not type(b):
-        raise TypeError("operands must be the same kind")
-    try:
-        f = _OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown op {op!r}; expected and/or/xor") from None
-    return f(a, b)
-
-
 def complement(a, ambient):
     """Bounded complement: every cell of ``ambient`` not set in ``a``.
 
-    Complements are always taken relative to an explicit ambient; for
-    grammar work the ambient is the all-ones matrix/vector over the full
-    universe, or the block of a digraph's node set.
+    For the complement inside the whole universe use ``~a``; this form is
+    for a smaller ambient, such as the block of a digraph's node set.
     """
-    if type(a) is not type(ambient):
-        raise TypeError("ambient must be the same kind as the operand")
-    _check_universe(a, ambient)
-    return type(a)(a.universe, ambient.bits & ~a.bits)
+    return ambient & ~a
 
 
 def tensor(u: BoolVector, v: BoolVector) -> BoolMatrix:
     """Outer product of node vectors: cell (i, j) = u[i] AND v[j]."""
-    _check_universe(u, v)
+    _check_operand(u, v)
     n = len(u.universe)
     bits = 0
     rest = u.bits
@@ -295,9 +264,7 @@ def bounded_one(v: BoolVector) -> BoolMatrix:
 
 def contains(a, b) -> bool:
     """True iff a is contained in b (every set cell of a is set in b)."""
-    if type(a) is not type(b):
-        raise TypeError("operands must be the same kind")
-    _check_universe(a, b)
+    _check_operand(a, b)
     return a.bits & b.bits == a.bits
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .boolmat import (
     BoolMatrix,
-    BoolVector,
     Digraph,
     bounded_one,
     complement,
@@ -213,11 +212,10 @@ def apply_at(p: Production, g: Digraph, m: Match, step: int = 1) -> Digraph:
     del_nodes = complete_to(p.deleted_nodes, target, full_map)
     add_nodes = complete_to(p.added_nodes, target, full_map)
 
-    ones_v = BoolVector.ones(target)
-    kept_nodes = complement(del_nodes, ones_v)
+    kept_nodes = ~del_nodes
     # Row/column wipe-out for deleted nodes.
     kept_block = tensor(kept_nodes, kept_nodes)
-    new_edges = add_edges | (host_edges & kept_block & complement(del_edges, BoolMatrix.ones(target)))
+    new_edges = add_edges | (host_edges & kept_block & ~del_edges)
     new_nodes = add_nodes | (host_nodes & kept_nodes)
     return Digraph(new_edges, new_nodes)
 

@@ -13,6 +13,7 @@ gasket: exactly the points whose coordinate bit strings never share a 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .boolmat import BoolMatrix
@@ -61,6 +62,17 @@ class Dyadic:
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.width)
 
+    def fraction_str(self) -> str:
+        """The value as ``str(self.as_fraction())`` prints it, at any width.
+
+        The canonical numerator is odd, so ``num/2^width`` is reduced.  The
+        digits come from Decimal, which is exact for ints and, unlike
+        ``str(int)``, has no digit limit.
+        """
+        if self.num == 0:
+            return "0"
+        return f"{Decimal(self.num)}/{Decimal(1 << self.width)}"
+
     def _padded(self, width: int) -> int:
         return self.num << (width - self.width)
 
@@ -92,8 +104,8 @@ class DyadicComplex:
 
     def render(self) -> str:
         return (
-            f"re={self.re.to_binary()} ({self.re.as_fraction()}), "
-            f"im={self.im.to_binary()} ({self.im.as_fraction()})"
+            f"re={self.re.to_binary()} ({self.re.fraction_str()}), "
+            f"im={self.im.to_binary()} ({self.im.fraction_str()})"
         )
 
 

@@ -3,7 +3,8 @@
 The format is line oriented.  A ``nodes`` line declares the universe (its
 order fixes matrix layout and the encoding bit order), ``production`` and
 ``host`` open indented blocks, ``sequence`` lists rule names in application
-order.  ``#`` starts a comment.  Example::
+order.  A ``#`` at the start of a token starts a comment; a ``#`` inside a
+token is an error.  Labels must not contain ``->``.  Example::
 
     nodes a b c
 
@@ -79,6 +80,9 @@ class _Parser:
         while self.pos < len(self.lines):
             self.pos += 1
             raw = self.lines[self.pos - 1]
+            hash_at = raw.find("#")
+            if hash_at > 0 and not raw[hash_at - 1].isspace():
+                raise self.error("'#' inside a token; comments start at a token boundary")
             stripped = raw.split("#", 1)[0].rstrip()
             if stripped.strip():
                 return (len(raw) - len(raw.lstrip()), stripped.strip())
@@ -154,6 +158,9 @@ class _Parser:
                     raise self.error("the universe is already declared")
                 if not rest:
                     raise self.error("the nodes line needs at least one label")
+                for label in rest:
+                    if "->" in label:
+                        raise self.error(f"node label {label!r} contains '->'")
                 try:
                     self.universe = NodeUniverse(tuple(rest))
                 except ValueError as exc:

@@ -135,7 +135,7 @@ def cadd(z1: ComplexTerm, z2: ComplexTerm) -> ComplexTerm:
 
 
 def cmul(z1: ComplexTerm, z2: ComplexTerm) -> ComplexTerm:
-    """Product (a1 a2 v b1 b2) + i (a1 b2 v a2 b1), elementwise.
+    """Product (a1 a2 v b1 b2) + i (a1 b2 v a2 b1), cell by cell.
 
     With empty nihil parts this reduces to the plain AND of the certainty
     parts.
@@ -172,10 +172,10 @@ def pmma_normalize(z: ComplexTerm) -> ComplexTerm:
     common_e = z.cert_edges & z.nihil_edges
     common_v = z.cert_nodes & z.nihil_nodes
     return ComplexTerm(
-        BoolMatrix(z.universe, z.cert_edges.bits & ~common_e.bits),
-        BoolVector(z.universe, z.cert_nodes.bits & ~common_v.bits),
-        BoolMatrix(z.universe, z.nihil_edges.bits & ~common_e.bits),
-        BoolVector(z.universe, z.nihil_nodes.bits & ~common_v.bits),
+        z.cert_edges & ~common_e,
+        z.cert_nodes & ~common_v,
+        z.nihil_edges & ~common_e,
+        z.nihil_nodes & ~common_v,
         z.ambient,
     )
 

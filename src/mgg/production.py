@@ -36,7 +36,7 @@ class Production:
     ``deleted_*``/``added_*`` are the rule's actions; ``nihilation`` is the
     forbidden-edge matrix of the left hand side and ``rhs_nihilation`` its
     evolution to the right hand side.  All components live on one universe,
-    and complements are bounded by the all-ones block over it.
+    and ``~`` complements within it.
     """
 
     name: str
@@ -65,17 +65,13 @@ class Production:
         """
         if lhs.universe != rhs.universe:
             raise UniverseMismatchError("lhs and rhs must share a universe")
-        u = lhs.universe
-        ones_v = BoolVector.ones(u)
-        ones_e = BoolMatrix.ones(u)
-
-        deleted_edges = lhs.edges & complement(rhs.edges, ones_e)
-        added_edges = rhs.edges & complement(lhs.edges, ones_e)
-        deleted_nodes = lhs.nodes & complement(rhs.nodes, ones_v)
-        added_nodes = rhs.nodes & complement(lhs.nodes, ones_v)
+        deleted_edges = lhs.edges & ~rhs.edges
+        added_edges = rhs.edges & ~lhs.edges
+        deleted_nodes = lhs.nodes & ~rhs.nodes
+        added_nodes = rhs.nodes & ~lhs.nodes
 
         nihil = nihilation_matrix(deleted_edges, deleted_nodes, added_edges)
-        rhs_nihil = deleted_edges | (complement(added_edges, ones_e) & nihil)
+        rhs_nihil = deleted_edges | (~added_edges & nihil)
         # The forbidden-overlap test alone misses added edges that dangle
         # (they are excluded from the rhs nihilation), so require the rhs to
         # be a proper digraph as well.
@@ -142,44 +138,18 @@ def nihilation_matrix(
     delete, plus every edge the rule adds (parallel edges are not allowed
     in simple digraphs).
     """
-    u = deleted_edges.universe
-    ones_v = BoolVector.ones(u)
-    ones_e = BoolMatrix.ones(u)
-    kept_nodes = complement(deleted_nodes, ones_v)
-    kept_block = tensor(kept_nodes, kept_nodes)
-    dangling = complement(kept_block, ones_e)
-    return added_edges | (complement(deleted_edges, ones_e) & dangling)
-
-
-def nihilation(p: Production) -> BoolMatrix:
-    """The forbidden-edge matrix of p's left hand side."""
-    return p.nihilation
-
-
-def evolve_nihil(p: Production) -> BoolMatrix:
-    """Forbidden edges after applying p: deletions reappear, additions exist."""
-    return p.rhs_nihilation
-
-
-def production_compatible(p: Production) -> bool:
-    """True iff applying p to a legal host again yields a simple digraph.
-
-    The right hand side must share no edge with its nihilation and must be
-    dangling-free itself (added edges touching absent nodes fail here).
-    """
-    return p.compatible
+    kept_nodes = ~deleted_nodes
+    dangling = ~tensor(kept_nodes, kept_nodes)
+    return added_edges | (~deleted_edges & dangling)
 
 
 def apply_production(p: Production, x: Digraph) -> Digraph:
     """Pure rewriting formula: added v (not-deleted ^ x), edges and nodes."""
     if x.universe != p.universe:
         raise UniverseMismatchError("operand must be completed to the rule universe")
-    u = p.universe
-    keep_e = complement(p.deleted_edges, BoolMatrix.ones(u))
-    keep_v = complement(p.deleted_nodes, BoolVector.ones(u))
     return Digraph(
-        p.added_edges | (keep_e & x.edges),
-        p.added_nodes | (keep_v & x.nodes),
+        p.added_edges | (~p.deleted_edges & x.edges),
+        p.added_nodes | (~p.deleted_nodes & x.nodes),
     )
 
 
@@ -265,6 +235,8 @@ def swap_census(node_count: int) -> CensusTable:
     All nodes are taken as present on both sides, so the enumeration ranges
     over the 2^(n*n) x 2^(n*n) static pairs.
     """
+    if node_count < 0:
+        raise ValueError(f"census needs a node count of at least 0, not {node_count}")
     if node_count > 2:
         raise ValueError("census enumeration is limited to 2 nodes")
     u = NodeUniverse(tuple(str(i + 1) for i in range(node_count)))

@@ -21,7 +21,6 @@ from .boolmat import (
     BoolVector,
     NodeUniverse,
     UniverseMismatchError,
-    complement,
     tensor,
 )
 from .mcl import ComplexTerm
@@ -152,14 +151,6 @@ def _edge_term(universe: NodeUniverse, plus: BoolMatrix, minus: BoolMatrix) -> C
     return ComplexTerm(plus, zero_v, minus, zero_v, BoolVector.ones(universe))
 
 
-def _not_e(p: Production) -> BoolMatrix:
-    return complement(p.deleted_edges, BoolMatrix.ones(p.universe))
-
-
-def _not_r(p: Production) -> BoolMatrix:
-    return complement(p.added_edges, BoolMatrix.ones(p.universe))
-
-
 def coherence(s: RuleSequence) -> AnalysisReport:
     """Coherence defect term of a sequence; zero means coherent.
 
@@ -173,7 +164,6 @@ def coherence(s: RuleSequence) -> AnalysisReport:
     u = s.universe
     zero = BoolMatrix.zeros(u)
     zero_v = BoolVector.zeros(u)
-    ones_v = BoolVector.ones(u)
     c_plus = zero
     c_minus = zero
     c_plus_nodes = zero_v
@@ -182,35 +172,27 @@ def coherence(s: RuleSequence) -> AnalysisReport:
         pj = s.rule(j)
         plus_j = (
             pj.rhs.edges
-            & nabla(j + 1, n, lambda x, y: _not_e(s.rule(x)) & s.rule(y).added_edges, zero)
+            & nabla(j + 1, n, lambda x, y: ~s.rule(x).deleted_edges & s.rule(y).added_edges, zero)
         ) | (
             pj.lhs.edges
-            & delta(1, j - 1, lambda x, y: s.rule(y).deleted_edges & _not_r(s.rule(x)), zero)
+            & delta(1, j - 1, lambda x, y: s.rule(y).deleted_edges & ~s.rule(x).added_edges, zero)
         )
         minus_j = (
             pj.rhs_nihilation
-            & nabla(j + 1, n, lambda x, y: s.rule(y).deleted_edges & _not_r(s.rule(x)), zero)
+            & nabla(j + 1, n, lambda x, y: s.rule(y).deleted_edges & ~s.rule(x).added_edges, zero)
         ) | (
             pj.nihilation
-            & delta(1, j - 1, lambda x, y: s.rule(y).added_edges & _not_e(s.rule(x)), zero)
+            & delta(1, j - 1, lambda x, y: s.rule(y).added_edges & ~s.rule(x).deleted_edges, zero)
         )
         plus_nodes_j = (
             pj.rhs.nodes
             & nabla(
-                j + 1,
-                n,
-                lambda x, y: complement(s.rule(x).deleted_nodes, ones_v)
-                & s.rule(y).added_nodes,
-                zero_v,
+                j + 1, n, lambda x, y: ~s.rule(x).deleted_nodes & s.rule(y).added_nodes, zero_v
             )
         ) | (
             pj.lhs.nodes
             & delta(
-                1,
-                j - 1,
-                lambda x, y: s.rule(y).deleted_nodes
-                & complement(s.rule(x).added_nodes, ones_v),
-                zero_v,
+                1, j - 1, lambda x, y: s.rule(y).deleted_nodes & ~s.rule(x).added_nodes, zero_v
             )
         )
         witnesses.extend(_cells_of(plus_j, "+", j))
@@ -219,7 +201,7 @@ def coherence(s: RuleSequence) -> AnalysisReport:
         c_plus = c_plus | plus_j
         c_minus = c_minus | minus_j
         c_plus_nodes = c_plus_nodes | plus_nodes_j
-    term = ComplexTerm(c_plus, c_plus_nodes, c_minus, zero_v, ones_v)
+    term = ComplexTerm(c_plus, c_plus_nodes, c_minus, zero_v, BoolVector.ones(u))
     return AnalysisReport("coherence", term.is_zero(), term, tuple(witnesses))
 
 
@@ -228,14 +210,9 @@ def t_matrix(p: Production) -> BoolMatrix:
 
     Cells incident to an added node, minus cells incident to a deleted one.
     """
-    u = p.universe
-    ones_v = BoolVector.ones(u)
-    ones_e = BoolMatrix.ones(u)
-    kept_after_add = complement(p.added_nodes, ones_v)
-    kept_after_del = complement(p.deleted_nodes, ones_v)
-    return complement(tensor(kept_after_add, kept_after_add), ones_e) & tensor(
-        kept_after_del, kept_after_del
-    )
+    kept_after_add = ~p.added_nodes
+    kept_after_del = ~p.deleted_nodes
+    return ~tensor(kept_after_add, kept_after_add) & tensor(kept_after_del, kept_after_del)
 
 
 def initial_digraph(s: RuleSequence, check: bool = True) -> ComplexTerm:
@@ -255,38 +232,24 @@ def initial_digraph(s: RuleSequence, check: bool = True) -> ComplexTerm:
     u = s.universe
     zero_e = BoolMatrix.zeros(u)
     zero_v = BoolVector.zeros(u)
-    ones_e = BoolMatrix.ones(u)
-    ones_v = BoolVector.ones(u)
 
-    cert_edges = nabla(
-        1, n, lambda x, y: _not_r(s.rule(x)) & s.rule(y).lhs.edges, zero_e
-    )
-    cert_nodes = nabla(
-        1,
-        n,
-        lambda x, y: complement(s.rule(x).added_nodes, ones_v) & s.rule(y).lhs.nodes,
-        zero_v,
-    )
+    cert_edges = nabla(1, n, lambda x, y: ~s.rule(x).added_edges & s.rule(y).lhs.edges, zero_e)
+    cert_nodes = nabla(1, n, lambda x, y: ~s.rule(x).added_nodes & s.rule(y).lhs.nodes, zero_v)
     nihil_edges = nabla(
         1,
         n,
-        lambda x, y: _not_e(s.rule(x))
-        & complement(t_matrix(s.rule(x)), ones_e)
-        & s.rule(y).nihilation,
+        lambda x, y: ~s.rule(x).deleted_edges & ~t_matrix(s.rule(x)) & s.rule(y).nihilation,
         zero_e,
     )
-    return ComplexTerm(cert_edges, cert_nodes, nihil_edges, zero_v, ones_v)
+    return ComplexTerm(cert_edges, cert_nodes, nihil_edges, zero_v, BoolVector.ones(u))
 
 
 def rewrite_term(p: Production, z: ComplexTerm) -> ComplexTerm:
     """Action of a rule on a host term: rewrite certainty, evolve nihil."""
-    u = p.universe
-    ones_e = BoolMatrix.ones(u)
-    ones_v = BoolVector.ones(u)
     return ComplexTerm(
-        p.added_edges | (complement(p.deleted_edges, ones_e) & z.cert_edges),
-        p.added_nodes | (complement(p.deleted_nodes, ones_v) & z.cert_nodes),
-        p.deleted_edges | (complement(p.added_edges, ones_e) & z.nihil_edges),
+        p.added_edges | (~p.deleted_edges & z.cert_edges),
+        p.added_nodes | (~p.deleted_nodes & z.cert_nodes),
+        p.deleted_edges | (~p.added_edges & z.nihil_edges),
         z.nihil_nodes,
         z.ambient,
     )
@@ -306,40 +269,33 @@ def image_of_sequence(s: RuleSequence) -> ComplexTerm:
     u = s.universe
     zero_e = BoolMatrix.zeros(u)
     zero_v = BoolVector.zeros(u)
-    ones_v = BoolVector.ones(u)
     m = initial_digraph(s, check=False)
 
     kept_all_e = zero_e
     kept_all_v = zero_v
     for j, p in enumerate(s.rules):
-        not_e = _not_e(p)
-        not_ev = complement(p.deleted_nodes, ones_v)
+        not_e = ~p.deleted_edges
+        not_ev = ~p.deleted_nodes
         kept_all_e = not_e if j == 0 else kept_all_e & not_e
         kept_all_v = not_ev if j == 0 else kept_all_v & not_ev
     unadded_all_e = zero_e
     for j, p in enumerate(s.rules):
-        not_r = _not_r(p)
+        not_r = ~p.added_edges
         unadded_all_e = not_r if j == 0 else unadded_all_e & not_r
 
     cert_edges = (
-        delta(1, n, lambda x, y: _not_e(s.rule(x)) & s.rule(y).added_edges, zero_e)
+        delta(1, n, lambda x, y: ~s.rule(x).deleted_edges & s.rule(y).added_edges, zero_e)
         | (kept_all_e & m.cert_edges)
     )
     cert_nodes = (
-        delta(
-            1,
-            n,
-            lambda x, y: complement(s.rule(x).deleted_nodes, ones_v)
-            & s.rule(y).added_nodes,
-            zero_v,
-        )
+        delta(1, n, lambda x, y: ~s.rule(x).deleted_nodes & s.rule(y).added_nodes, zero_v)
         | (kept_all_v & m.cert_nodes)
     )
     nihil_edges = (
-        delta(1, n, lambda x, y: _not_r(s.rule(x)) & s.rule(y).deleted_edges, zero_e)
+        delta(1, n, lambda x, y: ~s.rule(x).added_edges & s.rule(y).deleted_edges, zero_e)
         | (unadded_all_e & m.nihil_edges)
     )
-    return ComplexTerm(cert_edges, cert_nodes, nihil_edges, zero_v, ones_v)
+    return ComplexTerm(cert_edges, cert_nodes, nihil_edges, zero_v, BoolVector.ones(u))
 
 
 def sequence_compatibility(s: RuleSequence) -> AnalysisReport:
@@ -366,7 +322,7 @@ def sequence_compatibility(s: RuleSequence) -> AnalysisReport:
     def prefix_clash(m: int) -> BoolMatrix:
         term = prefixes[m - 1]
         pm = s.rule(m)
-        return _not_e(pm) & _not_r(pm) & term.cert_edges & term.nihil_edges
+        return ~pm.deleted_edges & ~pm.added_edges & term.cert_edges & term.nihil_edges
 
     violations = zero
     witnesses: list[Witness] = []
@@ -377,8 +333,7 @@ def sequence_compatibility(s: RuleSequence) -> AnalysisReport:
     literal = nabla(1, n, lambda x, y: clashes[x - 1], zero)
 
     def dangling(term: ComplexTerm) -> BoolMatrix:
-        block = tensor(term.cert_nodes, term.cert_nodes)
-        return BoolMatrix(u, term.cert_edges.bits & ~block.bits)
+        return term.cert_edges & ~tensor(term.cert_nodes, term.cert_nodes)
 
     dangling_free = True
     for m, term in enumerate(prefixes, start=1):
@@ -428,7 +383,7 @@ def g_congruence(s: RuleSequence, mode: str = "advance") -> AnalysisReport:
     plus = pivot.lhs.edges & nabla(
         lo,
         hi,
-        lambda x, y: _not_e(s.rule(x))
+        lambda x, y: ~s.rule(x).deleted_edges
         & s.rule(y).nihilation
         & (s.rule(y).added_edges | pivot.deleted_edges),
         zero,
@@ -436,7 +391,7 @@ def g_congruence(s: RuleSequence, mode: str = "advance") -> AnalysisReport:
     minus = pivot.nihilation & nabla(
         lo,
         hi,
-        lambda x, y: _not_r(s.rule(x))
+        lambda x, y: ~s.rule(x).added_edges
         & s.rule(y).lhs.edges
         & (s.rule(y).deleted_edges | pivot.added_edges),
         zero,

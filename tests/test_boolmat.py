@@ -1,5 +1,7 @@
 """Elementwise algebra, tensor product, completion, compatibility."""
 
+import operator
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,13 +15,13 @@ from mgg import (
     complement,
     complete_to,
     contains,
-    elementwise,
     is_compatible,
     tensor,
 )
 
 U2 = NodeUniverse.of("a", "b")
 U3 = NodeUniverse.of("a", "b", "c")
+OPS = (operator.and_, operator.or_, operator.xor)
 
 
 def mat(universe, rows):
@@ -44,7 +46,7 @@ class TestElementwise:
     def test_and_annihilator(self):
         a = mat(U2, [[1, 0], [0, 0]])
         zero = BoolMatrix.zeros(U2)
-        assert elementwise("and", a, zero) == zero
+        assert a & zero == zero
 
     def test_and_worked_pair(self):
         forbidden = mat(U3, [[1, 0, 1], [1, 0, 1], [1, 0, 0]])
@@ -56,16 +58,18 @@ class TestElementwise:
         assert (a ^ a).is_zero()
 
     def test_universe_mismatch(self):
-        with pytest.raises(UniverseMismatchError):
-            elementwise("or", BoolMatrix.zeros(U2), BoolMatrix.zeros(U3))
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            elementwise("nand", BoolMatrix.zeros(U2), BoolMatrix.zeros(U2))
+        for kind in (BoolMatrix, BoolVector):
+            for op in OPS:
+                with pytest.raises(UniverseMismatchError):
+                    op(kind.zeros(U2), kind.zeros(U3))
 
     def test_mixed_kinds_rejected(self):
-        with pytest.raises(TypeError):
-            elementwise("and", BoolMatrix.zeros(U2), BoolVector.zeros(U2))
+        m, v = BoolMatrix(U2, 0b1000), BoolVector(U2, 0b11)
+        for op in OPS:
+            with pytest.raises(TypeError):
+                op(m, v)
+            with pytest.raises(TypeError):
+                op(v, m)
 
 
 class TestComplement:
@@ -85,6 +89,14 @@ class TestComplement:
     def test_involution_inside_ambient(self, a):
         ambient = BoolMatrix.ones(U2)
         assert complement(complement(a, ambient), ambient) == a
+
+    @given(st.data())
+    def test_invert_is_complement_in_universe(self, data):
+        for kind, values in ((BoolMatrix, matrices), (BoolVector, vectors)):
+            for u in (U2, U3):
+                x = data.draw(values(u))
+                assert ~x == complement(x, kind.ones(u))
+                assert ~~x == x
 
 
 class TestTensor:

@@ -72,6 +72,11 @@ class TestDyadic:
         assert (da & db).as_fraction() == Fraction(a & b, 256)
         assert (da | db).as_fraction() == Fraction(a | b, 256)
 
+    @given(st.integers(0, 12).flatmap(lambda w: st.tuples(st.integers(0, (1 << w) - 1), st.just(w))))
+    def test_fraction_str_prints_as_fraction(self, num_width):
+        d = Dyadic(*num_width)
+        assert d.fraction_str() == str(d.as_fraction())
+
 
 class TestEll:
     def test_worked_example_pair(self):

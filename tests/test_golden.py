@@ -1,0 +1,75 @@
+"""Golden CLI reports on the bundled grammars, compared byte for byte.
+
+Each file under ``tests/golden/`` holds ``exit <code>`` on its first line
+followed by the command's full stdout.  Commands run from the repo root
+with repo-relative paths, because reports echo the grammar path.
+
+Regenerate (only when a report change is intended) with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import os
+from pathlib import Path
+
+import pytest
+
+from mgg.cli import run
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = REPO / "tests" / "golden"
+DEMO = "grammars/demo.mgg"
+PAIR = "grammars/pair.mgg"
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {}
+    for seq in ("handover", "clash"):
+        for check in ("coherence", "initial", "image", "compatibility"):
+            cases[f"analyze-{seq}-{check}"] = [
+                "analyze", DEMO, "--sequence", seq, "--check", check,
+            ]
+        for mode in ("advance", "delay"):
+            cases[f"analyze-{seq}-congruence-{mode}"] = [
+                "analyze", DEMO, "--sequence", seq, "--check", "congruence",
+                "--mode", mode,
+            ]
+        for select in ("first", "all", "0", "1"):
+            cases[f"derive-{seq}-{select}"] = [
+                "derive", DEMO, "--host", "start", "--sequence", seq,
+                "--select", select,
+            ]
+    for grammar, graph in ((DEMO, "start"), (PAIR, "mutual")):
+        cases[f"encode-graph-{graph}"] = ["encode", grammar, "--graph", graph]
+    for grammar, prod in (
+        (DEMO, "retire"), (DEMO, "recruit"), (DEMO, "fanout"), (DEMO, "cut"),
+        (PAIR, "tie"),
+    ):
+        cases[f"encode-production-{prod}"] = ["encode", grammar, "--production", prod]
+    for nodes in ("0", "1", "2"):
+        cases[f"census-{nodes}"] = ["census", "--nodes", nodes]
+    return cases
+
+
+CASES = _cases()
+
+
+def _render(argv: list[str]) -> str:
+    out = io.StringIO()
+    code = run(argv, out=out)
+    return f"exit {code}\n" + out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, monkeypatch):
+    monkeypatch.chdir(REPO)
+    expected = (GOLDEN / f"{name}.txt").read_bytes()
+    assert _render(CASES[name]).encode("utf-8") == expected
+
+
+if __name__ == "__main__":
+    os.chdir(REPO)
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        (GOLDEN / f"{name}.txt").write_bytes(_render(argv).encode("utf-8"))

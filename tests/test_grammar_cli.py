@@ -1,6 +1,7 @@
 """Grammar parsing, serialization round trips, and the CLI surface."""
 
 import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,35 @@ class TestParse:
                 assert gf2.productions[name].rhs == gf.productions[name].rhs
             assert gf2.sequences == gf.sequences
             assert gf2.hosts == gf.hosts
+
+    def test_hash_inside_a_token_rejected(self):
+        # A derived fresh label such as p.b#1 must not reparse as p.b.
+        text = "nodes a p.b#1\n"
+        with pytest.raises(GrammarError, match="'#' inside a token") as err:
+            parse_grammar(text)
+        assert err.value.line == 1
+        text = "nodes a b\n\nhost h\n  nodes a b # both\n  edges a->b#comment\n"
+        with pytest.raises(GrammarError, match="'#' inside a token") as err:
+            parse_grammar(text)
+        assert err.value.line == 5
+
+    def test_hash_at_a_token_boundary_is_a_comment(self):
+        gf = parse_grammar("# header\nnodes a b #c\n\nhost h\t# note\n  nodes a\n")
+        assert gf.universe.labels == ("a", "b")
+        assert gf.hosts["h"].nodes.labels() == ("a",)
+
+    def test_arrow_in_node_label_rejected(self):
+        text = "# universe\n\nnodes a b->c\n"
+        with pytest.raises(GrammarError, match="contains '->'") as err:
+            parse_grammar(text)
+        assert err.value.line == 3
+
+    def test_cli_exit_2_on_truncating_input(self, tmp_path):
+        path = tmp_path / "bad.mgg"
+        path.write_text("nodes a recruit.c#2\n")
+        code, text = cli("encode", str(path), "--graph", "h")
+        assert code == 2
+        assert text == "error line 1: '#' inside a token; comments start at a token boundary\n"
 
 
 class TestAnalyzeCommand:
@@ -214,6 +244,25 @@ class TestEncodeCommand:
         code, text = cli("encode", PAIR, "--production", "ghost")
         assert code == 2
 
+    def test_universe_of_120_nodes(self, tmp_path):
+        # The last cell set makes the denominator 2^14400: 4335 digits,
+        # past Python's default int-to-str limit.
+        labels = [f"v{i}" for i in range(120)]
+        path = tmp_path / "wide.mgg"
+        path.write_text(
+            "nodes " + " ".join(labels) + "\n\nhost h\n  nodes v119\n  edges v119->v119\n"
+        )
+        code, text = cli("encode", str(path), "--graph", "h")
+        assert code == 0
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            denominator = str(1 << 14400)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        re = "0." + "0" * 14399 + "1b"
+        assert text.splitlines()[-1] == f"encoding re={re} (1/{denominator}), im=0.0b (0)"
+
 
 class TestCensusCommand:
     def test_two_nodes(self):
@@ -227,6 +276,12 @@ class TestCensusCommand:
     def test_size_limit(self):
         code, text = cli("census", "--nodes", "5")
         assert code == 2
+        assert text == "error census enumeration is limited to 2 nodes\n"
+
+    def test_negative_count(self):
+        code, text = cli("census", "--nodes", "-1")
+        assert code == 2
+        assert text == "error census needs a node count of at least 0, not -1\n"
 
 
 class TestGasketCommand:
@@ -246,10 +301,10 @@ class TestGasketCommand:
 class TestModuleEntryPoint:
     def test_python_m_invocation(self):
         import subprocess
-        import sys
 
         proc = subprocess.run(
             [sys.executable, "-m", "mgg", "census", "--nodes", "1"],
+            cwd=REPO / "src",
             capture_output=True,
             text=True,
         )
