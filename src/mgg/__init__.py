@@ -63,7 +63,9 @@ from .oracle import (
     applies_at_identity,
     brute_matches,
     census_bruteforce,
+    delta,
     minimal_hosts,
+    nabla,
     pascal_mod2,
     random_digraph,
     random_production,
@@ -84,11 +86,9 @@ from .sequence import (
     RuleSequence,
     Witness,
     coherence,
-    delta,
     g_congruence,
     image_of_sequence,
     initial_digraph,
-    nabla,
     rewrite_term,
     sequence_compatibility,
     sequential_independence,

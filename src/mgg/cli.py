@@ -8,6 +8,7 @@ derivation completes, 1 when it fails, 2 for unknown names or bad input.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -32,6 +33,10 @@ from .sequence import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# ASCII digits only: int() alone also takes "+0", "0_1" and non-ASCII digits.
+_SELECT = re.compile(r"first|all|[0-9]+")
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def matrix_str(m: BoolMatrix) -> str:
@@ -238,6 +243,12 @@ def cmd_gasket(args, out) -> int:
     return EXIT_OK
 
 
+def _integer(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mgg",
@@ -271,11 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_encode.set_defaults(func=cmd_encode)
 
     p_census = sub.add_parser("census", help="swap classes of all small rules")
-    p_census.add_argument("--nodes", type=int, required=True)
+    p_census.add_argument("--nodes", type=_integer, required=True)
     p_census.set_defaults(func=cmd_census)
 
     p_gasket = sub.add_parser("gasket", help="write a Sierpinski raster as P1")
-    p_gasket.add_argument("--bits", type=int, required=True)
+    p_gasket.add_argument("--bits", type=_integer, required=True)
     p_gasket.add_argument("--out", required=True)
     p_gasket.set_defaults(func=cmd_gasket)
     return parser
@@ -285,11 +296,8 @@ def run(argv=None, out=None) -> int:
     out = out or sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "derive" and args.select not in ("first", "all"):
-        try:
-            int(args.select)
-        except ValueError:
-            parser.error(f"--select must be first, all or an index, not {args.select!r}")
+    if args.command == "derive" and not _SELECT.fullmatch(args.select):
+        parser.error(f"--select must be first, all or an index, not {args.select!r}")
     try:
         return args.func(args, out)
     except (GrammarError, LookupError, ValueError, OSError) as exc:

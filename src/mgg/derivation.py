@@ -68,17 +68,6 @@ def _lhs_node_indices(p: Production) -> list[int]:
     return [i for i in range(len(p.universe)) if p.lhs.nodes[i]]
 
 
-def _degree_order(p: Production, lhs_idx: list[int]) -> list[int]:
-    n = len(p.universe)
-
-    def degree(i: int) -> int:
-        out_deg = sum(p.lhs.edges[i, j] for j in range(n))
-        in_deg = sum(p.lhs.edges[j, i] for j in range(n))
-        return out_deg + in_deg
-
-    return sorted(lhs_idx, key=lambda i: (-degree(i), i))
-
-
 def find_matches(p: Production, g: Digraph, check_nihil: bool = True) -> list[Match]:
     """All injective matches of p's lhs into g, in lexicographic host order.
 
@@ -95,11 +84,11 @@ def find_matches(p: Production, g: Digraph, check_nihil: bool = True) -> list[Ma
     n_rule = len(p.universe)
     n_host = len(g.universe)
     lhs_idx = _lhs_node_indices(p)
-    order = _degree_order(p, lhs_idx)
     host_nodes = [j for j in range(n_host) if g.nodes[j]]
 
     lhs_out = {i: sum(p.lhs.edges[i, j] for j in range(n_rule)) for i in lhs_idx}
     lhs_in = {i: sum(p.lhs.edges[j, i] for j in range(n_rule)) for i in lhs_idx}
+    order = sorted(lhs_idx, key=lambda i: (-(lhs_out[i] + lhs_in[i]), i))
     host_out = {j: sum(g.edges[j, k] for k in range(n_host)) for j in host_nodes}
     host_in = {j: sum(g.edges[k, j] for k in range(n_host)) for j in host_nodes}
 

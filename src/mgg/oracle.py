@@ -44,6 +44,34 @@ class OracleReport:
         return lines
 
 
+def delta(t0: int, t1: int, family, zero):
+    """OR over y in [t0, t1] of the AND over x in [y, t1] of family(x, y).
+
+    An empty outer range yields ``zero``; the inner range is never empty
+    when the outer one is not.
+    """
+    acc = zero
+    for y in range(t0, t1 + 1):
+        term = None
+        for x in range(y, t1 + 1):
+            value = family(x, y)
+            term = value if term is None else term & value
+        acc = acc | term
+    return acc
+
+
+def nabla(t0: int, t1: int, family, zero):
+    """OR over y in [t0, t1] of the AND over x in [t0, y] of family(x, y)."""
+    acc = zero
+    for y in range(t0, t1 + 1):
+        term = None
+        for x in range(t0, y + 1):
+            value = family(x, y)
+            term = value if term is None else term & value
+        acc = acc | term
+    return acc
+
+
 def brute_matches(p: Production, g: Digraph) -> list[Match]:
     """Every injective lhs embedding, by filtering all candidate maps.
 

@@ -75,32 +75,28 @@ class RuleSequence:
         return RuleSequence(self.rules[1:] + (self.rules[0],))
 
 
-def delta(t0: int, t1: int, family, zero):
-    """OR over y in [t0, t1] of the AND over x in [y, t1] of family(x, y).
+def _scan(a: list, b: list, start):
+    """Every Δ(1, t) of a separable family f(x, y) = A(x) & B(y).
 
-    An empty outer range yields ``zero``; the inner range is never empty
-    when the outer one is not.
+    ``a`` and ``b`` hold A and B per 1-based rule position: A(x) = a[x - 1].
+
+    Entry t of the result, for t = 0..len(a), is Δ(1, t) with Δ(1, 0) =
+    ``start``, by the recurrence Δ(1, t) = A(t) & (B(t) | Δ(1, t - 1)).
+    A ``start`` other than zero adds the AND of every A(x) with it.
     """
-    acc = zero
-    for y in range(t0, t1 + 1):
-        term = None
-        for x in range(y, t1 + 1):
-            value = family(x, y)
-            term = value if term is None else term & value
-        acc = acc | term
-    return acc
+    out = [start]
+    for ax, by in zip(a, b):
+        out.append(ax & (by | out[-1]))
+    return out
 
 
-def nabla(t0: int, t1: int, family, zero):
-    """OR over y in [t0, t1] of the AND over x in [t0, y] of family(x, y)."""
-    acc = zero
-    for y in range(t0, t1 + 1):
-        term = None
-        for x in range(t0, y + 1):
-            value = family(x, y)
-            term = value if term is None else term & value
-        acc = acc | term
-    return acc
+def _rscan(a: list, b: list, zero):
+    """Every ∇(t, n) of the same family: entry i is ∇(i + 1, n), entry n zero.
+
+    ∇(t, n) = A(t) & (B(t) | ∇(t + 1, n)) is the recurrence of ``_scan``
+    run over the reversed factor lists.
+    """
+    return _scan(a[::-1], b[::-1], zero)[::-1]
 
 
 @dataclass(frozen=True)
@@ -130,14 +126,7 @@ class AnalysisReport:
 
 
 def _cells_of(m: BoolMatrix, part: str, position: int) -> list[Witness]:
-    labels = m.universe.labels
-    n = len(labels)
-    return [
-        Witness(part, position, labels[i], labels[j])
-        for i in range(n)
-        for j in range(n)
-        if m[i, j]
-    ]
+    return [Witness(part, position, source, target) for source, target in m.edges()]
 
 
 def _nodes_of(v: BoolVector, part: str, position: int) -> list[Witness]:
@@ -160,41 +149,30 @@ def coherence(s: RuleSequence) -> AnalysisReport:
     carries no nodes).  Witnesses name the rule position whose needs are
     disturbed, one per flagged cell occurrence.
     """
-    n = len(s)
     u = s.universe
     zero = BoolMatrix.zeros(u)
     zero_v = BoolVector.zeros(u)
+    del_e = [p.deleted_edges for p in s.rules]
+    add_e = [p.added_edges for p in s.rules]
+    del_v = [p.deleted_nodes for p in s.rules]
+    add_v = [p.added_nodes for p in s.rules]
+    kept_e = [~m for m in del_e]
+    unadded_e = [~m for m in add_e]
+    # Entry j of a ∇ scan is ∇(j + 1, n); entry j - 1 of a Δ scan is Δ(1, j - 1).
+    later_plus = _rscan(kept_e, add_e, zero)
+    earlier_plus = _scan(unadded_e, del_e, zero)
+    later_minus = _rscan(unadded_e, del_e, zero)
+    earlier_minus = _scan(kept_e, add_e, zero)
+    later_nodes = _rscan([~v for v in del_v], add_v, zero_v)
+    earlier_nodes = _scan([~v for v in add_v], del_v, zero_v)
     c_plus = zero
     c_minus = zero
     c_plus_nodes = zero_v
     witnesses: list[Witness] = []
-    for j in range(1, n + 1):
-        pj = s.rule(j)
-        plus_j = (
-            pj.rhs.edges
-            & nabla(j + 1, n, lambda x, y: ~s.rule(x).deleted_edges & s.rule(y).added_edges, zero)
-        ) | (
-            pj.lhs.edges
-            & delta(1, j - 1, lambda x, y: s.rule(y).deleted_edges & ~s.rule(x).added_edges, zero)
-        )
-        minus_j = (
-            pj.rhs_nihilation
-            & nabla(j + 1, n, lambda x, y: s.rule(y).deleted_edges & ~s.rule(x).added_edges, zero)
-        ) | (
-            pj.nihilation
-            & delta(1, j - 1, lambda x, y: s.rule(y).added_edges & ~s.rule(x).deleted_edges, zero)
-        )
-        plus_nodes_j = (
-            pj.rhs.nodes
-            & nabla(
-                j + 1, n, lambda x, y: ~s.rule(x).deleted_nodes & s.rule(y).added_nodes, zero_v
-            )
-        ) | (
-            pj.lhs.nodes
-            & delta(
-                1, j - 1, lambda x, y: s.rule(y).deleted_nodes & ~s.rule(x).added_nodes, zero_v
-            )
-        )
+    for j, pj in enumerate(s.rules, start=1):
+        plus_j = (pj.rhs.edges & later_plus[j]) | (pj.lhs.edges & earlier_plus[j - 1])
+        minus_j = (pj.rhs_nihilation & later_minus[j]) | (pj.nihilation & earlier_minus[j - 1])
+        plus_nodes_j = (pj.rhs.nodes & later_nodes[j]) | (pj.lhs.nodes & earlier_nodes[j - 1])
         witnesses.extend(_cells_of(plus_j, "+", j))
         witnesses.extend(_cells_of(minus_j, "-", j))
         witnesses.extend(_nodes_of(plus_nodes_j, "+", j))
@@ -228,20 +206,16 @@ def initial_digraph(s: RuleSequence, check: bool = True) -> ComplexTerm:
             IncoherentSequenceWarning,
             stacklevel=2,
         )
-    n = len(s)
     u = s.universe
     zero_e = BoolMatrix.zeros(u)
     zero_v = BoolVector.zeros(u)
-
-    cert_edges = nabla(1, n, lambda x, y: ~s.rule(x).added_edges & s.rule(y).lhs.edges, zero_e)
-    cert_nodes = nabla(1, n, lambda x, y: ~s.rule(x).added_nodes & s.rule(y).lhs.nodes, zero_v)
-    nihil_edges = nabla(
-        1,
-        n,
-        lambda x, y: ~s.rule(x).deleted_edges & ~t_matrix(s.rule(x)) & s.rule(y).nihilation,
-        zero_e,
+    rules = s.rules
+    cert_edges = _rscan([~p.added_edges for p in rules], [p.lhs.edges for p in rules], zero_e)
+    cert_nodes = _rscan([~p.added_nodes for p in rules], [p.lhs.nodes for p in rules], zero_v)
+    nihil_edges = _rscan(
+        [~p.deleted_edges & ~t_matrix(p) for p in rules], [p.nihilation for p in rules], zero_e
     )
-    return ComplexTerm(cert_edges, cert_nodes, nihil_edges, zero_v, BoolVector.ones(u))
+    return ComplexTerm(cert_edges[0], cert_nodes[0], nihil_edges[0], zero_v, BoolVector.ones(u))
 
 
 def rewrite_term(p: Production, z: ComplexTerm) -> ComplexTerm:
@@ -265,37 +239,22 @@ def stepwise_image(s: RuleSequence, start: ComplexTerm | None = None) -> Complex
 
 def image_of_sequence(s: RuleSequence) -> ComplexTerm:
     """Closed form of the sequence applied to its own initial digraph."""
-    n = len(s)
     u = s.universe
-    zero_e = BoolMatrix.zeros(u)
-    zero_v = BoolVector.zeros(u)
+    rules = s.rules
     m = initial_digraph(s, check=False)
-
-    kept_all_e = zero_e
-    kept_all_v = zero_v
-    for j, p in enumerate(s.rules):
-        not_e = ~p.deleted_edges
-        not_ev = ~p.deleted_nodes
-        kept_all_e = not_e if j == 0 else kept_all_e & not_e
-        kept_all_v = not_ev if j == 0 else kept_all_v & not_ev
-    unadded_all_e = zero_e
-    for j, p in enumerate(s.rules):
-        not_r = ~p.added_edges
-        unadded_all_e = not_r if j == 0 else unadded_all_e & not_r
-
-    cert_edges = (
-        delta(1, n, lambda x, y: ~s.rule(x).deleted_edges & s.rule(y).added_edges, zero_e)
-        | (kept_all_e & m.cert_edges)
+    # Seeding a Δ scan with m adds (AND over x of A(x)) & m to Δ(1, n).
+    cert_edges = _scan(
+        [~p.deleted_edges for p in rules], [p.added_edges for p in rules], m.cert_edges
     )
-    cert_nodes = (
-        delta(1, n, lambda x, y: ~s.rule(x).deleted_nodes & s.rule(y).added_nodes, zero_v)
-        | (kept_all_v & m.cert_nodes)
+    cert_nodes = _scan(
+        [~p.deleted_nodes for p in rules], [p.added_nodes for p in rules], m.cert_nodes
     )
-    nihil_edges = (
-        delta(1, n, lambda x, y: ~s.rule(x).added_edges & s.rule(y).deleted_edges, zero_e)
-        | (unadded_all_e & m.nihil_edges)
+    nihil_edges = _scan(
+        [~p.added_edges for p in rules], [p.deleted_edges for p in rules], m.nihil_edges
     )
-    return ComplexTerm(cert_edges, cert_nodes, nihil_edges, zero_v, BoolVector.ones(u))
+    return ComplexTerm(
+        cert_edges[-1], cert_nodes[-1], nihil_edges[-1], BoolVector.zeros(u), BoolVector.ones(u)
+    )
 
 
 def sequence_compatibility(s: RuleSequence) -> AnalysisReport:
@@ -330,7 +289,9 @@ def sequence_compatibility(s: RuleSequence) -> AnalysisReport:
     for m, clash in enumerate(clashes, start=1):
         witnesses.extend(_cells_of(clash, "+", m))
         violations = violations | clash
-    literal = nabla(1, n, lambda x, y: clashes[x - 1], zero)
+    # Each AND term of the literal ∇(1, n) over the clashes has the first clash as
+    # a factor, and its y = 1 term is that clash alone, so the OR is the first clash.
+    literal = clashes[0]
 
     def dangling(term: ComplexTerm) -> BoolMatrix:
         return term.cert_edges & ~tensor(term.cert_nodes, term.cert_nodes)
@@ -372,30 +333,24 @@ def g_congruence(s: RuleSequence, mode: str = "advance") -> AnalysisReport:
 
     if mode == "advance":
         pivot_pos = n
-        lo, hi = 1, n - 1
+        rest = s.rules[:-1]
     elif mode == "delay":
         pivot_pos = 1
-        lo, hi = 2, n
+        rest = s.rules[1:]
     else:
         raise ValueError(f"unknown mode {mode!r}; expected advance or delay")
     pivot = s.rule(pivot_pos)
 
-    plus = pivot.lhs.edges & nabla(
-        lo,
-        hi,
-        lambda x, y: ~s.rule(x).deleted_edges
-        & s.rule(y).nihilation
-        & (s.rule(y).added_edges | pivot.deleted_edges),
+    plus = pivot.lhs.edges & _rscan(
+        [~p.deleted_edges for p in rest],
+        [p.nihilation & (p.added_edges | pivot.deleted_edges) for p in rest],
         zero,
-    )
-    minus = pivot.nihilation & nabla(
-        lo,
-        hi,
-        lambda x, y: ~s.rule(x).added_edges
-        & s.rule(y).lhs.edges
-        & (s.rule(y).deleted_edges | pivot.added_edges),
+    )[0]
+    minus = pivot.nihilation & _rscan(
+        [~p.added_edges for p in rest],
+        [p.lhs.edges & (p.deleted_edges | pivot.added_edges) for p in rest],
         zero,
-    )
+    )[0]
     term = _edge_term(u, plus, minus)
     witnesses = tuple(_cells_of(plus, "+", pivot_pos) + _cells_of(minus, "-", pivot_pos))
     return AnalysisReport(f"congruence-{mode}", term.is_zero(), term, witnesses)

@@ -21,20 +21,28 @@ REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "golden"
 DEMO = "grammars/demo.mgg"
 PAIR = "grammars/pair.mgg"
+LONG = "grammars/long.mgg"
+CHECKS = ("coherence", "initial", "image", "compatibility")
+
+
+def _analyze_cases(grammar: str, seq: str, tag: str) -> dict[str, list[str]]:
+    cases = {}
+    for check in CHECKS:
+        cases[f"analyze-{tag}-{check}"] = [
+            "analyze", grammar, "--sequence", seq, "--check", check,
+        ]
+    for mode in ("advance", "delay"):
+        cases[f"analyze-{tag}-congruence-{mode}"] = [
+            "analyze", grammar, "--sequence", seq, "--check", "congruence",
+            "--mode", mode,
+        ]
+    return cases
 
 
 def _cases() -> dict[str, list[str]]:
     cases = {}
     for seq in ("handover", "clash"):
-        for check in ("coherence", "initial", "image", "compatibility"):
-            cases[f"analyze-{seq}-{check}"] = [
-                "analyze", DEMO, "--sequence", seq, "--check", check,
-            ]
-        for mode in ("advance", "delay"):
-            cases[f"analyze-{seq}-congruence-{mode}"] = [
-                "analyze", DEMO, "--sequence", seq, "--check", "congruence",
-                "--mode", mode,
-            ]
+        cases.update(_analyze_cases(DEMO, seq, seq))
         for select in ("first", "all", "0", "1"):
             cases[f"derive-{seq}-{select}"] = [
                 "derive", DEMO, "--host", "start", "--sequence", seq,
@@ -47,6 +55,8 @@ def _cases() -> dict[str, list[str]]:
         (PAIR, "tie"),
     ):
         cases[f"encode-production-{prod}"] = ["encode", grammar, "--production", prod]
+    for seq in ("steady", "tangle"):
+        cases.update(_analyze_cases(LONG, seq, f"long-{seq}"))
     for nodes in ("0", "1", "2"):
         cases[f"census-{nodes}"] = ["census", "--nodes", nodes]
     return cases

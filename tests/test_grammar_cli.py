@@ -298,6 +298,24 @@ class TestGasketCommand:
         assert code == 2
 
 
+class TestIntegerArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("derive", DEMO, "--host", "start", "--sequence", "handover", "--select", value)
+            for value in ("٠", "+0", "-1", "0_1", " 0", "foo")
+        ]
+        + [("census", "--nodes", value) for value in ("0_1", "+1", "١", "1.0")]
+        + [("gasket", "--bits", value, "--out", "x.pbm") for value in ("0_1", "+4", "٤")],
+    )
+    def test_malformed_integers_are_usage_errors(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            cli(*argv)
+        assert err.value.code == 2
+        assert not (tmp_path / "x.pbm").exists()
+
+
 class TestModuleEntryPoint:
     def test_python_m_invocation(self):
         import subprocess

@@ -28,6 +28,7 @@ from mgg import (
     stepwise_image,
     t_matrix,
 )
+from mgg.sequence import _rscan, _scan
 
 U3 = NodeUniverse.of("a", "b", "c")
 
@@ -100,6 +101,51 @@ class TestDeltaNabla:
                     complement(p.deleted_edges, BoolMatrix.ones(U3)) & sim
                 )
             assert added == sim
+
+
+class TestScans:
+    """The separable scans against the generic double-loop reference."""
+
+    @staticmethod
+    def factor_lists(rng):
+        universe = NodeUniverse(tuple(f"v{i}" for i in range(rng.randint(2, 4))))
+        kind = rng.choice((BoolMatrix, BoolVector))
+        width = len(universe) ** 2 if kind is BoolMatrix else len(universe)
+        length = rng.randint(0, 12)
+
+        def draw():
+            return [kind(universe, rng.getrandbits(width)) for _ in range(length)]
+
+        return draw(), draw(), kind.zeros(universe), kind(universe, rng.getrandbits(width))
+
+    @staticmethod
+    def separable(a, b):
+        return lambda x, y: a[x - 1] & b[y - 1]
+
+    def test_scans_equal_reference_on_every_range(self):
+        rng = random.Random(53)
+        for _ in range(150):
+            a, b, zero, _ = self.factor_lists(rng)
+            n = len(a)
+            family = self.separable(a, b)
+            assert _scan(a, b, zero) == [delta(1, t, family, zero) for t in range(n + 1)]
+            assert _rscan(a, b, zero) == [nabla(t, n, family, zero) for t in range(1, n + 2)]
+            for t0 in range(1, n + 2):
+                for t1 in range(t0 - 1, n + 1):
+                    part_a, part_b = a[t0 - 1 : t1], b[t0 - 1 : t1]
+                    assert _scan(part_a, part_b, zero)[-1] == delta(t0, t1, family, zero)
+                    assert _rscan(part_a, part_b, zero)[0] == nabla(t0, t1, family, zero)
+
+    def test_seeded_scan_adds_kept_start(self):
+        # The image's reading: a scan from m is Δ(1, n) | (AND of every A(x)) & m.
+        rng = random.Random(59)
+        for _ in range(150):
+            a, b, zero, m = self.factor_lists(rng)
+            kept = m
+            for ax in a:
+                kept = kept & ax
+            family = self.separable(a, b)
+            assert _scan(a, b, m)[-1] == delta(1, len(a), family, zero) | kept
 
 
 class TestCoherence:
