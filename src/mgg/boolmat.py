@@ -15,7 +15,7 @@ inside any other ambient, such as the block of a digraph's node set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Mapping
+from typing import ClassVar, Iterable, Iterator, Mapping
 
 
 class UniverseMismatchError(ValueError):
@@ -53,6 +53,18 @@ class NodeUniverse:
     def extended(self, new_labels: Iterable[str]) -> "NodeUniverse":
         """New universe with extra labels appended after the existing ones."""
         return NodeUniverse(self.labels + tuple(new_labels))
+
+
+def set_bits(bits: int) -> Iterator[int]:
+    """Indices of the set bits of ``bits``, ascending; one step per set bit, not per cell.
+
+    A packed matrix's cell (i, j) comes out as ``i * n + j``, row by row.
+    """
+    digits = bin(bits)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 def _check_universe(a, b) -> None:
@@ -150,10 +162,10 @@ class BoolVector(_Packed):
         return self[self.universe.index(label)]
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(l for i, l in enumerate(self.universe.labels) if self[i])
+        return tuple(self.universe.labels[i] for i in set_bits(self.bits))
 
     def tolist(self) -> list[int]:
-        return [self[i] for i in range(len(self.universe))]
+        return [self.bits >> i & 1 for i in range(len(self.universe))]
 
 
 class BoolMatrix(_Packed):
@@ -193,15 +205,13 @@ class BoolMatrix(_Packed):
         n = len(self.universe)
         labels = self.universe.labels
         return tuple(
-            (labels[i], labels[j])
-            for i in range(n)
-            for j in range(n)
-            if self[i, j]
+            (labels[cell // n], labels[cell % n]) for cell in set_bits(self.bits)
         )
 
     def rows(self) -> list[list[int]]:
         n = len(self.universe)
-        return [[self[i, j] for j in range(n)] for i in range(n)]
+        row = (1 << n) - 1
+        return [BoolVector(self.universe, self.bits >> i * n & row).tolist() for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -249,11 +259,8 @@ def tensor(u: BoolVector, v: BoolVector) -> BoolMatrix:
     _check_operand(u, v)
     n = len(u.universe)
     bits = 0
-    rest = u.bits
-    while rest:
-        i = (rest & -rest).bit_length() - 1
+    for i in set_bits(u.bits):
         bits |= v.bits << (i * n)
-        rest &= rest - 1
     return BoolMatrix(u.universe, bits)
 
 
@@ -306,25 +313,21 @@ def complete_to(x, target: NodeUniverse, mapping: Mapping[str, str] | None = Non
     pos = {src_u.index(s): target.index(d) for s, d in m.items()}
     if isinstance(x, BoolVector):
         bits = 0
-        for i in range(len(src_u)):
-            if x[i]:
-                if i not in pos:
-                    raise ValueError(
-                        f"unmapped label {src_u.labels[i]!r} carries content"
-                    )
-                bits |= 1 << pos[i]
+        for i in set_bits(x.bits):
+            if i not in pos:
+                raise ValueError(f"unmapped label {src_u.labels[i]!r} carries content")
+            bits |= 1 << pos[i]
         return BoolVector(target, bits)
     if isinstance(x, BoolMatrix):
-        n_t = len(target)
+        n_s, n_t = len(src_u), len(target)
         bits = 0
-        for i in range(len(src_u)):
-            for j in range(len(src_u)):
-                if x[i, j]:
-                    if i not in pos or j not in pos:
-                        raise ValueError(
-                            "unmapped label carries content: edge "
-                            f"{src_u.labels[i]!r}->{src_u.labels[j]!r}"
-                        )
-                    bits |= 1 << (pos[i] * n_t + pos[j])
+        for cell in set_bits(x.bits):
+            i, j = divmod(cell, n_s)
+            if i not in pos or j not in pos:
+                raise ValueError(
+                    "unmapped label carries content: edge "
+                    f"{src_u.labels[i]!r}->{src_u.labels[j]!r}"
+                )
+            bits |= 1 << (pos[i] * n_t + pos[j])
         return BoolMatrix(target, bits)
     raise TypeError(f"cannot complete value of type {type(x).__name__}")

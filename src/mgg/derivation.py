@@ -6,6 +6,11 @@ edge, and every forbidden (nihilation) edge between mapped nodes to an
 absent host cell.  Forbidden edges with an unmapped endpoint constrain
 nothing, consistent with zero-filled completion.
 
+Both conditions are AND / AND-NOT tests on packed neighbour masks
+(``_Masks.candidates``): ``find_matches`` prunes with this one predicate and
+``apply_at`` checks a given match with it.  ``derive`` and ``derive_all``
+share one depth-first walker.
+
 Applying a rule at a match completes its action matrices into the host
 universe (added rule nodes get fresh host labels), then rewrites.  Deleting
 a node removes its whole row and column, so derivation steps preserve
@@ -15,6 +20,7 @@ dangling-edge freedom whenever the rule itself does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .boolmat import (
     BoolMatrix,
@@ -23,6 +29,7 @@ from .boolmat import (
     complement,
     complete_to,
     is_compatible,
+    set_bits,
     tensor,
 )
 from .production import Production
@@ -64,71 +71,92 @@ def host_complement(g: Digraph) -> BoolMatrix:
     return complement(g.edges, bounded_one(g.nodes))
 
 
-def _lhs_node_indices(p: Production) -> list[int]:
-    return [i for i in range(len(p.universe)) if p.lhs.nodes[i]]
+def _neighbours(m: BoolMatrix) -> tuple[list[int], list[int], int]:
+    """Out- and in-neighbour masks of every node of m, and the mask of its self-loops."""
+    n = len(m.universe)
+    out, inn, loops = [0] * n, [0] * n, 0
+    for cell in set_bits(m.bits):
+        i, j = divmod(cell, n)
+        out[i] |= 1 << j
+        inn[j] |= 1 << i
+        if i == j:
+            loops |= 1 << i
+    return out, inn, loops
+
+
+class _Masks:
+    """Neighbour masks of a rule's lhs, its nihilation and a host graph."""
+
+    def __init__(self, p: Production, g: Digraph, check_nihil: bool = True):
+        self.lhs_out, self.lhs_in, self.lhs_loops = _neighbours(p.lhs.edges)
+        nihil = p.nihilation if check_nihil else BoolMatrix.zeros(p.universe)
+        self.nihil_out, self.nihil_in, self.nihil_loops = _neighbours(nihil)
+        self.host_out, self.host_in, self.host_loops = _neighbours(g.edges)
+
+    def candidates(self, u: int, placed: dict[int, int], free: int) -> int:
+        """The host nodes in mask ``free`` that lhs node u may map to.
+
+        ``placed`` maps the lhs nodes matched so far to host nodes.  A
+        candidate has every lhs edge between u and them, and u's lhs
+        self-loop, in the host (m_L), and none of the forbidden ones (m_K).
+        """
+        if self.lhs_loops >> u & 1:
+            free &= self.host_loops
+        if self.nihil_loops >> u & 1:
+            free &= ~self.host_loops
+        for v, d in placed.items():
+            if self.lhs_out[u] >> v & 1:
+                free &= self.host_in[d]
+            if self.lhs_in[u] >> v & 1:
+                free &= self.host_out[d]
+            if self.nihil_out[u] >> v & 1:
+                free &= ~self.host_in[d]
+            if self.nihil_in[u] >> v & 1:
+                free &= ~self.host_out[d]
+        return free
 
 
 def find_matches(p: Production, g: Digraph, check_nihil: bool = True) -> list[Match]:
     """All injective matches of p's lhs into g, in lexicographic host order.
 
-    Backtracks over lhs nodes in decreasing degree order, pruning host
-    candidates whose in/out degree is too small; the returned list is
+    Backtracks over lhs nodes in decreasing degree order.  An lhs node's
+    candidates are one mask of present, unused host nodes of at least its
+    in/out degree, narrowed by ``_Masks.candidates``; the returned list is
     sorted by the tuple of host indices taken in rule-universe order.
     """
     if not is_compatible(g):
         raise ValueError("host graph has dangling edges")
     # An lhs edge touching an absent lhs node can never be realized.
-    if (p.lhs.edges.bits & ~bounded_one(p.lhs.nodes).bits) != 0:
+    if not is_compatible(p.lhs):
         return []
 
-    n_rule = len(p.universe)
-    n_host = len(g.universe)
-    lhs_idx = _lhs_node_indices(p)
-    host_nodes = [j for j in range(n_host) if g.nodes[j]]
-
-    lhs_out = {i: sum(p.lhs.edges[i, j] for j in range(n_rule)) for i in lhs_idx}
-    lhs_in = {i: sum(p.lhs.edges[j, i] for j in range(n_rule)) for i in lhs_idx}
-    order = sorted(lhs_idx, key=lambda i: (-(lhs_out[i] + lhs_in[i]), i))
-    host_out = {j: sum(g.edges[j, k] for k in range(n_host)) for j in host_nodes}
-    host_in = {j: sum(g.edges[k, j] for k in range(n_host)) for j in host_nodes}
-
-    nihil = p.nihilation
+    masks = _Masks(p, g, check_nihil)
+    lhs_idx = list(set_bits(p.lhs.nodes.bits))
+    degree = {u: (masks.lhs_out[u].bit_count(), masks.lhs_in[u].bit_count()) for u in lhs_idx}
+    order = sorted(lhs_idx, key=lambda u: (-sum(degree[u]), u))
+    host_degree = [(o.bit_count(), i.bit_count()) for o, i in zip(masks.host_out, masks.host_in)]
+    room = [
+        sum(
+            1 << c
+            for c in set_bits(g.nodes.bits)
+            if host_degree[c][0] >= degree[u][0] and host_degree[c][1] >= degree[u][1]
+        )
+        for u in order
+    ]
     results: list[tuple[int, ...]] = []
-    assigned: dict[int, int] = {}
-    used: set[int] = set()
+    placed: dict[int, int] = {}
 
-    def consistent(u: int, c: int) -> bool:
-        for v, d in assigned.items():
-            for a, b, x, y in ((u, v, c, d), (v, u, d, c)):
-                if p.lhs.edges[a, b] and not g.edges[x, y]:
-                    return False
-                if check_nihil and nihil[a, b] and g.edges[x, y]:
-                    return False
-        if p.lhs.edges[u, u] and not g.edges[c, c]:
-            return False
-        if check_nihil and nihil[u, u] and g.edges[c, c]:
-            return False
-        return True
-
-    def backtrack(depth: int) -> None:
+    def backtrack(depth: int, used: int) -> None:
         if depth == len(order):
-            results.append(tuple(assigned[i] for i in lhs_idx))
+            results.append(tuple(placed[i] for i in lhs_idx))
             return
         u = order[depth]
-        for c in host_nodes:
-            if c in used:
-                continue
-            if host_out[c] < lhs_out[u] or host_in[c] < lhs_in[u]:
-                continue
-            if not consistent(u, c):
-                continue
-            assigned[u] = c
-            used.add(c)
-            backtrack(depth + 1)
-            used.discard(c)
-            del assigned[u]
+        for c in set_bits(masks.candidates(u, placed, room[depth] & ~used)):
+            placed[u] = c
+            backtrack(depth + 1, used | 1 << c)
+            del placed[u]
 
-    backtrack(0)
+    backtrack(0, 0)
     results.sort()
     rule_labels = p.universe.labels
     host_labels = g.universe.labels
@@ -140,25 +168,37 @@ def find_matches(p: Production, g: Digraph, check_nihil: bool = True) -> list[Ma
 
 def _validate_match(p: Production, g: Digraph, m: Match) -> dict[str, str]:
     mapping = m.mapping()
-    lhs_labels = [p.universe.labels[i] for i in _lhs_node_indices(p)]
-    if sorted(mapping) != sorted(lhs_labels):
+    if sorted(mapping) != sorted(p.lhs.nodes.labels()):
         raise MatchError("match must cover exactly the lhs nodes")
     if len(set(mapping.values())) != len(mapping):
         raise MatchError("match must be injective")
-    for label, host in mapping.items():
-        if host not in g.universe or not g.nodes.get(host):
-            raise MatchError(f"host node {host!r} is not present")
-    for a in lhs_labels:
-        for b in lhs_labels:
-            ia, ib = p.universe.index(a), p.universe.index(b)
-            ha, hb = g.universe.index(mapping[a]), g.universe.index(mapping[b])
-            if p.lhs.edges[ia, ib] and not g.edges[ha, hb]:
-                raise MatchError(f"missing lhs edge {a}->{b} at {mapping[a]}->{mapping[b]}")
-            if p.nihilation[ia, ib] and g.edges[ha, hb]:
-                raise MatchError(
-                    f"forbidden edge {a}->{b} present at {mapping[a]}->{mapping[b]}"
-                )
+    for target in mapping.values():
+        if target not in g.universe or not g.nodes.get(target):
+            raise MatchError(f"host node {target!r} is not present")
+    image = sorted((p.universe.index(a), g.universe.index(b)) for a, b in mapping.items())
+    masks = _Masks(p, g)
+    placed: dict[int, int] = {}
+    for u, c in image:
+        if not masks.candidates(u, placed, 1 << c):
+            raise MatchError(next(_violations(p, g, image, masks)))
+        placed[u] = c
     return mapping
+
+
+def _violations(
+    p: Production, g: Digraph, image: list[tuple[int, int]], masks: _Masks
+) -> Iterator[str]:
+    """The violated lhs and forbidden cells of a match, row by row, as error messages."""
+    rule_labels, host_labels = p.universe.labels, g.universe.labels
+    for a, ha in image:
+        for b, hb in image:
+            edge = masks.host_out[ha] >> hb & 1
+            cell = f"{rule_labels[a]}->{rule_labels[b]}"
+            at = f"{host_labels[ha]}->{host_labels[hb]}"
+            if masks.lhs_out[a] >> b & 1 and not edge:
+                yield f"missing lhs edge {cell} at {at}"
+            elif masks.nihil_out[a] >> b & 1 and edge:
+                yield f"forbidden edge {cell} present at {at}"
 
 
 def fresh_label(p: Production, node: str, step: int, taken) -> str:
@@ -178,21 +218,14 @@ def apply_at(p: Production, g: Digraph, m: Match, step: int = 1) -> Digraph:
     keeping the result dangling-free.
     """
     mapping = _validate_match(p, g, m)
-    added_labels = [
-        p.universe.labels[i]
-        for i in range(len(p.universe))
-        if p.added_nodes[i]
-    ]
     fresh = {}
     taken = set(g.universe.labels)
-    for node in added_labels:
-        label = fresh_label(p, node, step, taken)
-        fresh[node] = label
-        taken.add(label)
+    for node in p.added_nodes.labels():
+        fresh[node] = fresh_label(p, node, step, taken)
+        taken.add(fresh[node])
 
-    target = g.universe.extended(fresh[n] for n in added_labels)
-    full_map = dict(mapping)
-    full_map.update(fresh)
+    target = g.universe.extended(fresh.values())
+    full_map = {**mapping, **fresh}
 
     host_edges = complete_to(g.edges, target)
     host_nodes = complete_to(g.nodes, target)
@@ -227,27 +260,55 @@ class DerivationTrace:
         return self.graphs[-1]
 
 
-def _select(matches: list[Match], selector, step: int, name: str) -> Match:
+# Selector of a derive_all step: every match, in match order.
+_EVERY = object()
+
+
+def _select(matches: list[Match], selector, step: int, p: Production, g: Digraph) -> Match:
+    if not matches:
+        if find_matches(p, g, check_nihil=False):
+            raise DerivationError(
+                step, p.name, "m_K", "no match: every lhs embedding hits a forbidden edge"
+            )
+        raise DerivationError(step, p.name, "m_L", "no match: lhs cannot be embedded")
     if selector == "first":
         return matches[0]
     if isinstance(selector, int):
         if not 0 <= selector < len(matches):
             raise DerivationError(
-                step, name, "selector",
+                step, p.name, "selector",
                 f"match index {selector} out of range ({len(matches)} matches)",
             )
         return matches[selector]
-    if isinstance(selector, Match):
-        candidate = selector
-    elif isinstance(selector, dict):
-        candidate = Match(tuple(sorted(selector.items())))
-    else:
-        raise DerivationError(step, name, "selector", f"bad selector {selector!r}")
-    wanted = dict(candidate.pairs)
+    wanted = selector.mapping() if isinstance(selector, Match) else selector
+    if not isinstance(wanted, dict):
+        raise DerivationError(step, p.name, "selector", f"bad selector {selector!r}")
     for m in matches:
-        if dict(m.pairs) == wanted:
+        if m.mapping() == wanted:
             return m
-    raise DerivationError(step, name, "selector", "requested map is not a valid match")
+    raise DerivationError(step, p.name, "selector", "requested map is not a valid match")
+
+
+def _walk(g: Digraph, steps, graph_prefix: str) -> Iterator[DerivationTrace]:
+    """Every derivation along (production, selector) steps, in match order.
+
+    A selector picks one match (see ``_select``); ``_EVERY`` branches on each.
+    The walk is depth first on a stack, so long sequences need no recursion.
+    """
+    stack = [((), (g,))]
+    while stack:
+        trail, graphs = stack.pop()
+        k = len(trail)
+        if k == len(steps):
+            yield DerivationTrace(trail, graphs)
+            continue
+        p, selector = steps[k]
+        matches = find_matches(p, graphs[-1])
+        if selector is not _EVERY:
+            matches = [_select(matches, selector, k + 1, p, graphs[-1])]
+        for m in reversed(matches):
+            step = DerivationStep(p.name, m, f"{graph_prefix}{k}", f"{graph_prefix}{k + 1}")
+            stack.append((trail + (step,), graphs + (apply_at(p, graphs[-1], m, step=k + 1),)))
 
 
 def derive(g: Digraph, steps, graph_prefix: str = "g") -> DerivationTrace:
@@ -259,48 +320,9 @@ def derive(g: Digraph, steps, graph_prefix: str = "g") -> DerivationTrace:
     a match aborts with the failed morphism named: "m_L" when the lhs cannot
     be embedded at all, "m_K" when every embedding hits a forbidden edge.
     """
-    graphs = [g]
-    trace: list[DerivationStep] = []
-    current = g
-    for k, (p, selector) in enumerate(steps, start=1):
-        matches = find_matches(p, current)
-        if not matches:
-            lhs_only = find_matches(p, current, check_nihil=False)
-            failed = "m_K" if lhs_only else "m_L"
-            raise DerivationError(
-                k, p.name, failed,
-                "no match: " + (
-                    "every lhs embedding hits a forbidden edge"
-                    if lhs_only
-                    else "lhs cannot be embedded"
-                ),
-            )
-        chosen = _select(matches, selector, k, p.name)
-        current = apply_at(p, current, chosen, step=k)
-        graphs.append(current)
-        trace.append(
-            DerivationStep(p.name, chosen, f"{graph_prefix}{k-1}", f"{graph_prefix}{k}")
-        )
-    return DerivationTrace(tuple(trace), tuple(graphs))
+    return next(_walk(g, list(steps), graph_prefix))
 
 
 def derive_all(g: Digraph, productions, graph_prefix: str = "g") -> list[DerivationTrace]:
     """Every complete derivation trace over all per-step match choices."""
-    traces: list[DerivationTrace] = []
-
-    def walk(current: Digraph, k: int, steps, graphs) -> None:
-        if k == len(productions):
-            traces.append(DerivationTrace(tuple(steps), tuple(graphs)))
-            return
-        p = productions[k]
-        for m in find_matches(p, current):
-            nxt = apply_at(p, current, m, step=k + 1)
-            walk(
-                nxt,
-                k + 1,
-                steps + [DerivationStep(p.name, m, f"{graph_prefix}{k}", f"{graph_prefix}{k+1}")],
-                graphs + [nxt],
-            )
-
-    walk(g, 0, [], [g])
-    return traces
+    return list(_walk(g, [(p, _EVERY) for p in productions], graph_prefix))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .boolmat import BoolMatrix
+from .boolmat import BoolMatrix, set_bits
 from .mcl import ComplexTerm, cmul
 
 
@@ -119,11 +119,9 @@ def ell(m: BoolMatrix) -> Dyadic:
     n = len(m.universe)
     cells = n * n
     num = 0
-    for k in range(1, cells + 1):
-        i = (k - 1) % n
-        j = (k - 1) // n
-        if m[i, j]:
-            num |= 1 << (cells - k)
+    for cell in set_bits(m.bits):
+        i, j = divmod(cell, n)
+        num |= 1 << (cells - 1 - j * n - i)
     return Dyadic(num, cells)
 
 

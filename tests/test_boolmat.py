@@ -181,8 +181,13 @@ class TestCompleteTo:
 
     def test_unmapped_content_rejected(self):
         a = mat(U2, [[0, 1], [0, 0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unmapped label carries content: edge 'a'->'b'$"):
             complete_to(a, U3, {"a": "a"})
+
+    def test_unmapped_vector_content_rejected(self):
+        v = vec(U3, [1, 0, 1])
+        with pytest.raises(ValueError, match="^unmapped label 'c' carries content$"):
+            complete_to(v, U3, {"a": "b", "b": "c"})
 
     @given(matrices())
     def test_preserves_cell_count(self, a):
@@ -209,3 +214,19 @@ class TestBooleanLaws:
         assert ((a & b) & c) == (a & (b & c))
         assert (a & a) == a
         assert (a | a) == a
+
+
+class TestCellReads:
+    """Row slices and set-bit walks agree with reading each cell by index."""
+
+    @given(st.data())
+    def test_agree_with_getitem(self, data):
+        n = data.draw(st.integers(0, 70))
+        u = NodeUniverse(tuple(f"v{i}" for i in range(n)))
+        m = BoolMatrix(u, data.draw(st.integers(0, (1 << n * n) - 1)))
+        v = BoolVector(u, data.draw(st.integers(0, (1 << n) - 1)))
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        assert m.rows() == [[m[i, j] for j in range(n)] for i in range(n)]
+        assert v.tolist() == [v[i] for i in range(n)]
+        assert m.edges() == tuple((u.labels[i], u.labels[j]) for i, j in cells if m[i, j])
+        assert v.labels() == tuple(l for i, l in enumerate(u.labels) if v[i])

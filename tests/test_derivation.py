@@ -107,6 +107,46 @@ class TestFindMatches:
             slow = brute_matches(p, g)
             assert fast == slow
 
+    def test_agrees_with_networkx_vf2_on_larger_hosts(self):
+        # VF2 monomorphisms of the lhs into the host, minus those that hit
+        # a forbidden cell, in host-index order; brute_matches stops at 7
+        # host nodes, these hosts have 16 to 32.
+        pytest.importorskip("networkx")
+        from networkx import DiGraph
+        from networkx.algorithms.isomorphism import DiGraphMatcher
+
+        def nx_graph(g):
+            n = len(g.universe)
+            d = DiGraph()
+            d.add_nodes_from(i for i in range(n) if g.nodes[i])
+            d.add_edges_from((i, j) for i in range(n) for j in range(n) if g.edges[i, j])
+            return d
+
+        rng = random.Random(35)
+        universes = [U3, NodeUniverse.of("a", "b", "c", "d")]
+        matches = 0
+        for k in range(150):
+            host_u = NodeUniverse(tuple(f"h{i}" for i in range(rng.randint(16, 32))))
+            g = random_digraph(rng, host_u, node_density=0.9, edge_density=0.2)
+            p = random_production(rng, universes[k % 2], edge_density=0.5)
+            lhs_idx = [i for i in range(len(p.universe)) if p.lhs.nodes[i]]
+            images = []
+            for found in DiGraphMatcher(nx_graph(g), nx_graph(p.lhs)).subgraph_monomorphisms_iter():
+                image = {r: h for h, r in found.items()}
+                if not any(
+                    p.nihilation[a, b] and g.edges[image[a], image[b]]
+                    for a in lhs_idx
+                    for b in lhs_idx
+                ):
+                    images.append(tuple(image[i] for i in lhs_idx))
+            expected = [
+                Match(tuple((p.universe.labels[i], host_u.labels[c]) for i, c in zip(lhs_idx, hosts)))
+                for hosts in sorted(images)
+            ]
+            assert find_matches(p, g) == expected
+            matches += len(expected)
+        assert matches > 4000
+
 
 class TestApplyAt:
     def test_identity_rule_keeps_host(self):
@@ -125,6 +165,37 @@ class TestApplyAt:
         h = Digraph.of(U2, "ab", [("a", "b")])
         with pytest.raises(MatchError, match="forbidden edge"):
             apply_at(q, h, Match((("a", "a"), ("b", "b"))))
+
+    @pytest.mark.parametrize(
+        "lhs_edges, rhs_edges, host_nodes, host_edges, pairs, message",
+        [
+            ([("a", "b")], [("a", "b")], "ab", [("a", "b")], [("a", "a")],
+             "match must cover exactly the lhs nodes"),
+            ([("a", "b")], [("a", "b")], "ab", [("a", "b")], [("a", "a"), ("b", "a")],
+             "match must be injective"),
+            ([], [], "a", [], [("a", "a"), ("b", "b")], "host node 'b' is not present"),
+            ([], [], "abc", [], [("a", "a"), ("b", "z")], "host node 'z' is not present"),
+            ([("a", "b")], [("a", "b")], "ab", [("b", "a")], [("a", "a"), ("b", "b")],
+             "missing lhs edge a->b at a->b"),
+            ([("b", "b")], [("b", "b")], "ab", [("b", "b")], [("a", "b"), ("b", "a")],
+             "missing lhs edge b->b at a->a"),
+            ([], [("a", "b")], "ab", [("b", "a")], [("a", "b"), ("b", "a")],
+             "forbidden edge a->b present at b->a"),
+            ([], [("a", "a")], "ab", [("b", "b")], [("a", "b"), ("b", "a")],
+             "forbidden edge a->a present at b->b"),
+            # Several violations: the first cell row by row is named.
+            ([("b", "a"), ("b", "b"), ("a", "b")], [], "ab", [], [("a", "a"), ("b", "b")],
+             "missing lhs edge a->b at a->b"),
+        ],
+    )
+    def test_every_match_error_reason(
+        self, lhs_edges, rhs_edges, host_nodes, host_edges, pairs, message
+    ):
+        p = rule(U2, "r", "ab", lhs_edges, "ab", rhs_edges)
+        g = Digraph.of(U3, host_nodes, host_edges)
+        with pytest.raises(MatchError) as err:
+            apply_at(p, g, Match(tuple(pairs)))
+        assert str(err.value) == message
 
     def test_node_deletion_wipes_row_and_column(self):
         # host edges at the deleted image from outside the mapped block are
@@ -250,3 +321,17 @@ class TestDerive:
         traces = derive_all(g, [p3, p3])
         assert len(traces) == 9
         assert all(t.result == g for t in traces)
+
+    def test_derive_all_in_match_order(self):
+        # traces come out depth first, each step's matches in match order
+        p = rule(U2, "turn", "ab", [("a", "b")], "ab", [("b", "a")])
+        p3 = Production.from_static("turn", complete_to(p.lhs, U3), complete_to(p.rhs, U3))
+        g = Digraph.of(U3, "abc", [("a", "b"), ("b", "c"), ("a", "c")])
+        expected = [
+            (m1, m2)
+            for m1 in find_matches(p3, g)
+            for m2 in find_matches(p3, apply_at(p3, g, m1, step=1))
+        ]
+        got = [tuple(step.match for step in t.steps) for t in derive_all(g, [p3, p3])]
+        assert got == expected
+        assert len(got) == 9

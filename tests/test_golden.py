@@ -22,6 +22,7 @@ GOLDEN = REPO / "tests" / "golden"
 DEMO = "grammars/demo.mgg"
 PAIR = "grammars/pair.mgg"
 LONG = "grammars/long.mgg"
+WIDE = "grammars/wide.mgg"
 CHECKS = ("coherence", "initial", "image", "compatibility")
 
 
@@ -57,6 +58,11 @@ def _cases() -> dict[str, list[str]]:
         cases[f"encode-production-{prod}"] = ["encode", grammar, "--production", prod]
     for seq in ("steady", "tangle"):
         cases.update(_analyze_cases(LONG, seq, f"long-{seq}"))
+    for select in ("first", "2"):
+        cases[f"derive-wide-{select}"] = [
+            "derive", WIDE, "--host", "field", "--sequence", "trek",
+            "--select", select,
+        ]
     for nodes in ("0", "1", "2"):
         cases[f"census-{nodes}"] = ["census", "--nodes", nodes]
     return cases

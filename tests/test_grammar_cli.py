@@ -190,7 +190,7 @@ class TestDeriveCommand:
         assert "result g2" in lines
         assert any("recruit.c#2" in l for l in lines)
 
-    def test_failing_run_names_morphism(self):
+    def test_failing_run_names_morphism(self, tmp_path):
         code, text = cli(
             "derive", PAIR, "--host", "mutual", "--sequence", "only", "--select", "first",
         )
@@ -199,19 +199,16 @@ class TestDeriveCommand:
             "nodes a b\n\nproduction need\n  lhs nodes a b\n  lhs edges a->a\n"
             "  rhs nodes a b\n\nsequence s need\n\nhost empty\n  nodes a b\n"
         )
-        path = Path(DEMO).parent / "_tmp_fail.mgg"
+        path = tmp_path / "fail.mgg"
         path.write_text(text2)
-        try:
-            code, text = cli(
-                "derive", str(path), "--host", "empty", "--sequence", "s",
-                "--select", "first",
-            )
-            assert code == 1
-            lines = text.splitlines()
-            assert "failed_morphism m_L" in lines
-            assert "failed_step 1" in lines
-        finally:
-            path.unlink()
+        code, text = cli(
+            "derive", str(path), "--host", "empty", "--sequence", "s",
+            "--select", "first",
+        )
+        assert code == 1
+        lines = text.splitlines()
+        assert "failed_morphism m_L" in lines
+        assert "failed_step 1" in lines
 
     def test_select_all_counts_traces(self):
         code, text = cli(
