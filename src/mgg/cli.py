@@ -39,12 +39,19 @@ _SELECT = re.compile(r"first|all|[0-9]+")
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
+def _bits_str(bits: int, n: int) -> str:
+    """``[b0,b1,...]`` of the n low bits, lowest first; ``format(0, "00b")`` is "0"."""
+    return "[" + ",".join(format(bits, f"0{n}b")[::-1]) + "]" if n else "[]"
+
+
 def matrix_str(m: BoolMatrix) -> str:
-    return "[" + ",".join("[" + ",".join(str(v) for v in row) + "]" for row in m.rows()) + "]"
+    n = len(m.universe)
+    row_mask = (1 << n) - 1
+    return "[" + ",".join(_bits_str(m.bits >> i * n & row_mask, n) for i in range(n)) + "]"
 
 
 def vector_str(v: BoolVector) -> str:
-    return "[" + ",".join(str(x) for x in v.tolist()) + "]"
+    return _bits_str(v.bits, len(v.universe))
 
 
 def _bool_str(flag: bool) -> str:

@@ -224,11 +224,11 @@ def apply_at(p: Production, g: Digraph, m: Match, step: int = 1) -> Digraph:
         fresh[node] = fresh_label(p, node, step, taken)
         taken.add(fresh[node])
 
-    target = g.universe.extended(fresh.values())
+    # A rule that adds no node leaves the host's universe, and so its bits, as they are.
+    host = complete_to(g, g.universe.extended(fresh.values())) if fresh else g
+    target = host.universe
     full_map = {**mapping, **fresh}
 
-    host_edges = complete_to(g.edges, target)
-    host_nodes = complete_to(g.nodes, target)
     del_edges = complete_to(p.deleted_edges, target, full_map)
     add_edges = complete_to(p.added_edges, target, full_map)
     del_nodes = complete_to(p.deleted_nodes, target, full_map)
@@ -237,8 +237,8 @@ def apply_at(p: Production, g: Digraph, m: Match, step: int = 1) -> Digraph:
     kept_nodes = ~del_nodes
     # Row/column wipe-out for deleted nodes.
     kept_block = tensor(kept_nodes, kept_nodes)
-    new_edges = add_edges | (host_edges & kept_block & ~del_edges)
-    new_nodes = add_nodes | (host_nodes & kept_nodes)
+    new_edges = add_edges | (host.edges & kept_block & ~del_edges)
+    new_nodes = add_nodes | (host.nodes & kept_nodes)
     return Digraph(new_edges, new_nodes)
 
 

@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
+from operator import and_, or_
 
 from .boolmat import (
     BoolMatrix,
@@ -97,6 +100,18 @@ def _rscan(a: list, b: list, zero):
     run over the reversed factor lists.
     """
     return _scan(a[::-1], b[::-1], zero)[::-1]
+
+
+def _lscan(a: list, b: list, zero):
+    """Every ∇(1, m) of the same family: entry m is ∇(1, m), entry 0 zero.
+
+    ∇(1, m) = ∇(1, m - 1) | (A(1) & ... & A(m)) & B(m): one forward pass with a
+    running AND of the A(x).  It runs on the packed bits, which builds one value
+    per entry instead of three; every factor must be in ``zero``'s universe.
+    """
+    a_bits = accumulate([x.bits for x in a], and_)
+    nabla_bits = accumulate(map(and_, a_bits, [y.bits for y in b]), or_, initial=zero.bits)
+    return [type(zero)(zero.universe, bits) for bits in nabla_bits]
 
 
 @dataclass(frozen=True)
@@ -207,15 +222,22 @@ def initial_digraph(s: RuleSequence, check: bool = True) -> ComplexTerm:
             stacklevel=2,
         )
     u = s.universe
+    return ComplexTerm(*_prefix_digraphs(s)[-1], BoolVector.zeros(u), BoolVector.ones(u))
+
+
+def _prefix_digraphs(s: RuleSequence) -> list[tuple[BoolMatrix, BoolVector, BoolMatrix]]:
+    """Certainty edges, certainty nodes and nihil edges of the initial digraph
+    of every prefix of s, from one pass: entry m is prefix m's."""
+    u = s.universe
     zero_e = BoolMatrix.zeros(u)
     zero_v = BoolVector.zeros(u)
     rules = s.rules
-    cert_edges = _rscan([~p.added_edges for p in rules], [p.lhs.edges for p in rules], zero_e)
-    cert_nodes = _rscan([~p.added_nodes for p in rules], [p.lhs.nodes for p in rules], zero_v)
-    nihil_edges = _rscan(
+    cert_edges = _lscan([~p.added_edges for p in rules], [p.lhs.edges for p in rules], zero_e)
+    cert_nodes = _lscan([~p.added_nodes for p in rules], [p.lhs.nodes for p in rules], zero_v)
+    nihil_edges = _lscan(
         [~p.deleted_edges & ~t_matrix(p) for p in rules], [p.nihilation for p in rules], zero_e
     )
-    return ComplexTerm(cert_edges[0], cert_nodes[0], nihil_edges[0], zero_v, BoolVector.ones(u))
+    return list(zip(cert_edges, cert_nodes, nihil_edges))
 
 
 def rewrite_term(p: Production, z: ComplexTerm) -> ComplexTerm:
@@ -266,52 +288,42 @@ def sequence_compatibility(s: RuleSequence) -> AnalysisReport:
     matrix (the literal one-term reading of that check, whose summand
     depends only on its first index, is reported as an extra).  Second,
     dangling edges: every prefix's smallest host and every intermediate
-    image of the full initial digraph must be a proper digraph.
+    image of the full initial digraph must be a proper digraph.  The analysis is
+    O(L): one forward pass over per-rule factor lists gives every prefix's
+    initial digraph.
     """
-    n = len(s)
     u = s.universe
-    zero = BoolMatrix.zeros(u)
     notes: list[str] = []
     incompatible_rules = [p.name for p in s.rules if not p.compatible]
     if incompatible_rules:
         notes.append("incompatible rules: " + " ".join(incompatible_rules))
 
-    prefixes = [initial_digraph(s.prefix(m), check=False) for m in range(1, n + 1)]
-
-    def prefix_clash(m: int) -> BoolMatrix:
-        term = prefixes[m - 1]
-        pm = s.rule(m)
-        return ~pm.deleted_edges & ~pm.added_edges & term.cert_edges & term.nihil_edges
-
-    violations = zero
-    witnesses: list[Witness] = []
-    clashes = [prefix_clash(m) for m in range(1, n + 1)]
-    for m, clash in enumerate(clashes, start=1):
-        witnesses.extend(_cells_of(clash, "+", m))
-        violations = violations | clash
+    prefixes = _prefix_digraphs(s)
+    clashes = [
+        ~p.deleted_edges & ~p.added_edges & cert_edges & nihil_edges
+        for p, (cert_edges, _, nihil_edges) in zip(s.rules, prefixes[1:])
+    ]
+    witnesses = [w for m, clash in enumerate(clashes, start=1) for w in _cells_of(clash, "+", m)]
+    violations = reduce(or_, clashes)
     # Each AND term of the literal ∇(1, n) over the clashes has the first clash as
     # a factor, and its y = 1 term is that clash alone, so the OR is the first clash.
     literal = clashes[0]
 
-    def dangling(term: ComplexTerm) -> BoolMatrix:
-        return term.cert_edges & ~tensor(term.cert_nodes, term.cert_nodes)
+    def dangling(edges: BoolMatrix, nodes: BoolVector) -> bool:
+        return not (edges & ~tensor(nodes, nodes)).is_zero()
 
-    dangling_free = True
-    for m, term in enumerate(prefixes, start=1):
-        loose = dangling(term)
-        if not loose.is_zero():
-            dangling_free = False
+    for m, (cert_edges, cert_nodes, _) in enumerate(prefixes[1:], start=1):
+        if dangling(cert_edges, cert_nodes):
             notes.append(f"prefix {m} smallest host has dangling edges")
-    running = prefixes[-1]
+    running = ComplexTerm(*prefixes[-1], BoolVector.zeros(u), BoolVector.ones(u))
     for m, p in enumerate(s.rules, start=1):
         running = rewrite_term(p, running)
-        loose = dangling(running)
-        if not loose.is_zero():
-            dangling_free = False
+        if dangling(running.cert_edges, running.cert_nodes):
             notes.append(f"image after rule {m} has dangling edges")
 
-    ok = violations.is_zero() and not incompatible_rules and dangling_free
-    term = _edge_term(u, violations, zero)
+    # Every note is an incompatible rule or a dangling edge.
+    ok = violations.is_zero() and not notes
+    term = _edge_term(u, violations, BoolMatrix.zeros(u))
     return AnalysisReport(
         "compatibility", ok, term, tuple(witnesses), tuple(notes), (("literal", literal),)
     )

@@ -1,13 +1,21 @@
 """Grammar parsing, serialization round trips, and the CLI surface."""
 
 import io
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from mgg import GrammarError, parse_grammar, serialize_grammar
-from mgg.cli import run
+from mgg import (
+    BoolMatrix,
+    BoolVector,
+    GrammarError,
+    NodeUniverse,
+    parse_grammar,
+    serialize_grammar,
+)
+from mgg.cli import matrix_str, run, vector_str
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = str(REPO / "grammars" / "demo.mgg")
@@ -311,6 +319,24 @@ class TestIntegerArguments:
             cli(*argv)
         assert err.value.code == 2
         assert not (tmp_path / "x.pbm").exists()
+
+
+class TestRendering:
+    def test_rows_render_cell_by_cell(self):
+        # Rows are rendered from their bits at once; the reference reads each cell.
+        rng = random.Random(71)
+        for n in list(range(18)) + [64, 65]:
+            u = NodeUniverse(tuple(f"v{i}" for i in range(n)))
+            for _ in range(8):
+                m = BoolMatrix(u, rng.getrandbits(n * n))
+                v = BoolVector(u, rng.getrandbits(n))
+                rows = ",".join("[" + ",".join(map(str, row)) + "]" for row in m.rows())
+                assert matrix_str(m) == "[" + rows + "]"
+                assert vector_str(v) == "[" + ",".join(map(str, v.tolist())) + "]"
+
+    def test_empty_universe(self):
+        u = NodeUniverse(())
+        assert (matrix_str(BoolMatrix.zeros(u)), vector_str(BoolVector.zeros(u))) == ("[]", "[]")
 
 
 class TestModuleEntryPoint:

@@ -28,7 +28,8 @@ from mgg import (
     stepwise_image,
     t_matrix,
 )
-from mgg.sequence import _rscan, _scan
+from mgg import sequence
+from mgg.sequence import _lscan, _rscan, _scan
 
 U3 = NodeUniverse.of("a", "b", "c")
 
@@ -146,6 +147,14 @@ class TestScans:
                 kept = kept & ax
             family = self.separable(a, b)
             assert _scan(a, b, m)[-1] == delta(1, len(a), family, zero) | kept
+
+    def test_prefix_scan_equals_reference_on_every_prefix(self):
+        # Entry m of the forward pass is ∇(1, m): every prefix's initial digraph part.
+        rng = random.Random(61)
+        for _ in range(150):
+            a, b, zero, _ = self.factor_lists(rng)
+            family = self.separable(a, b)
+            assert _lscan(a, b, zero) == [nabla(1, m, family, zero) for m in range(len(a) + 1)]
 
 
 class TestCoherence:
@@ -330,6 +339,23 @@ class TestSequenceCompatibility:
                 & p1.nihilation
             )
             assert dict(report.extras)["literal"] == expected
+
+    def test_prefixes_take_one_pass(self, monkeypatch):
+        # Rebuilding each prefix's initial digraph afresh costs L(L + 1) / 2 t_matrix calls.
+        universe = NodeUniverse(tuple(f"v{i}" for i in range(8)))
+        s = random_sequence(random.Random(67), universe, 32)
+        expected = sequence_compatibility(s)
+        t_calls = []
+        initial_calls = []
+        monkeypatch.setattr(sequence, "t_matrix", lambda p: t_calls.append(p) or t_matrix(p))
+        monkeypatch.setattr(
+            sequence,
+            "initial_digraph",
+            lambda *a, **kw: initial_calls.append(a) or initial_digraph(*a, **kw),
+        )
+        assert sequence_compatibility(s) == expected
+        assert [p.name for p in t_calls] == [p.name for p in s.rules]
+        assert initial_calls == []
 
 
 class TestGCongruence:
