@@ -84,7 +84,6 @@ from .sequence import (
     AnalysisReport,
     IncoherentSequenceWarning,
     RuleSequence,
-    Witness,
     coherence,
     g_congruence,
     image_of_sequence,

@@ -90,8 +90,13 @@ def _add_analysis(report: Report, analysis: AnalysisReport) -> None:
         report.add("note", note)
     for key, extra in analysis.extras:
         report.add(key, matrix_str(extra))
-    for w in analysis.witnesses:
-        report.add("witness", w.render())
+    for part, position, cells in analysis.witnesses:
+        if isinstance(cells, BoolVector):
+            flagged = [f"node {label}" for label in cells.labels()]
+        else:
+            flagged = [f"{source}->{target}" for source, target in cells.edges()]
+        for cell in flagged:
+            report.add("witness", f"{part} {position} {cell}")
 
 
 def cmd_analyze(args, out) -> int:

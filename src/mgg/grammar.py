@@ -4,7 +4,8 @@ The format is line oriented.  A ``nodes`` line declares the universe (its
 order fixes matrix layout and the encoding bit order), ``production`` and
 ``host`` open indented blocks, ``sequence`` lists rule names in application
 order.  A ``#`` at the start of a token starts a comment; a ``#`` inside a
-token is an error.  Labels must not contain ``->``.  Example::
+token is an error.  Labels must not contain ``->``, and no line may list a
+label or an edge twice.  Example::
 
     nodes a b c
 
@@ -62,6 +63,20 @@ def _check_labels(universe: NodeUniverse, labels, line: int) -> None:
     for l in labels:
         if l not in universe:
             raise GrammarError(line, f"unknown node label {l!r}")
+
+
+def _check_unique(tokens: list[str], distinct: int, what: str, line: int) -> None:
+    """``distinct`` counts the cells the tokens set: fewer cells than tokens is a repeat."""
+    if distinct < len(tokens):
+        repeated = next(t for i, t in enumerate(tokens) if t in tokens[:i])
+        raise GrammarError(line, f"duplicate {what} {repeated!r}")
+
+
+def _check_no_fields(fields: dict[str, tuple[int, list[str]]], block: str) -> None:
+    """Fields left after the known ones are popped are unknown: report the first."""
+    if fields:
+        line = min(line for line, _ in fields.values())
+        raise GrammarError(line, f"unknown fields in {block} block: {sorted(fields)}")
 
 
 class _Parser:
@@ -137,6 +152,8 @@ class _Parser:
             _check_labels(u, (src, dst), edge_line)
             pairs.append((src, dst))
         g = Digraph.of(u, nodes, pairs)
+        _check_unique(nodes, g.nodes.count(), "node label", node_line)
+        _check_unique(edges, g.edges.count(), "edge", edge_line)
         if not is_compatible(g):
             raise GrammarError(
                 edge_line, f"{prefix or 'host'} has an edge touching an absent node"
@@ -174,8 +191,7 @@ class _Parser:
                 fields = self.parse_block()
                 lhs = self.digraph_from(fields, "lhs", block_line)
                 rhs = self.digraph_from(fields, "rhs", block_line)
-                if fields:
-                    raise self.error(f"unknown fields in production block: {sorted(fields)}")
+                _check_no_fields(fields, "production")
                 self.productions[name] = Production.from_static(name, lhs, rhs)
             elif keyword == "sequence":
                 if len(rest) < 2:
@@ -194,8 +210,7 @@ class _Parser:
                 block_line = self.pos
                 fields = self.parse_block()
                 g = self.digraph_from(fields, "", block_line)
-                if fields:
-                    raise self.error(f"unknown fields in host block: {sorted(fields)}")
+                _check_no_fields(fields, "host")
                 self.hosts[name] = g
             else:
                 raise self.error(f"unknown declaration {keyword!r}")

@@ -22,8 +22,10 @@ from operator import and_, or_
 from .boolmat import (
     BoolMatrix,
     BoolVector,
+    Digraph,
     NodeUniverse,
     UniverseMismatchError,
+    is_compatible,
     tensor,
 )
 from .mcl import ComplexTerm
@@ -86,11 +88,14 @@ def _scan(a: list, b: list, start):
     Entry t of the result, for t = 0..len(a), is Δ(1, t) with Δ(1, 0) =
     ``start``, by the recurrence Δ(1, t) = A(t) & (B(t) | Δ(1, t - 1)).
     A ``start`` other than zero adds the AND of every A(x) with it.
+
+    Like ``_rscan`` and ``_lscan``, it runs on the packed bits and wraps once
+    per entry; every factor must be in ``start``'s universe.
     """
-    out = [start]
+    out = [start.bits]
     for ax, by in zip(a, b):
-        out.append(ax & (by | out[-1]))
-    return out
+        out.append(ax.bits & (by.bits | out[-1]))
+    return [type(start)(start.universe, bits) for bits in out]
 
 
 def _rscan(a: list, b: list, zero):
@@ -106,8 +111,7 @@ def _lscan(a: list, b: list, zero):
     """Every ∇(1, m) of the same family: entry m is ∇(1, m), entry 0 zero.
 
     ∇(1, m) = ∇(1, m - 1) | (A(1) & ... & A(m)) & B(m): one forward pass with a
-    running AND of the A(x).  It runs on the packed bits, which builds one value
-    per entry instead of three; every factor must be in ``zero``'s universe.
+    running AND of the A(x).
     """
     a_bits = accumulate([x.bits for x in a], and_)
     nabla_bits = accumulate(map(and_, a_bits, [y.bits for y in b]), or_, initial=zero.bits)
@@ -115,44 +119,27 @@ def _lscan(a: list, b: list, zero):
 
 
 @dataclass(frozen=True)
-class Witness:
-    """One problematic cell: which rule position flags which edge or node."""
-
-    part: str  # "+" (certainty) or "-" (nihil)
-    position: int
-    source: str
-    target: str
-    is_node: bool = False
-
-    def render(self) -> str:
-        if self.is_node:
-            return f"{self.part} {self.position} node {self.source}"
-        return f"{self.part} {self.position} {self.source}->{self.target}"
-
-
-@dataclass(frozen=True)
 class AnalysisReport:
+    """An analysis's verdict, its defect term and the cells behind it.
+
+    ``witnesses`` holds ``(part, position, cells)`` entries: ``cells`` is the
+    ``BoolMatrix`` of edges (or ``BoolVector`` of nodes) that rule position
+    ``position`` flags in the term's certainty (``"+"``) or nihil (``"-"``)
+    part.  Only nonzero masks are kept, ordered by position, then ``+`` edges,
+    ``-`` edges, ``+`` nodes.
+    """
+
     kind: str
     ok: bool
     term: ComplexTerm
-    witnesses: tuple[Witness, ...] = ()
+    witnesses: tuple[tuple[str, int, BoolMatrix | BoolVector], ...] = ()
     notes: tuple[str, ...] = ()
     extras: tuple[tuple[str, BoolMatrix], ...] = ()
 
 
-def _cells_of(m: BoolMatrix, part: str, position: int) -> list[Witness]:
-    return [Witness(part, position, source, target) for source, target in m.edges()]
-
-
-def _nodes_of(v: BoolVector, part: str, position: int) -> list[Witness]:
-    return [
-        Witness(part, position, label, label, is_node=True) for label in v.labels()
-    ]
-
-
-def _edge_term(universe: NodeUniverse, plus: BoolMatrix, minus: BoolMatrix) -> ComplexTerm:
-    zero_v = BoolVector.zeros(universe)
-    return ComplexTerm(plus, zero_v, minus, zero_v, BoolVector.ones(universe))
+def _flagged(entries) -> tuple[tuple[str, int, BoolMatrix | BoolVector], ...]:
+    """The witness entries whose mask flags at least one cell."""
+    return tuple(entry for entry in entries if not entry[2].is_zero())
 
 
 def coherence(s: RuleSequence) -> AnalysisReport:
@@ -162,7 +149,7 @@ def coherence(s: RuleSequence) -> AnalysisReport:
     elements, for edges and for nodes alike; the nihil part collects
     double deletions and additions of forbidden edges (the nihilation
     carries no nodes).  Witnesses name the rule position whose needs are
-    disturbed, one per flagged cell occurrence.
+    disturbed, with the cells it flags in each part.
     """
     u = s.universe
     zero = BoolMatrix.zeros(u)
@@ -183,19 +170,17 @@ def coherence(s: RuleSequence) -> AnalysisReport:
     c_plus = zero
     c_minus = zero
     c_plus_nodes = zero_v
-    witnesses: list[Witness] = []
+    witnesses = []
     for j, pj in enumerate(s.rules, start=1):
         plus_j = (pj.rhs.edges & later_plus[j]) | (pj.lhs.edges & earlier_plus[j - 1])
         minus_j = (pj.rhs_nihilation & later_minus[j]) | (pj.nihilation & earlier_minus[j - 1])
         plus_nodes_j = (pj.rhs.nodes & later_nodes[j]) | (pj.lhs.nodes & earlier_nodes[j - 1])
-        witnesses.extend(_cells_of(plus_j, "+", j))
-        witnesses.extend(_cells_of(minus_j, "-", j))
-        witnesses.extend(_nodes_of(plus_nodes_j, "+", j))
+        witnesses += [("+", j, plus_j), ("-", j, minus_j), ("+", j, plus_nodes_j)]
         c_plus = c_plus | plus_j
         c_minus = c_minus | minus_j
         c_plus_nodes = c_plus_nodes | plus_nodes_j
-    term = ComplexTerm(c_plus, c_plus_nodes, c_minus, zero_v, BoolVector.ones(u))
-    return AnalysisReport("coherence", term.is_zero(), term, tuple(witnesses))
+    term = ComplexTerm.of(c_plus, c_minus, c_plus_nodes)
+    return AnalysisReport("coherence", term.is_zero(), term, _flagged(witnesses))
 
 
 def t_matrix(p: Production) -> BoolMatrix:
@@ -221,12 +206,11 @@ def initial_digraph(s: RuleSequence, check: bool = True) -> ComplexTerm:
             IncoherentSequenceWarning,
             stacklevel=2,
         )
-    u = s.universe
-    return ComplexTerm(*_prefix_digraphs(s)[-1], BoolVector.zeros(u), BoolVector.ones(u))
+    return ComplexTerm.of(*_prefix_digraphs(s)[-1])
 
 
-def _prefix_digraphs(s: RuleSequence) -> list[tuple[BoolMatrix, BoolVector, BoolMatrix]]:
-    """Certainty edges, certainty nodes and nihil edges of the initial digraph
+def _prefix_digraphs(s: RuleSequence) -> list[tuple[BoolMatrix, BoolMatrix, BoolVector]]:
+    """Certainty edges, nihil edges and certainty nodes of the initial digraph
     of every prefix of s, from one pass: entry m is prefix m's."""
     u = s.universe
     zero_e = BoolMatrix.zeros(u)
@@ -237,7 +221,7 @@ def _prefix_digraphs(s: RuleSequence) -> list[tuple[BoolMatrix, BoolVector, Bool
     nihil_edges = _lscan(
         [~p.deleted_edges & ~t_matrix(p) for p in rules], [p.nihilation for p in rules], zero_e
     )
-    return list(zip(cert_edges, cert_nodes, nihil_edges))
+    return list(zip(cert_edges, nihil_edges, cert_nodes))
 
 
 def rewrite_term(p: Production, z: ComplexTerm) -> ComplexTerm:
@@ -261,7 +245,6 @@ def stepwise_image(s: RuleSequence, start: ComplexTerm | None = None) -> Complex
 
 def image_of_sequence(s: RuleSequence) -> ComplexTerm:
     """Closed form of the sequence applied to its own initial digraph."""
-    u = s.universe
     rules = s.rules
     m = initial_digraph(s, check=False)
     # Seeding a Δ scan with m adds (AND over x of A(x)) & m to Δ(1, n).
@@ -274,9 +257,7 @@ def image_of_sequence(s: RuleSequence) -> ComplexTerm:
     nihil_edges = _scan(
         [~p.added_edges for p in rules], [p.deleted_edges for p in rules], m.nihil_edges
     )
-    return ComplexTerm(
-        cert_edges[-1], cert_nodes[-1], nihil_edges[-1], BoolVector.zeros(u), BoolVector.ones(u)
-    )
+    return ComplexTerm.of(cert_edges[-1], nihil_edges[-1], cert_nodes[-1])
 
 
 def sequence_compatibility(s: RuleSequence) -> AnalysisReport:
@@ -292,7 +273,6 @@ def sequence_compatibility(s: RuleSequence) -> AnalysisReport:
     O(L): one forward pass over per-rule factor lists gives every prefix's
     initial digraph.
     """
-    u = s.universe
     notes: list[str] = []
     incompatible_rules = [p.name for p in s.rules if not p.compatible]
     if incompatible_rules:
@@ -301,31 +281,28 @@ def sequence_compatibility(s: RuleSequence) -> AnalysisReport:
     prefixes = _prefix_digraphs(s)
     clashes = [
         ~p.deleted_edges & ~p.added_edges & cert_edges & nihil_edges
-        for p, (cert_edges, _, nihil_edges) in zip(s.rules, prefixes[1:])
+        for p, (cert_edges, nihil_edges, _) in zip(s.rules, prefixes[1:])
     ]
-    witnesses = [w for m, clash in enumerate(clashes, start=1) for w in _cells_of(clash, "+", m)]
+    witnesses = _flagged(("+", m, clash) for m, clash in enumerate(clashes, start=1))
     violations = reduce(or_, clashes)
     # Each AND term of the literal ∇(1, n) over the clashes has the first clash as
     # a factor, and its y = 1 term is that clash alone, so the OR is the first clash.
     literal = clashes[0]
 
-    def dangling(edges: BoolMatrix, nodes: BoolVector) -> bool:
-        return not (edges & ~tensor(nodes, nodes)).is_zero()
-
-    for m, (cert_edges, cert_nodes, _) in enumerate(prefixes[1:], start=1):
-        if dangling(cert_edges, cert_nodes):
+    for m, (cert_edges, _, cert_nodes) in enumerate(prefixes[1:], start=1):
+        if not is_compatible(Digraph(cert_edges, cert_nodes)):
             notes.append(f"prefix {m} smallest host has dangling edges")
-    running = ComplexTerm(*prefixes[-1], BoolVector.zeros(u), BoolVector.ones(u))
+    running = ComplexTerm.of(*prefixes[-1])
     for m, p in enumerate(s.rules, start=1):
         running = rewrite_term(p, running)
-        if dangling(running.cert_edges, running.cert_nodes):
+        if not is_compatible(Digraph(running.cert_edges, running.cert_nodes)):
             notes.append(f"image after rule {m} has dangling edges")
 
     # Every note is an incompatible rule or a dangling edge.
     ok = violations.is_zero() and not notes
-    term = _edge_term(u, violations, BoolMatrix.zeros(u))
+    term = ComplexTerm.of(violations)
     return AnalysisReport(
-        "compatibility", ok, term, tuple(witnesses), tuple(notes), (("literal", literal),)
+        "compatibility", ok, term, witnesses, tuple(notes), (("literal", literal),)
     )
 
 
@@ -363,8 +340,8 @@ def g_congruence(s: RuleSequence, mode: str = "advance") -> AnalysisReport:
         [p.lhs.edges & (p.deleted_edges | pivot.added_edges) for p in rest],
         zero,
     )[0]
-    term = _edge_term(u, plus, minus)
-    witnesses = tuple(_cells_of(plus, "+", pivot_pos) + _cells_of(minus, "-", pivot_pos))
+    term = ComplexTerm.of(plus, minus)
+    witnesses = _flagged([("+", pivot_pos, plus), ("-", pivot_pos, minus)])
     return AnalysisReport(f"congruence-{mode}", term.is_zero(), term, witnesses)
 
 

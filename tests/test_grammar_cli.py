@@ -122,6 +122,30 @@ class TestParse:
             parse_grammar(text)
         assert err.value.line == 3
 
+    def test_unknown_field_reported_at_its_line(self):
+        text = "nodes a\nproduction p\n  lhs\n  lhs nodes a\n  rhs nodes a\n"
+        with pytest.raises(GrammarError) as err:
+            parse_grammar(text)
+        assert str(err.value) == "line 3: unknown fields in production block: ['lhs']"
+        text = "nodes a b\nhost h\n  nodes a b\n  size 3\n  edges a->b\n  colour red\n"
+        with pytest.raises(GrammarError) as err:
+            parse_grammar(text)
+        assert str(err.value) == "line 4: unknown fields in host block: ['colour', 'size']"
+
+    def test_cli_exit_2_on_repeated_node_label(self, tmp_path):
+        path = tmp_path / "bad.mgg"
+        path.write_text("nodes a b\n\nproduction p\n  lhs nodes a a\n  rhs nodes a\n")
+        code, text = cli("encode", str(path), "--production", "p")
+        assert code == 2
+        assert text == "error line 4: duplicate node label 'a'\n"
+
+    def test_cli_exit_2_on_repeated_edge(self, tmp_path):
+        path = tmp_path / "bad.mgg"
+        path.write_text("nodes a b\n\nhost h\n  nodes a b\n  edges a->b b->a a->b\n")
+        code, text = cli("encode", str(path), "--graph", "h")
+        assert code == 2
+        assert text == "error line 5: duplicate edge 'a->b'\n"
+
     def test_cli_exit_2_on_truncating_input(self, tmp_path):
         path = tmp_path / "bad.mgg"
         path.write_text("nodes a recruit.c#2\n")

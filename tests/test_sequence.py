@@ -157,6 +157,71 @@ class TestScans:
             assert _lscan(a, b, zero) == [nabla(1, m, family, zero) for m in range(len(a) + 1)]
 
 
+class TestWitnessMasks:
+    """Witness masks against the per-position closed forms on the generic Δ/∇."""
+
+    @staticmethod
+    def sequences():
+        rng = random.Random(71)
+        for _ in range(200):
+            universe = NodeUniverse(tuple(f"v{i}" for i in range(rng.randint(2, 6))))
+            yield random_sequence(
+                rng, universe, rng.randint(1, 12), node_add_prob=rng.choice((0, 0.25, 0.6))
+            )
+
+    @staticmethod
+    def flagged(entries):
+        return tuple(entry for entry in entries if not entry[2].is_zero())
+
+    def test_coherence_masks_per_position(self):
+        for s in self.sequences():
+            n, r = len(s), s.rule
+            zero, zero_v = BoolMatrix.zeros(s.universe), BoolVector.zeros(s.universe)
+            expected = []
+            for j in range(1, n + 1):
+                pj = r(j)
+                plus = (
+                    pj.rhs.edges
+                    & nabla(j + 1, n, lambda x, y: ~r(x).deleted_edges & r(y).added_edges, zero)
+                ) | (
+                    pj.lhs.edges
+                    & delta(1, j - 1, lambda x, y: r(y).deleted_edges & ~r(x).added_edges, zero)
+                )
+                minus = (
+                    pj.rhs_nihilation
+                    & nabla(j + 1, n, lambda x, y: r(y).deleted_edges & ~r(x).added_edges, zero)
+                ) | (
+                    pj.nihilation
+                    & delta(1, j - 1, lambda x, y: r(y).added_edges & ~r(x).deleted_edges, zero)
+                )
+                plus_nodes = (
+                    pj.rhs.nodes
+                    & nabla(j + 1, n, lambda x, y: ~r(x).deleted_nodes & r(y).added_nodes, zero_v)
+                ) | (
+                    pj.lhs.nodes
+                    & delta(1, j - 1, lambda x, y: r(y).deleted_nodes & ~r(x).added_nodes, zero_v)
+                )
+                expected += [("+", j, plus), ("-", j, minus), ("+", j, plus_nodes)]
+            assert coherence(s).witnesses == self.flagged(expected)
+
+    def test_compatibility_masks_per_prefix(self):
+        for s in self.sequences():
+            r = s.rule
+            zero = BoolMatrix.zeros(s.universe)
+            expected = []
+            for m in range(1, len(s) + 1):
+                cert = nabla(1, m, lambda x, y: ~r(x).added_edges & r(y).lhs.edges, zero)
+                nihil = nabla(
+                    1,
+                    m,
+                    lambda x, y: ~r(x).deleted_edges & ~t_matrix(r(x)) & r(y).nihilation,
+                    zero,
+                )
+                clash = ~r(m).deleted_edges & ~r(m).added_edges & cert & nihil
+                expected.append(("+", m, clash))
+            assert sequence_compatibility(s).witnesses == self.flagged(expected)
+
+
 class TestCoherence:
     def test_worked_defect_pair(self, clash):
         report = coherence(clash)
@@ -166,12 +231,20 @@ class TestCoherence:
 
     def test_witnesses_cover_exactly_the_defects(self, clash):
         report = coherence(clash)
-        plus = {w for w in report.witnesses if w.part == "+"}
-        minus = {w for w in report.witnesses if w.part == "-"}
-        plus_cells = {(w.source, w.target) for w in plus}
-        minus_cells = {(w.source, w.target) for w in minus}
-        assert plus_cells == set(report.term.cert_edges.edges())
-        assert minus_cells == set(report.term.nihil_edges.edges())
+        u = clash.universe
+        covered = {
+            ("+", BoolMatrix): BoolMatrix.zeros(u),
+            ("-", BoolMatrix): BoolMatrix.zeros(u),
+            ("+", BoolVector): BoolVector.zeros(u),
+        }
+        for part, _, cells in report.witnesses:
+            assert not cells.is_zero()
+            covered[part, type(cells)] = covered[part, type(cells)] | cells
+        assert covered == {
+            ("+", BoolMatrix): report.term.cert_edges,
+            ("-", BoolMatrix): report.term.nihil_edges,
+            ("+", BoolVector): report.term.cert_nodes,
+        }
 
     def test_single_rule_always_coherent(self):
         rng = random.Random(42)
