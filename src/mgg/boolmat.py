@@ -22,6 +22,13 @@ class UniverseMismatchError(ValueError):
     """Raised when two operands do not share a node universe."""
 
 
+class _Index(dict):
+    """Label -> position; looking up an unknown label raises a worded ``KeyError``."""
+
+    def __missing__(self, label: str):
+        raise KeyError(f"unknown node label {label!r}")
+
+
 @dataclass(frozen=True)
 class NodeUniverse:
     """Ordered set of node labels; the order fixes matrix row/column order."""
@@ -32,7 +39,7 @@ class NodeUniverse:
     def __post_init__(self) -> None:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError(f"duplicate node labels: {self.labels}")
-        object.__setattr__(self, "_index", {l: i for i, l in enumerate(self.labels)})
+        object.__setattr__(self, "_index", _Index({l: i for i, l in enumerate(self.labels)}))
 
     @classmethod
     def of(cls, *labels: str) -> "NodeUniverse":
@@ -42,10 +49,7 @@ class NodeUniverse:
         return len(self.labels)
 
     def index(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise KeyError(f"unknown node label {label!r}") from None
+        return self._index[label]
 
     def __contains__(self, label: str) -> bool:
         return label in self._index
@@ -139,9 +143,10 @@ class BoolVector(_Packed):
 
     @classmethod
     def from_labels(cls, universe: NodeUniverse, labels: Iterable[str]) -> "BoolVector":
+        index = universe._index
         bits = 0
         for l in labels:
-            bits |= 1 << universe.index(l)
+            bits |= 1 << index[l]
         return cls(universe, bits)
 
     @classmethod
@@ -178,10 +183,10 @@ class BoolMatrix(_Packed):
     def from_edges(
         cls, universe: NodeUniverse, edges: Iterable[tuple[str, str]]
     ) -> "BoolMatrix":
-        n = len(universe)
+        n, index = len(universe), universe._index
         bits = 0
         for src, dst in edges:
-            bits |= 1 << (universe.index(src) * n + universe.index(dst))
+            bits |= 1 << (index[src] * n + index[dst])
         return cls(universe, bits)
 
     @classmethod

@@ -70,7 +70,14 @@ class Report:
 
 
 def _load_grammar(path: str) -> GrammarFile:
-    return parse_grammar(Path(path).read_text(encoding="utf-8"))
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bad byte continues the last line of the text before it, or opens a new one.
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise GrammarError(line, f"byte 0x{data[exc.start]:02x} is not UTF-8") from None
+    return parse_grammar(text)
 
 
 def _sequence_of(gf: GrammarFile, name: str) -> RuleSequence:

@@ -1,11 +1,11 @@
 """Grammar files: the universe, named rules, sequences and hosts.
 
-The format is line oriented.  A ``nodes`` line declares the universe (its
-order fixes matrix layout and the encoding bit order), ``production`` and
-``host`` open indented blocks, ``sequence`` lists rule names in application
-order.  A ``#`` at the start of a token starts a comment; a ``#`` inside a
-token is an error.  Labels must not contain ``->``, and no line may list a
-label or an edge twice.  Example::
+The format is line oriented UTF-8 text.  A ``nodes`` line declares the
+universe (its order fixes matrix layout and the encoding bit order),
+``production`` and ``host`` open indented blocks, ``sequence`` lists rule
+names in application order.  A ``#`` at the start of a token starts a
+comment; a ``#`` inside a token is an error.  Labels must not contain ``->``,
+and no line may list a label or an edge twice.  Example::
 
     nodes a b c
 
@@ -22,12 +22,15 @@ label or an edge twice.  Example::
       edges a->a a->b b->b c->a c->b
 
 Every label must be declared in the universe; rules and hosts are completed
-to it at parse time.  Parsing and serialization are mutually inverse on the
-model (serialization canonicalizes label order).
+to it at parse time.  Each line is lexed once, and every error is a
+``GrammarError`` carrying the offending line (0 for a file with no ``nodes``
+line).  Parsing and serialization are mutually inverse on the model
+(serialization canonicalizes label order).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .boolmat import Digraph, NodeUniverse, is_compatible
@@ -50,19 +53,33 @@ class GrammarFile:
     hosts: dict[str, Digraph]
 
 
-def _split_edge(token: str, line: int) -> tuple[str, str]:
-    if token.count("->") != 1:
-        raise GrammarError(line, f"malformed edge {token!r}; expected src->dst")
-    src, dst = token.split("->")
-    if not src or not dst:
-        raise GrammarError(line, f"malformed edge {token!r}; expected src->dst")
-    return src, dst
+def _lex(text: str) -> Iterator[tuple[int, bool, list[str]]]:
+    """Each line that is not blank or a comment, lexed once: (number, indented, tokens)."""
+    for number, raw in enumerate(text.splitlines(), 1):
+        code, hash_, _ = raw.partition("#")
+        if hash_ and code and not code[-1].isspace():
+            raise GrammarError(number, "'#' inside a token; comments start at a token boundary")
+        tokens = code.split()
+        if tokens:
+            yield number, raw[0].isspace(), tokens
 
 
-def _check_labels(universe: NodeUniverse, labels, line: int) -> None:
-    for l in labels:
-        if l not in universe:
-            raise GrammarError(line, f"unknown node label {l!r}")
+def _bad_token(universe: NodeUniverse, nodes, node_line: int, edges, edge_line: int):
+    """Word the first unknown label or malformed edge, in file order, after a lookup failed.
+
+    Labels are non-empty and never contain ``->``, so a malformed edge token
+    always fails the lookup of one of its two halves.
+    """
+    for label in nodes:
+        if label not in universe:
+            return GrammarError(node_line, f"unknown node label {label!r}")
+    for token in edges:
+        src, _, dst = token.partition("->")
+        if not src or not dst or "->" in dst:
+            return GrammarError(edge_line, f"malformed edge {token!r}; expected src->dst")
+        for label in (src, dst):
+            if label not in universe:
+                return GrammarError(edge_line, f"unknown node label {label!r}")
 
 
 def _check_unique(tokens: list[str], distinct: int, what: str, line: int) -> None:
@@ -80,53 +97,26 @@ def _check_no_fields(fields: dict[str, tuple[int, list[str]]], block: str) -> No
 
 
 class _Parser:
+    """Takes each lexed line from ``_lex`` only when it has to look at it."""
+
     def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
+        self.lines = _lex(text)
         self.universe: NodeUniverse | None = None
         self.productions: dict[str, Production] = {}
         self.sequences: dict[str, tuple[str, ...]] = {}
         self.hosts: dict[str, Digraph] = {}
 
-    def error(self, msg: str) -> GrammarError:
-        return GrammarError(self.pos, msg)
-
-    def next_line(self) -> tuple[int, str] | None:
-        while self.pos < len(self.lines):
-            self.pos += 1
-            raw = self.lines[self.pos - 1]
-            hash_at = raw.find("#")
-            if hash_at > 0 and not raw[hash_at - 1].isspace():
-                raise self.error("'#' inside a token; comments start at a token boundary")
-            stripped = raw.split("#", 1)[0].rstrip()
-            if stripped.strip():
-                return (len(raw) - len(raw.lstrip()), stripped.strip())
-        return None
-
-    def peek_indent(self) -> int | None:
-        save = self.pos
-        nxt = self.next_line()
-        self.pos = save
-        return None if nxt is None else nxt[0]
-
-    def need_universe(self) -> NodeUniverse:
-        if self.universe is None:
-            raise self.error("the nodes line must come before this declaration")
-        return self.universe
-
-    def check_fresh(self, name: str) -> None:
+    def check_fresh(self, name: str, line: int) -> None:
         if name in self.productions or name in self.sequences or name in self.hosts:
-            raise self.error(f"duplicate name {name!r}")
+            raise GrammarError(line, f"duplicate name {name!r}")
 
-    def parse_block(self) -> dict[str, tuple[int, list[str]]]:
-        """Indented key/value lines until the next top-level declaration."""
+    def parse_block(self):
+        """Indented key/value lines, and the top-level line that ends them (None at the end)."""
         fields: dict[str, tuple[int, list[str]]] = {}
-        while True:
-            indent = self.peek_indent()
-            if indent is None or indent == 0:
-                return fields
-            _, line = self.next_line()
-            tokens = line.split()
+        for line in self.lines:
+            number, indented, tokens = line
+            if not indented:
+                return fields, line
             if tokens[0] in ("lhs", "rhs") and len(tokens) >= 2:
                 key = f"{tokens[0]} {tokens[1]}"
                 values = tokens[2:]
@@ -134,24 +124,24 @@ class _Parser:
                 key = tokens[0]
                 values = tokens[1:]
             if key in fields:
-                raise self.error(f"duplicate field {key!r} in block")
-            fields[key] = (self.pos, values)
+                raise GrammarError(number, f"duplicate field {key!r} in block")
+            fields[key] = (number, values)
+        return fields, None
 
     def digraph_from(
         self, fields: dict[str, tuple[int, list[str]]], prefix: str, block_line: int
     ) -> Digraph:
-        u = self.need_universe()
+        u = self.universe
+        if u is None:
+            raise GrammarError(block_line, "the nodes line must come before this declaration")
         node_key = f"{prefix} nodes" if prefix else "nodes"
         edge_key = f"{prefix} edges" if prefix else "edges"
         node_line, nodes = fields.pop(node_key, (block_line, []))
         edge_line, edges = fields.pop(edge_key, (block_line, []))
-        _check_labels(u, nodes, node_line)
-        pairs = []
-        for token in edges:
-            src, dst = _split_edge(token, edge_line)
-            _check_labels(u, (src, dst), edge_line)
-            pairs.append((src, dst))
-        g = Digraph.of(u, nodes, pairs)
+        try:
+            g = Digraph.of(u, nodes, [token.partition("->")[::2] for token in edges])
+        except KeyError:
+            raise _bad_token(u, nodes, node_line, edges, edge_line) from None
         _check_unique(nodes, g.nodes.count(), "node label", node_line)
         _check_unique(edges, g.edges.count(), "edge", edge_line)
         if not is_compatible(g):
@@ -160,60 +150,56 @@ class _Parser:
             )
         return g
 
-    def run(self) -> GrammarFile:
-        while True:
-            nxt = self.next_line()
-            if nxt is None:
-                break
-            indent, line = nxt
-            if indent != 0:
-                raise self.error("unexpected indented line outside a block")
-            tokens = line.split()
-            keyword, rest = tokens[0], tokens[1:]
-            if keyword == "nodes":
-                if self.universe is not None:
-                    raise self.error("the universe is already declared")
-                if not rest:
-                    raise self.error("the nodes line needs at least one label")
-                for label in rest:
-                    if "->" in label:
-                        raise self.error(f"node label {label!r} contains '->'")
-                try:
-                    self.universe = NodeUniverse(tuple(rest))
-                except ValueError as exc:
-                    raise self.error(str(exc)) from None
-            elif keyword == "production":
-                if len(rest) != 1:
-                    raise self.error("expected: production <name>")
-                name = rest[0]
-                self.check_fresh(name)
-                block_line = self.pos
-                fields = self.parse_block()
-                lhs = self.digraph_from(fields, "lhs", block_line)
-                rhs = self.digraph_from(fields, "rhs", block_line)
-                _check_no_fields(fields, "production")
+    def declaration(self, number: int, indented: bool, tokens: list[str]):
+        """Parse one top-level declaration; return the line after it (None at the end)."""
+        if indented:
+            raise GrammarError(number, "unexpected indented line outside a block")
+        keyword, rest = tokens[0], tokens[1:]
+        if keyword in ("production", "host"):
+            if len(rest) != 1:
+                raise GrammarError(number, f"expected: {keyword} <name>")
+            name = rest[0]
+            self.check_fresh(name, number)
+            fields, after = self.parse_block()
+            if keyword == "production":
+                lhs = self.digraph_from(fields, "lhs", number)
+                rhs = self.digraph_from(fields, "rhs", number)
+                _check_no_fields(fields, keyword)
                 self.productions[name] = Production.from_static(name, lhs, rhs)
-            elif keyword == "sequence":
-                if len(rest) < 2:
-                    raise self.error("expected: sequence <name> <rule> [<rule> ...]")
-                name = rest[0]
-                self.check_fresh(name)
-                for rule_name in rest[1:]:
-                    if rule_name not in self.productions:
-                        raise self.error(f"unknown production {rule_name!r}")
-                self.sequences[name] = tuple(rest[1:])
-            elif keyword == "host":
-                if len(rest) != 1:
-                    raise self.error("expected: host <name>")
-                name = rest[0]
-                self.check_fresh(name)
-                block_line = self.pos
-                fields = self.parse_block()
-                g = self.digraph_from(fields, "", block_line)
-                _check_no_fields(fields, "host")
-                self.hosts[name] = g
             else:
-                raise self.error(f"unknown declaration {keyword!r}")
+                g = self.digraph_from(fields, "", number)
+                _check_no_fields(fields, keyword)
+                self.hosts[name] = g
+            return after
+        if keyword == "nodes":
+            if self.universe is not None:
+                raise GrammarError(number, "the universe is already declared")
+            if not rest:
+                raise GrammarError(number, "the nodes line needs at least one label")
+            for label in rest:
+                if "->" in label:
+                    raise GrammarError(number, f"node label {label!r} contains '->'")
+            try:
+                self.universe = NodeUniverse(tuple(rest))
+            except ValueError as exc:
+                raise GrammarError(number, str(exc)) from None
+        elif keyword == "sequence":
+            if len(rest) < 2:
+                raise GrammarError(number, "expected: sequence <name> <rule> [<rule> ...]")
+            name = rest[0]
+            self.check_fresh(name, number)
+            for rule_name in rest[1:]:
+                if rule_name not in self.productions:
+                    raise GrammarError(number, f"unknown production {rule_name!r}")
+            self.sequences[name] = tuple(rest[1:])
+        else:
+            raise GrammarError(number, f"unknown declaration {keyword!r}")
+        return next(self.lines, None)
+
+    def run(self) -> GrammarFile:
+        line = next(self.lines, None)
+        while line is not None:
+            line = self.declaration(*line)
         if self.universe is None:
             raise GrammarError(0, "missing nodes line")
         return GrammarFile(self.universe, self.productions, self.sequences, self.hosts)

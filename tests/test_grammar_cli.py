@@ -11,8 +11,11 @@ from mgg import (
     BoolMatrix,
     BoolVector,
     GrammarError,
+    GrammarFile,
     NodeUniverse,
     parse_grammar,
+    random_digraph,
+    random_production,
     serialize_grammar,
 )
 from mgg.cli import matrix_str, run, vector_str
@@ -38,6 +41,126 @@ host line
   nodes a b
   edges a->b
 """
+
+
+# At least one row per ``GrammarError`` wording: (case, grammar text, exact stdout of
+# a command that loads it).  Every row exits 2.
+PARSE_ERRORS = [
+    ("missing-nodes", "# only a comment\n\n", "line 0: missing nodes line"),
+    (
+        "hash-in-token",
+        "nodes a b#c\n",
+        "line 1: '#' inside a token; comments start at a token boundary",
+    ),
+    ("indented-outside-block", "  nodes a\n", "line 1: unexpected indented line outside a block"),
+    ("tab-indented-outside-block", "\tnodes a\n", "line 1: unexpected indented line outside a block"),
+    ("universe-twice", "nodes a\nnodes b\n", "line 2: the universe is already declared"),
+    ("empty-universe", "nodes\n", "line 1: the nodes line needs at least one label"),
+    ("arrow-in-label", "nodes a b->c\n", "line 1: node label 'b->c' contains '->'"),
+    (
+        "universe-repeats-label",
+        "nodes a b a\n",
+        "line 1: duplicate node labels: ('a', 'b', 'a')",
+    ),
+    ("production-name", "nodes a\nproduction\n", "line 2: expected: production <name>"),
+    (
+        "sequence-form",
+        "nodes a\nsequence s\n",
+        "line 2: expected: sequence <name> <rule> [<rule> ...]",
+    ),
+    ("sequence-unknown-rule", "nodes a\nsequence s ghost\n", "line 2: unknown production 'ghost'"),
+    ("host-name", "nodes a\nhost a b\n", "line 2: expected: host <name>"),
+    ("unknown-declaration", "nodes a\nrule r\n", "line 2: unknown declaration 'rule'"),
+    ("duplicate-name", "nodes a\nhost h\n  nodes a\nhost h\n", "line 4: duplicate name 'h'"),
+    (
+        "duplicate-field",
+        "nodes a\nhost h\n  nodes a\n  nodes a\n",
+        "line 4: duplicate field 'nodes' in block",
+    ),
+    (
+        "unknown-field",
+        "nodes a\nhost h\n  colour red\n  nodes a\n",
+        "line 3: unknown fields in host block: ['colour']",
+    ),
+    ("unknown-label-nodes", "nodes a\nhost h\n  nodes a z\n", "line 3: unknown node label 'z'"),
+    (
+        "unknown-label-edges",
+        "nodes a\nhost h\n  nodes a\n  edges a->a a->z\n",
+        "line 4: unknown node label 'z'",
+    ),
+    (
+        "malformed-edge-no-arrow",
+        "nodes a\nhost h\n  nodes a\n  edges a->a aa\n",
+        "line 4: malformed edge 'aa'; expected src->dst",
+    ),
+    (
+        "malformed-edge-two-arrows",
+        "nodes a\nhost h\n  nodes a\n  edges a->a->a\n",
+        "line 4: malformed edge 'a->a->a'; expected src->dst",
+    ),
+    (
+        "malformed-edge-empty-end",
+        "nodes a\nhost h\n  nodes a\n  edges a->\n",
+        "line 4: malformed edge 'a->'; expected src->dst",
+    ),
+    (
+        "unknown-before-malformed",
+        "nodes a\nhost h\n  nodes a\n  edges z->a ->a\n",
+        "line 4: unknown node label 'z'",
+    ),
+    (
+        "malformed-before-unknown",
+        "nodes a\nhost h\n  nodes a\n  edges ->a z->a\n",
+        "line 4: malformed edge '->a'; expected src->dst",
+    ),
+    (
+        "duplicate-node-label",
+        "nodes a b\nproduction p\n  lhs nodes a b a\n  rhs nodes a\n",
+        "line 3: duplicate node label 'a'",
+    ),
+    (
+        "duplicate-edge",
+        "nodes a b\nhost h\n  nodes a b\n  edges a->b b->a a->b\n",
+        "line 4: duplicate edge 'a->b'",
+    ),
+    (
+        "dangling-lhs",
+        "nodes a b\nproduction p\n  lhs nodes a\n  lhs edges a->b\n  rhs nodes a\n",
+        "line 4: lhs has an edge touching an absent node",
+    ),
+    (
+        "dangling-rhs",
+        "nodes a b\nproduction p\n  lhs nodes a b\n  rhs nodes b\n  rhs edges a->b\n",
+        "line 5: rhs has an edge touching an absent node",
+    ),
+    (
+        "dangling-host",
+        "nodes a b\nhost h\n  nodes b\n  edges b->a\n",
+        "line 4: host has an edge touching an absent node",
+    ),
+    (
+        "nodes-after-production",
+        "production p\n  lhs nodes a\n  rhs nodes a\n\nnodes a\n",
+        "line 1: the nodes line must come before this declaration",
+    ),
+    (
+        "nodes-after-host",
+        "host h\n\n  nodes a\n  edges a->a\nnodes a\n",
+        "line 1: the nodes line must come before this declaration",
+    ),
+    # A bad top-level line is reported before the next line is read ...
+    (
+        "order-top-level-before-hash",
+        "nodes a\nsequence s ghost\nnodes b#c\n",
+        "line 2: unknown production 'ghost'",
+    ),
+    # ... but a block ends only at the next top-level line, which is read first.
+    (
+        "order-block-end-hash-first",
+        "nodes a\nhost h\n  nodes z\nhost#2\n",
+        "line 4: '#' inside a token; comments start at a token boundary",
+    ),
+]
 
 
 def cli(*argv) -> tuple[int, str]:
@@ -152,6 +275,51 @@ class TestParse:
         code, text = cli("encode", str(path), "--graph", "h")
         assert code == 2
         assert text == "error line 1: '#' inside a token; comments start at a token boundary\n"
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize(
+        "text, message", [row[1:] for row in PARSE_ERRORS], ids=[row[0] for row in PARSE_ERRORS]
+    )
+    def test_every_wording_exits_2_at_its_line(self, text, message, tmp_path):
+        path = tmp_path / "bad.mgg"
+        path.write_text(text, encoding="utf-8")
+        assert cli("encode", str(path), "--graph", "h") == (2, f"error {message}\n")
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"nodes a\xff b\n", "line 1: byte 0xff is not UTF-8"),
+            (b"nodes a b\n\nhost h\n  nodes a\xc3\n", "line 4: byte 0xc3 is not UTF-8"),
+            (b"nodes a\r\xfe\n", "line 2: byte 0xfe is not UTF-8"),
+            (b"# caf\xc3\xa9\nnodes a\n\x80", "line 3: byte 0x80 is not UTF-8"),
+        ],
+    )
+    def test_non_utf8_file_exits_2_at_the_bad_byte(self, data, message, tmp_path):
+        path = tmp_path / "bad.mgg"
+        path.write_bytes(data)
+        assert cli("encode", str(path), "--graph", "h") == (2, f"error {message}\n")
+
+
+class TestRoundTripAtScale:
+    def test_random_grammars_round_trip_on_1_to_70_nodes(self):
+        rng = random.Random(97)
+        for n in range(1, 71):
+            # '-' and '>' next to an edge token's arrow check where the token is split.
+            labels = tuple(("v{}", "v{}-", ">v{}")[i % 3].format(i) for i in range(n))
+            u = NodeUniverse(labels)
+            productions = {
+                f"p{k}": random_production(rng, u, f"p{k}", edge_density=rng.random())
+                for k in range(2)
+            }
+            hosts = {
+                f"h{k}": random_digraph(rng, u, rng.random(), rng.random()) for k in range(2)
+            }
+            gf = GrammarFile(u, productions, {"s": ("p1", "p0", "p1")}, hosts)
+            back = parse_grammar(serialize_grammar(gf))
+            assert back == gf, n
+            assert list(back.productions) == list(gf.productions)
+            assert list(back.hosts) == list(gf.hosts)
 
 
 class TestAnalyzeCommand:
