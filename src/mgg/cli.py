@@ -8,6 +8,7 @@ derivation completes, 1 when it fails, 2 for unknown names or bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 import warnings
@@ -77,7 +78,8 @@ def _load_grammar(path: str) -> GrammarFile:
         # The bad byte continues the last line of the text before it, or opens a new one.
         line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
         raise GrammarError(line, f"byte 0x{data[exc.start]:02x} is not UTF-8") from None
-    return parse_grammar(text)
+    # One leading byte order mark is skipped, as the utf-8-sig codec does.
+    return parse_grammar(text.removeprefix("\ufeff"))
 
 
 def _sequence_of(gf: GrammarFile, name: str) -> RuleSequence:
@@ -268,7 +270,9 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mgg",
         description="Matrix graph grammar analysis over Boolean adjacency matrices",

@@ -6,10 +6,23 @@ edge, and every forbidden (nihilation) edge between mapped nodes to an
 absent host cell.  Forbidden edges with an unmapped endpoint constrain
 nothing, consistent with zero-filled completion.
 
-Both conditions are AND / AND-NOT tests on packed neighbour masks
-(``_Masks.candidates``): ``find_matches`` prunes with this one predicate and
-``apply_at`` checks a given match with it.  ``derive`` and ``derive_all``
-share one depth-first walker.
+Match order is the lexicographic order of a match's host indices, taken
+in rule-universe order.  One depth-first search (``_embeddings``) places
+the lhs nodes in rule-universe order and tries each node's candidates in
+ascending host index, so it yields matches in match order and nothing is
+sorted.  A node's candidates are one packed mask of present, unused host
+nodes, ANDed and AND-NOTed with the host's neighbour and self-loop masks
+(``_Masks``) at the nodes placed before it.  A look-ahead narrows the mask
+further, all on AND / OR: for each later lhs neighbour whose candidates the
+placed nodes already narrow, the node must be adjacent to one of them.  It
+removes only hosts no match can use, and it stands in for the pruning a
+degree-ordered search would give on path-shaped rules.
+
+The search is a generator, so ``derive`` stops as soon as the selector has
+its match: "first" takes one match and index K takes K + 1 (an index out
+of range enumerates the rest, to count them), and a map or Match selector
+stops at the equal match.  ``find_matches`` and ``derive_all`` take every
+match.  ``apply_at`` checks a given match cell by cell.
 
 Applying a rule at a match completes its action matrices into the host
 universe (added rule nodes get fresh host labels), then rewrites.  Deleting
@@ -20,7 +33,8 @@ dangling-edge freedom whenever the rule itself does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .boolmat import (
     BoolMatrix,
@@ -71,99 +85,122 @@ def host_complement(g: Digraph) -> BoolMatrix:
     return complement(g.edges, bounded_one(g.nodes))
 
 
-def _neighbours(m: BoolMatrix) -> tuple[list[int], list[int], int]:
-    """Out- and in-neighbour masks of every node of m, and the mask of its self-loops."""
-    n = len(m.universe)
-    out, inn, loops = [0] * n, [0] * n, 0
-    for cell in set_bits(m.bits):
-        i, j = divmod(cell, n)
-        out[i] |= 1 << j
-        inn[j] |= 1 << i
-        if i == j:
-            loops |= 1 << i
-    return out, inn, loops
-
-
 class _Masks:
-    """Neighbour masks of a rule's lhs, its nihilation and a host graph."""
+    """Out- and in-neighbour masks and the self-loop mask of a host graph's nodes."""
 
-    def __init__(self, p: Production, g: Digraph, check_nihil: bool = True):
-        self.lhs_out, self.lhs_in, self.lhs_loops = _neighbours(p.lhs.edges)
-        nihil = p.nihilation if check_nihil else BoolMatrix.zeros(p.universe)
-        self.nihil_out, self.nihil_in, self.nihil_loops = _neighbours(nihil)
-        self.host_out, self.host_in, self.host_loops = _neighbours(g.edges)
+    def __init__(self, g: Digraph):
+        if not is_compatible(g):
+            raise ValueError("host graph has dangling edges")
+        n = len(g.universe)
+        # Cell (i, j) of the edge matrix is digit n * n - 1 - (i * n + j): rows and
+        # columns read highest index first, as int() wants them.
+        digits = format(g.edges.bits, f"0{n * n}b")
+        self.nodes = g.nodes.bits
+        self.out = [int(digits[(n - 1 - i) * n : (n - i) * n], 2) for i in range(n)]
+        self.inn = [int(digits[n - 1 - j :: n], 2) for j in range(n)]
+        self.loops = int(digits[:: n + 1], 2)
 
-    def candidates(self, u: int, placed: dict[int, int], free: int) -> int:
-        """The host nodes in mask ``free`` that lhs node u may map to.
 
-        ``placed`` maps the lhs nodes matched so far to host nodes.  A
-        candidate has every lhs edge between u and them, and u's lhs
-        self-loop, in the host (m_L), and none of the forbidden ones (m_K).
-        """
-        if self.lhs_loops >> u & 1:
-            free &= self.host_loops
-        if self.nihil_loops >> u & 1:
-            free &= ~self.host_loops
-        for v, d in placed.items():
-            if self.lhs_out[u] >> v & 1:
-                free &= self.host_in[d]
-            if self.lhs_in[u] >> v & 1:
-                free &= self.host_out[d]
-            if self.nihil_out[u] >> v & 1:
-                free &= ~self.host_in[d]
-            if self.nihil_in[u] >> v & 1:
-                free &= ~self.host_out[d]
+def _embeddings(
+    p: Production, host: _Masks, check_nihil: bool = True
+) -> Iterator[tuple[int, ...]]:
+    """The host indices of p's lhs nodes, in rule-universe order, of each match in match order.
+
+    Without ``check_nihil`` forbidden edges are ignored, which gives every
+    embedding of the lhs alone.
+    """
+    # An lhs edge touching an absent lhs node can never be realized.
+    if not is_compatible(p.lhs):
+        return
+    lhs = list(set_bits(p.lhs.nodes.bits))
+    edges, nihil = p.lhs.edges, p.nihilation
+
+    def links(m: BoolMatrix, k: int) -> list[tuple[int, list[int]]]:
+        """(j, masks) for each lhs node j < k linked to k in m: k's host is in masks[j's host]."""
+        u = lhs[k]
+        return [(j, host.inn) for j in range(k) if m[u, lhs[j]]] + [
+            (j, host.out) for j in range(k) if m[lhs[j], u]
+        ]
+
+    room, must, mustnt = [], [], []
+    for k, u in enumerate(lhs):
+        free = host.nodes
+        if edges[u, u]:
+            free &= host.loops
+        if check_nihil and nihil[u, u]:
+            free &= ~host.loops
+        room.append(free)
+        must.append(links(edges, k))
+        mustnt.append(links(nihil, k) if check_nihil else [])
+    # The look-ahead of node k: for each later node w linked to k whose candidates
+    # the nodes before k narrow, (w's room, those links, reach), where k's host
+    # must lie in reach[c] for some candidate c of w.
+    ahead = [[] for _ in lhs]
+    for w, links_w in enumerate(must):
+        for k, masks in links_w:
+            placed = [(j, other) for j, other in links_w if j < k]
+            if placed:
+                ahead[k].append((room[w], placed, host.out if masks is host.inn else host.inn))
+
+    def candidates(k: int, hosts: list[int], used: int) -> int:
+        free = room[k] & ~used
+        for j, masks in must[k]:
+            free &= masks[hosts[j]]
+        for j, masks in mustnt[k]:
+            free &= ~masks[hosts[j]]
+        for w_room, placed, reach in ahead[k]:
+            if not free:
+                break
+            later = w_room & ~used
+            for j, masks in placed:
+                later &= masks[hosts[j]]
+            near = 0
+            for c in set_bits(later):
+                near |= reach[c]
+            free &= near
         return free
+
+    if not lhs:
+        yield ()
+        return
+    # Depth-first on explicit state: todo[k] holds node k's untried candidates.
+    last = len(lhs) - 1
+    hosts, todo = [0] * len(lhs), [0] * len(lhs)
+    k, used = 0, 0
+    todo[0] = candidates(0, hosts, used)
+    while True:
+        rest = todo[k]
+        if rest:
+            low = rest & -rest
+            todo[k] = rest ^ low
+            hosts[k] = low.bit_length() - 1
+            if k == last:
+                yield tuple(hosts)
+            else:
+                used |= low
+                k += 1
+                todo[k] = candidates(k, hosts, used)
+        elif k:
+            k -= 1
+            used ^= 1 << hosts[k]
+        else:
+            return
+
+
+def _matches(p: Production, g: Digraph, found: Iterable[tuple[int, ...]]) -> Iterator[Match]:
+    """The Match of each tuple of host indices in ``found``."""
+    rule_labels, host_labels = p.lhs.nodes.labels(), g.universe.labels
+    for hosts in found:
+        yield Match(tuple(zip(rule_labels, map(host_labels.__getitem__, hosts))))
 
 
 def find_matches(p: Production, g: Digraph, check_nihil: bool = True) -> list[Match]:
-    """All injective matches of p's lhs into g, in lexicographic host order.
+    """All injective matches of p's lhs into g, in match order.
 
-    Backtracks over lhs nodes in decreasing degree order.  An lhs node's
-    candidates are one mask of present, unused host nodes of at least its
-    in/out degree, narrowed by ``_Masks.candidates``; the returned list is
-    sorted by the tuple of host indices taken in rule-universe order.
+    Match order is lexicographic in the host indices taken in rule-universe
+    order; the search yields matches in it (see the module docstring).
     """
-    if not is_compatible(g):
-        raise ValueError("host graph has dangling edges")
-    # An lhs edge touching an absent lhs node can never be realized.
-    if not is_compatible(p.lhs):
-        return []
-
-    masks = _Masks(p, g, check_nihil)
-    lhs_idx = list(set_bits(p.lhs.nodes.bits))
-    degree = {u: (masks.lhs_out[u].bit_count(), masks.lhs_in[u].bit_count()) for u in lhs_idx}
-    order = sorted(lhs_idx, key=lambda u: (-sum(degree[u]), u))
-    host_degree = [(o.bit_count(), i.bit_count()) for o, i in zip(masks.host_out, masks.host_in)]
-    room = [
-        sum(
-            1 << c
-            for c in set_bits(g.nodes.bits)
-            if host_degree[c][0] >= degree[u][0] and host_degree[c][1] >= degree[u][1]
-        )
-        for u in order
-    ]
-    results: list[tuple[int, ...]] = []
-    placed: dict[int, int] = {}
-
-    def backtrack(depth: int, used: int) -> None:
-        if depth == len(order):
-            results.append(tuple(placed[i] for i in lhs_idx))
-            return
-        u = order[depth]
-        for c in set_bits(masks.candidates(u, placed, room[depth] & ~used)):
-            placed[u] = c
-            backtrack(depth + 1, used | 1 << c)
-            del placed[u]
-
-    backtrack(0, 0)
-    results.sort()
-    rule_labels = p.universe.labels
-    host_labels = g.universe.labels
-    return [
-        Match(tuple((rule_labels[i], host_labels[c]) for i, c in zip(lhs_idx, hosts)))
-        for hosts in results
-    ]
+    return list(_matches(p, g, _embeddings(p, _Masks(g), check_nihil)))
 
 
 def _validate_match(p: Production, g: Digraph, m: Match) -> dict[str, str]:
@@ -176,28 +213,22 @@ def _validate_match(p: Production, g: Digraph, m: Match) -> dict[str, str]:
         if target not in g.universe or not g.nodes.get(target):
             raise MatchError(f"host node {target!r} is not present")
     image = sorted((p.universe.index(a), g.universe.index(b)) for a, b in mapping.items())
-    masks = _Masks(p, g)
-    placed: dict[int, int] = {}
-    for u, c in image:
-        if not masks.candidates(u, placed, 1 << c):
-            raise MatchError(next(_violations(p, g, image, masks)))
-        placed[u] = c
+    for violation in _violations(p, g, image):
+        raise MatchError(violation)
     return mapping
 
 
-def _violations(
-    p: Production, g: Digraph, image: list[tuple[int, int]], masks: _Masks
-) -> Iterator[str]:
+def _violations(p: Production, g: Digraph, image: list[tuple[int, int]]) -> Iterator[str]:
     """The violated lhs and forbidden cells of a match, row by row, as error messages."""
     rule_labels, host_labels = p.universe.labels, g.universe.labels
     for a, ha in image:
         for b, hb in image:
-            edge = masks.host_out[ha] >> hb & 1
+            edge = g.edges[ha, hb]
             cell = f"{rule_labels[a]}->{rule_labels[b]}"
             at = f"{host_labels[ha]}->{host_labels[hb]}"
-            if masks.lhs_out[a] >> b & 1 and not edge:
+            if p.lhs.edges[a, b] and not edge:
                 yield f"missing lhs edge {cell} at {at}"
-            elif masks.nihil_out[a] >> b & 1 and edge:
+            elif p.nihilation[a, b] and edge:
                 yield f"forbidden edge {cell} present at {at}"
 
 
@@ -264,22 +295,28 @@ class DerivationTrace:
 _EVERY = object()
 
 
-def _select(matches: list[Match], selector, step: int, p: Production, g: Digraph) -> Match:
-    if not matches:
-        if find_matches(p, g, check_nihil=False):
+def _select(p: Production, g: Digraph, selector, step: int) -> Match:
+    """The match of p in g that ``selector`` picks, enumerating no further than it needs."""
+    host = _Masks(g)
+    matches = _matches(p, g, _embeddings(p, host))
+    first = next(matches, None)
+    if first is None:
+        if next(_embeddings(p, host, check_nihil=False), None) is not None:
             raise DerivationError(
                 step, p.name, "m_K", "no match: every lhs embedding hits a forbidden edge"
             )
         raise DerivationError(step, p.name, "m_L", "no match: lhs cannot be embedded")
     if selector == "first":
-        return matches[0]
+        return first
+    matches = chain([first], matches)
     if isinstance(selector, int):
-        if not 0 <= selector < len(matches):
-            raise DerivationError(
-                step, p.name, "selector",
-                f"match index {selector} out of range ({len(matches)} matches)",
-            )
-        return matches[selector]
+        for index, m in enumerate(matches):
+            if index == selector:
+                return m
+        raise DerivationError(
+            step, p.name, "selector",
+            f"match index {selector} out of range ({index + 1} matches)",
+        )
     wanted = selector.mapping() if isinstance(selector, Match) else selector
     if not isinstance(wanted, dict):
         raise DerivationError(step, p.name, "selector", f"bad selector {selector!r}")
@@ -303,9 +340,10 @@ def _walk(g: Digraph, steps, graph_prefix: str) -> Iterator[DerivationTrace]:
             yield DerivationTrace(trail, graphs)
             continue
         p, selector = steps[k]
-        matches = find_matches(p, graphs[-1])
-        if selector is not _EVERY:
-            matches = [_select(matches, selector, k + 1, p, graphs[-1])]
+        if selector is _EVERY:
+            matches = find_matches(p, graphs[-1])
+        else:
+            matches = [_select(p, graphs[-1], selector, k + 1)]
         for m in reversed(matches):
             step = DerivationStep(p.name, m, f"{graph_prefix}{k}", f"{graph_prefix}{k + 1}")
             stack.append((trail + (step,), graphs + (apply_at(p, graphs[-1], m, step=k + 1),)))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from mgg import derivation
 from mgg import (
     BoolMatrix,
     BoolVector,
@@ -106,6 +107,25 @@ class TestFindMatches:
             fast = find_matches(p, g)
             slow = brute_matches(p, g)
             assert fast == slow
+
+    def test_search_yields_match_order_prefix_by_prefix(self):
+        # The lazy search is what derive stops early on: each match it yields
+        # must be the next one of the full lists, with nothing sorted after.
+        rng = random.Random(36)
+        universes = [U2, U3, NodeUniverse.of("a", "b", "c", "d")]
+        seen = 0
+        for k in range(600):
+            host_u = NodeUniverse(tuple(str(i) for i in range(rng.randint(1, 7))))
+            p = random_production(rng, universes[k % 3], edge_density=0.2, node_delete_prob=0.0)
+            g = random_digraph(rng, host_u, node_density=0.9, edge_density=rng.choice([0.2, 0.5]))
+            listed, slow = find_matches(p, g), brute_matches(p, g)
+            found = derivation._embeddings(p, derivation._Masks(g))
+            index = -1
+            for index, m in enumerate(derivation._matches(p, g, found)):
+                assert m == listed[index] == slow[index]
+            assert index + 1 == len(listed) == len(slow)
+            seen += len(listed)
+        assert seen > 2000
 
     def test_agrees_with_networkx_vf2_on_larger_hosts(self):
         # VF2 monomorphisms of the lhs into the host, minus those that hit
@@ -313,6 +333,74 @@ class TestDerive:
         with pytest.raises(DerivationError) as err:
             derive(full, [(nihil_fail, "first")])
         assert err.value.failed == "m_K"
+
+    def test_failure_messages(self):
+        p = rule(U2, "add", "ab", [], "ab", [("a", "b")])
+        cases = [
+            (Digraph.of(U2, "a", []), "first", "m_L", "no match: lhs cannot be embedded"),
+            (
+                Digraph.of(U2, "ab", [("a", "b"), ("b", "a")]),
+                "first",
+                "m_K",
+                "no match: every lhs embedding hits a forbidden edge",
+            ),
+            (
+                Digraph.of(U2, "ab", []),
+                {"a": "b", "b": "b"},
+                "selector",
+                "requested map is not a valid match",
+            ),
+            (Digraph.of(U2, "ab", []), -1, "selector", "match index -1 out of range (2 matches)"),
+            (Digraph.of(U2, "ab", []), 2, "selector", "match index 2 out of range (2 matches)"),
+            (Digraph.of(U2, "ab", []), "last", "selector", "bad selector 'last'"),
+        ]
+        for g, selector, failed, message in cases:
+            with pytest.raises(DerivationError) as err:
+                derive(g, [(p, selector)])
+            assert (err.value.failed, str(err.value)) == (failed, f"step 1 (add): {message}")
+
+    def test_map_and_match_selectors_pick_the_equal_match(self):
+        p = rule(U2, "add", "ab", [], "ab", [("a", "b")])
+        g = Digraph.of(U2, "ab", [])
+        second = find_matches(p, g)[1]
+        for selector in (second, second.mapping(), 1):
+            assert derive(g, [(p, selector)]).steps[0].match == second
+
+    @pytest.mark.parametrize("selector", ["first", 2])
+    def test_first_and_index_stop_early(self, selector, monkeypatch):
+        # 3540 matches of an edge in a complete 60-node digraph; first and K
+        # may search and build no more than K + 1 of them.
+        host_u = NodeUniverse(tuple(f"h{i}" for i in range(60)))
+        g = Digraph(BoolMatrix.ones(host_u), BoolVector.ones(host_u))
+        p = rule(U2, "edge", "ab", [("a", "b")], "ab", [("a", "b")])
+        listed = find_matches(p, g)
+        assert len(listed) == 3540
+        wanted = listed[0 if selector == "first" else selector]
+
+        built, searched = [], []
+        embeddings = derivation._embeddings
+
+        class Counted(Match):
+            def __new__(cls, *args):
+                built.append(cls)
+                return super().__new__(cls)
+
+        def counted_embeddings(*args, **kwargs):
+            for hosts in embeddings(*args, **kwargs):
+                searched.append(hosts)
+                yield hosts
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("find_matches enumerates every match")
+
+        monkeypatch.setattr(derivation, "find_matches", refuse)
+        monkeypatch.setattr(derivation, "Match", Counted)
+        monkeypatch.setattr(derivation, "_embeddings", counted_embeddings)
+        trace = derive(g, [(p, selector)])
+        assert trace.steps[0].match.pairs == wanted.pairs
+        assert trace.result == apply_at(p, g, wanted)
+        limit = 1 if selector == "first" else selector + 1
+        assert 0 < len(built) <= limit and 0 < len(searched) <= limit
 
     def test_derive_all_enumerates_traces(self):
         p = rule(U2, "edge", "ab", [("a", "b")], "ab", [("a", "b")])

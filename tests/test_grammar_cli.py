@@ -18,11 +18,12 @@ from mgg import (
     random_production,
     serialize_grammar,
 )
-from mgg.cli import matrix_str, run, vector_str
+from mgg.cli import _load_grammar, build_parser, matrix_str, run, vector_str
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = str(REPO / "grammars" / "demo.mgg")
 PAIR = str(REPO / "grammars" / "pair.mgg")
+WIDE = str(REPO / "grammars" / "wide.mgg")
 
 MINIMAL = "nodes n\n"
 
@@ -71,6 +72,8 @@ PARSE_ERRORS = [
     ("sequence-unknown-rule", "nodes a\nsequence s ghost\n", "line 2: unknown production 'ghost'"),
     ("host-name", "nodes a\nhost a b\n", "line 2: expected: host <name>"),
     ("unknown-declaration", "nodes a\nrule r\n", "line 2: unknown declaration 'rule'"),
+    # Only one leading byte order mark is skipped.
+    ("second-bom", "\ufeff\ufeffnodes a\n", "line 1: unknown declaration '\\ufeffnodes'"),
     ("duplicate-name", "nodes a\nhost h\n  nodes a\nhost h\n", "line 4: duplicate name 'h'"),
     (
         "duplicate-field",
@@ -293,12 +296,22 @@ class TestParseErrors:
             (b"nodes a b\n\nhost h\n  nodes a\xc3\n", "line 4: byte 0xc3 is not UTF-8"),
             (b"nodes a\r\xfe\n", "line 2: byte 0xfe is not UTF-8"),
             (b"# caf\xc3\xa9\nnodes a\n\x80", "line 3: byte 0x80 is not UTF-8"),
+            (b"\xef\xbb\xbfnodes a\n\nhost h\xff\n", "line 3: byte 0xff is not UTF-8"),
         ],
     )
     def test_non_utf8_file_exits_2_at_the_bad_byte(self, data, message, tmp_path):
         path = tmp_path / "bad.mgg"
         path.write_bytes(data)
         assert cli("encode", str(path), "--graph", "h") == (2, f"error {message}\n")
+
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.mgg", tmp_path / "marked.mgg"
+        plain.write_text(SMALL, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + SMALL.encode())
+        assert _load_grammar(str(marked)) == _load_grammar(str(plain))
+        reports = [cli("encode", str(path), "--graph", "line") for path in (marked, plain)]
+        assert reports[0] == (0, reports[1][1].replace("plain.mgg", "marked.mgg"))
 
 
 class TestRoundTripAtScale:
@@ -409,6 +422,42 @@ class TestDeriveCommand:
         lines = text.splitlines()
         assert "failed_morphism m_L" in lines
         assert "failed_step 1" in lines
+
+    def test_index_out_of_range_counts_the_matches(self):
+        code, text = cli(
+            "derive", WIDE, "--host", "field", "--sequence", "trek", "--select", "99",
+        )
+        assert (code, text) == (
+            1,
+            f"report derive\ngrammar {WIDE}\nhost field\nsequence trek\nselect 99\nok no\n"
+            "failed_step 1\nfailed_production hop\nfailed_morphism selector\n"
+            "error step 1 (hop): match index 99 out of range (98 matches)\n",
+        )
+
+    @pytest.mark.parametrize(
+        "host, morphism, reason",
+        [
+            ("  nodes a\n", "m_L", "lhs cannot be embedded"),
+            # Both embeddings put the forbidden edge a->b on a host edge.
+            (
+                "  nodes a b\n  edges a->b b->a\n",
+                "m_K",
+                "every lhs embedding hits a forbidden edge",
+            ),
+        ],
+    )
+    def test_failed_morphism_report(self, host, morphism, reason, tmp_path):
+        path = tmp_path / "add.mgg"
+        path.write_text(
+            "nodes a b\n\nproduction add\n  lhs nodes a b\n  rhs nodes a b\n  rhs edges a->b\n\n"
+            "sequence s add\n\nhost h\n" + host
+        )
+        assert cli("derive", str(path), "--host", "h", "--sequence", "s") == (
+            1,
+            f"report derive\ngrammar {path}\nhost h\nsequence s\nselect first\nok no\n"
+            f"failed_step 1\nfailed_production add\nfailed_morphism {morphism}\n"
+            f"error step 1 (add): no match: {reason}\n",
+        )
 
     def test_select_all_counts_traces(self):
         code, text = cli(
@@ -529,6 +578,36 @@ class TestRendering:
     def test_empty_universe(self):
         u = NodeUniverse(())
         assert (matrix_str(BoolMatrix.zeros(u)), vector_str(BoolVector.zeros(u))) == ("[]", "[]")
+
+
+class TestRepeatedRuns:
+    def test_in_process_runs_match_fresh_processes(self, capsys):
+        import subprocess
+
+        argvs = [
+            ["analyze", DEMO, "--sequence", "clash", "--check", "coherence"],
+            ["derive", DEMO, "--host", "start", "--sequence", "handover", "--select", "x"],
+            ["encode", DEMO, "--graph", "start"],
+        ]
+        fresh = []
+        for argv in argvs:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mgg", *argv],
+                cwd=REPO / "src",
+                capture_output=True,
+                text=True,
+            )
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        for _ in range(2):
+            for argv, expected in zip(argvs, fresh):
+                out = io.StringIO()
+                try:
+                    code = run(argv, out=out)
+                except SystemExit as exc:
+                    code = exc.code
+                assert (code, out.getvalue(), capsys.readouterr().err) == expected
+        assert [code for code, _, _ in fresh] == [1, 2, 0]
+        assert build_parser() is build_parser()
 
 
 class TestModuleEntryPoint:
