@@ -285,22 +285,6 @@ def is_compatible(g: Digraph) -> bool:
     return g.edges.bits & ~bounded_one(g.nodes).bits == 0
 
 
-def _build_mapping(
-    source: NodeUniverse, target: NodeUniverse, mapping: Mapping[str, str] | None
-) -> dict[str, str]:
-    if mapping is None:
-        mapping = {l: l for l in source.labels}
-    images = list(mapping.values())
-    if len(set(images)) != len(images):
-        raise ValueError("completion mapping must be injective")
-    for src, dst in mapping.items():
-        if src not in source:
-            raise KeyError(f"unknown source label {src!r}")
-        if dst not in target:
-            raise KeyError(f"unknown target label {dst!r}")
-    return dict(mapping)
-
-
 def complete_to(x, target: NodeUniverse, mapping: Mapping[str, str] | None = None):
     """Embed x into a (usually larger) universe, zero-filling elsewhere.
 
@@ -308,31 +292,47 @@ def complete_to(x, target: NodeUniverse, mapping: Mapping[str, str] | None = Non
     be injective; labels it omits must carry no content in x.  Omitted target
     positions stay zero, which for nihil matrices means "unconstrained".
     """
+    source = x.universe
+    if mapping is None:
+        mapping = {l: l for l in source.labels}
+    images = list(mapping.values())
+    if len(set(images)) != len(images):
+        raise ValueError("completion mapping must be injective")
+    at = {}
+    for src, dst in mapping.items():
+        if src not in source:
+            raise KeyError(f"unknown source label {src!r}")
+        if dst not in target:
+            raise KeyError(f"unknown target label {dst!r}")
+        at[source.index(src)] = target.index(dst)
     if isinstance(x, Digraph):
-        return Digraph(
-            complete_to(x.edges, target, mapping),
-            complete_to(x.nodes, target, mapping),
-        )
-    m = _build_mapping(x.universe, target, mapping)
+        return Digraph(_complete_at(x.edges, target, at), _complete_at(x.nodes, target, at))
+    return _complete_at(x, target, at)
+
+
+def _complete_at(x, target: NodeUniverse, at: Mapping[int, int]):
+    """``complete_to`` on a checked index map: node i of x's universe goes to node ``at[i]``.
+
+    Nodes that ``at`` omits must carry no content in x.
+    """
     src_u = x.universe
-    pos = {src_u.index(s): target.index(d) for s, d in m.items()}
     if isinstance(x, BoolVector):
         bits = 0
         for i in set_bits(x.bits):
-            if i not in pos:
+            if i not in at:
                 raise ValueError(f"unmapped label {src_u.labels[i]!r} carries content")
-            bits |= 1 << pos[i]
+            bits |= 1 << at[i]
         return BoolVector(target, bits)
     if isinstance(x, BoolMatrix):
         n_s, n_t = len(src_u), len(target)
         bits = 0
         for cell in set_bits(x.bits):
             i, j = divmod(cell, n_s)
-            if i not in pos or j not in pos:
+            if i not in at or j not in at:
                 raise ValueError(
                     "unmapped label carries content: edge "
                     f"{src_u.labels[i]!r}->{src_u.labels[j]!r}"
                 )
-            bits |= 1 << (pos[i] * n_t + pos[j])
+            bits |= 1 << (at[i] * n_t + at[j])
         return BoolMatrix(target, bits)
     raise TypeError(f"cannot complete value of type {type(x).__name__}")

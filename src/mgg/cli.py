@@ -135,10 +135,7 @@ def cmd_analyze(args, out) -> int:
             report.add("note", str(w.message))
         report.add("ok", _bool_str(True))
     elif args.check == "image":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IncoherentSequenceWarning)
-            term = image_of_sequence(s)
-        _add_term(report, "image", term)
+        _add_term(report, "image", image_of_sequence(s))
         report.add("ok", _bool_str(True))
     elif args.check == "compatibility":
         analysis = sequence_compatibility(s)

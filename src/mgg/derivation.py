@@ -24,10 +24,10 @@ of range enumerates the rest, to count them), and a map or Match selector
 stops at the equal match.  ``find_matches`` and ``derive_all`` take every
 match.  ``apply_at`` checks a given match cell by cell.
 
-Applying a rule at a match completes its action matrices into the host
-universe (added rule nodes get fresh host labels), then rewrites.  Deleting
-a node removes its whole row and column, so derivation steps preserve
-dangling-edge freedom whenever the rule itself does.
+Applying a rule at a match moves its action masks into the host universe
+by the index pairs the match check computed (added rule nodes get fresh host
+labels), then rewrites.  Deleting a node removes its whole row and column,
+so derivation steps preserve dangling-edge freedom whenever the rule does.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from typing import Iterable, Iterator
 from .boolmat import (
     BoolMatrix,
     Digraph,
+    _complete_at,
     bounded_one,
     complement,
     complete_to,
@@ -194,16 +195,17 @@ def _matches(p: Production, g: Digraph, found: Iterable[tuple[int, ...]]) -> Ite
         yield Match(tuple(zip(rule_labels, map(host_labels.__getitem__, hosts))))
 
 
-def find_matches(p: Production, g: Digraph, check_nihil: bool = True) -> list[Match]:
+def find_matches(p: Production, g: Digraph) -> list[Match]:
     """All injective matches of p's lhs into g, in match order.
 
     Match order is lexicographic in the host indices taken in rule-universe
     order; the search yields matches in it (see the module docstring).
     """
-    return list(_matches(p, g, _embeddings(p, _Masks(g), check_nihil)))
+    return list(_matches(p, g, _embeddings(p, _Masks(g))))
 
 
-def _validate_match(p: Production, g: Digraph, m: Match) -> dict[str, str]:
+def _validate_match(p: Production, g: Digraph, m: Match) -> list[tuple[int, int]]:
+    """The (rule index, host index) pairs of a valid match, in rule-universe order."""
     mapping = m.mapping()
     if sorted(mapping) != sorted(p.lhs.nodes.labels()):
         raise MatchError("match must cover exactly the lhs nodes")
@@ -215,7 +217,7 @@ def _validate_match(p: Production, g: Digraph, m: Match) -> dict[str, str]:
     image = sorted((p.universe.index(a), g.universe.index(b)) for a, b in mapping.items())
     for violation in _violations(p, g, image):
         raise MatchError(violation)
-    return mapping
+    return image
 
 
 def _violations(p: Production, g: Digraph, image: list[tuple[int, int]]) -> Iterator[str]:
@@ -248,22 +250,20 @@ def apply_at(p: Production, g: Digraph, m: Match, step: int = 1) -> Digraph:
     The deletion of a node erases its entire row and column in the host,
     keeping the result dangling-free.
     """
-    mapping = _validate_match(p, g, m)
-    fresh = {}
+    at = dict(_validate_match(p, g, m))
+    fresh = []
     taken = set(g.universe.labels)
-    for node in p.added_nodes.labels():
-        fresh[node] = fresh_label(p, node, step, taken)
-        taken.add(fresh[node])
+    for i in set_bits(p.added_nodes.bits):
+        at[i] = len(g.universe) + len(fresh)
+        fresh.append(fresh_label(p, p.universe.labels[i], step, taken))
+        taken.add(fresh[-1])
 
     # A rule that adds no node leaves the host's universe, and so its bits, as they are.
-    host = complete_to(g, g.universe.extended(fresh.values())) if fresh else g
-    target = host.universe
-    full_map = {**mapping, **fresh}
-
-    del_edges = complete_to(p.deleted_edges, target, full_map)
-    add_edges = complete_to(p.added_edges, target, full_map)
-    del_nodes = complete_to(p.deleted_nodes, target, full_map)
-    add_nodes = complete_to(p.added_nodes, target, full_map)
+    host = complete_to(g, g.universe.extended(fresh)) if fresh else g
+    del_edges, add_edges, del_nodes, add_nodes = (
+        _complete_at(x, host.universe, at)
+        for x in (p.deleted_edges, p.added_edges, p.deleted_nodes, p.added_nodes)
+    )
 
     kept_nodes = ~del_nodes
     # Row/column wipe-out for deleted nodes.
@@ -326,7 +326,7 @@ def _select(p: Production, g: Digraph, selector, step: int) -> Match:
     raise DerivationError(step, p.name, "selector", "requested map is not a valid match")
 
 
-def _walk(g: Digraph, steps, graph_prefix: str) -> Iterator[DerivationTrace]:
+def _walk(g: Digraph, steps) -> Iterator[DerivationTrace]:
     """Every derivation along (production, selector) steps, in match order.
 
     A selector picks one match (see ``_select``); ``_EVERY`` branches on each.
@@ -345,11 +345,11 @@ def _walk(g: Digraph, steps, graph_prefix: str) -> Iterator[DerivationTrace]:
         else:
             matches = [_select(p, graphs[-1], selector, k + 1)]
         for m in reversed(matches):
-            step = DerivationStep(p.name, m, f"{graph_prefix}{k}", f"{graph_prefix}{k + 1}")
+            step = DerivationStep(p.name, m, f"g{k}", f"g{k + 1}")
             stack.append((trail + (step,), graphs + (apply_at(p, graphs[-1], m, step=k + 1),)))
 
 
-def derive(g: Digraph, steps, graph_prefix: str = "g") -> DerivationTrace:
+def derive(g: Digraph, steps) -> DerivationTrace:
     """Fold direct derivations left to right.
 
     ``steps`` is a list of (production, selector) with selector one of
@@ -358,9 +358,9 @@ def derive(g: Digraph, steps, graph_prefix: str = "g") -> DerivationTrace:
     a match aborts with the failed morphism named: "m_L" when the lhs cannot
     be embedded at all, "m_K" when every embedding hits a forbidden edge.
     """
-    return next(_walk(g, list(steps), graph_prefix))
+    return next(_walk(g, list(steps)))
 
 
-def derive_all(g: Digraph, productions, graph_prefix: str = "g") -> list[DerivationTrace]:
+def derive_all(g: Digraph, productions) -> list[DerivationTrace]:
     """Every complete derivation trace over all per-step match choices."""
-    return list(_walk(g, [(p, _EVERY) for p in productions], graph_prefix))
+    return list(_walk(g, [(p, _EVERY) for p in productions]))

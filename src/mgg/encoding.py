@@ -31,10 +31,11 @@ class Dyadic:
         num, width = self.num, self.width
         if num < 0 or width < 0 or (width == 0 and num != 0) or num >> width:
             raise ValueError(f"not a value in [0,1): {num}/2^{width}")
-        while num and num % 2 == 0:
-            num //= 2
-            width -= 1
-        if num == 0:
+        if num:
+            shift = (num & -num).bit_length() - 1
+            num >>= shift
+            width -= shift
+        else:
             width = 0
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "width", width)

@@ -47,15 +47,7 @@ class ComplexTerm:
 
     @classmethod
     def zero(cls, universe: NodeUniverse, ambient: BoolVector | None = None) -> "ComplexTerm":
-        if ambient is None:
-            ambient = BoolVector.ones(universe)
-        return cls(
-            BoolMatrix.zeros(universe),
-            BoolVector.zeros(universe),
-            BoolMatrix.zeros(universe),
-            BoolVector.zeros(universe),
-            ambient,
-        )
+        return cls.of(BoolMatrix.zeros(universe), ambient=ambient)
 
     @classmethod
     def of(

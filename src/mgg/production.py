@@ -99,24 +99,10 @@ class Production:
         The nihil node component stays empty; node bookkeeping is carried by
         the certainty part alone.
         """
-        u = self.universe
-        return ComplexTerm(
-            self.lhs.edges,
-            self.lhs.nodes,
-            self.nihilation,
-            BoolVector.zeros(u),
-            BoolVector.ones(u),
-        )
+        return ComplexTerm.of(self.lhs.edges, self.nihilation, self.lhs.nodes)
 
     def rhs_term(self) -> ComplexTerm:
-        u = self.universe
-        return ComplexTerm(
-            self.rhs.edges,
-            self.rhs.nodes,
-            self.rhs_nihilation,
-            BoolVector.zeros(u),
-            BoolVector.ones(u),
-        )
+        return ComplexTerm.of(self.rhs.edges, self.rhs_nihilation, self.rhs.nodes)
 
     def is_identity(self) -> bool:
         return (

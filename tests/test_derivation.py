@@ -27,6 +27,7 @@ from mgg import (
     is_compatible,
     random_digraph,
     random_production,
+    tensor,
 )
 
 U2 = NodeUniverse.of("a", "b")
@@ -168,6 +169,38 @@ class TestFindMatches:
         assert matches > 4000
 
 
+def complete_to_apply_at(p, g, m, step):
+    """Reference rewrite at a valid match: four ``complete_to`` calls and the kept block."""
+    fresh = {}
+    taken = set(g.universe.labels)
+    for node in p.added_nodes.labels():
+        fresh[node] = derivation.fresh_label(p, node, step, taken)
+        taken.add(fresh[node])
+    host = complete_to(g, g.universe.extended(fresh.values()))
+    target = host.universe
+    full_map = {**m.mapping(), **fresh}
+    del_edges = complete_to(p.deleted_edges, target, full_map)
+    add_edges = complete_to(p.added_edges, target, full_map)
+    del_nodes = complete_to(p.deleted_nodes, target, full_map)
+    add_nodes = complete_to(p.added_nodes, target, full_map)
+    kept_nodes = ~del_nodes
+    kept_block = tensor(kept_nodes, kept_nodes)
+    return Digraph(
+        add_edges | (host.edges & kept_block & ~del_edges),
+        add_nodes | (host.nodes & kept_nodes),
+    )
+
+
+def dangling(rng, g):
+    """g plus one edge into a node absent from g, when g has one."""
+    absent = [i for i in range(len(g.universe)) if not g.nodes[i]]
+    if not absent:
+        return g
+    n = len(g.universe)
+    cell = rng.randrange(n) * n + rng.choice(absent)
+    return Digraph(BoolMatrix(g.universe, g.edges.bits | 1 << cell), g.nodes)
+
+
 class TestApplyAt:
     def test_identity_rule_keeps_host(self):
         g = Digraph.of(U3, "abc", [("a", "b"), ("c", "c")])
@@ -216,6 +249,59 @@ class TestApplyAt:
         with pytest.raises(MatchError) as err:
             apply_at(p, g, Match(tuple(pairs)))
         assert str(err.value) == message
+
+    def test_dangling_lhs_edge_is_unmapped_content(self):
+        # A valid match covers the lhs nodes only, so an lhs edge into an absent
+        # node has no host image; the rewrite refuses to drop it silently.
+        p = Production.from_static(
+            "r",
+            Digraph(BoolMatrix.from_edges(U2, [("a", "b")]), BoolVector.from_labels(U2, "a")),
+            Digraph.of(U2, "a"),
+        )
+        g = Digraph.of(U3, "abc", [("a", "b")])
+        with pytest.raises(ValueError) as err:
+            apply_at(p, g, Match((("a", "c"),)))
+        assert type(err.value) is ValueError
+        assert str(err.value) == "unmapped label carries content: edge 'a'->'b'"
+
+    def test_agrees_with_complete_to_reference(self):
+        rng = random.Random(35)
+        compared = grown = shrunk = refused = 0
+        for case in range(1200):
+            u = NodeUniverse(tuple("abcd"[: rng.randint(2, 4)]))
+            p = random_production(rng, u, "r", node_delete_prob=0.4, node_add_prob=0.5)
+            if case % 4 == 0:
+                p = Production.from_static("r", dangling(rng, p.lhs), dangling(rng, p.rhs))
+            host_u = NodeUniverse(tuple(f"v{i}" for i in range(rng.randint(4, 16))))
+            g = random_digraph(rng, host_u, 0.8, 0.3)
+            matches = find_matches(p, g)
+            lhs, present = p.lhs.nodes.labels(), g.nodes.labels()
+            if matches:
+                m = rng.choice(matches)
+            elif len(present) >= len(lhs):
+                m = Match(tuple(zip(lhs, rng.sample(present, len(lhs)))))
+            else:
+                continue
+            try:
+                derivation._validate_match(p, g, m)
+            except MatchError:
+                continue
+            step = rng.randint(1, 3)
+            try:
+                expected = complete_to_apply_at(p, g, m, step)
+            except ValueError as reference_error:
+                with pytest.raises(ValueError) as err:
+                    apply_at(p, g, m, step)
+                assert str(err.value) == str(reference_error)
+                refused += 1
+                continue
+            assert apply_at(p, g, m, step) == expected
+            compared += 1
+            grown += not p.added_nodes.is_zero()
+            shrunk += not p.deleted_nodes.is_zero()
+        assert compared >= 500 and grown > 100 and shrunk > 100 and refused > 10, (
+            compared, grown, shrunk, refused,
+        )
 
     def test_node_deletion_wipes_row_and_column(self):
         # host edges at the deleted image from outside the mapped block are

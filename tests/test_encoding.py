@@ -43,6 +43,7 @@ class TestDyadic:
     def test_canonical_drops_trailing_zeros(self):
         assert Dyadic.from_bits("0110") == Dyadic.from_bits("011")
         assert Dyadic.from_bits("011").to_binary() == "0.011b"
+        assert Dyadic(1 << 4095, 4096) == Dyadic.from_bits("1")
 
     def test_zero(self):
         assert Dyadic.from_bits("000") == Dyadic.zero()
