@@ -4,7 +4,9 @@ Graphs are simple digraphs stored as a square Boolean edge matrix plus a
 Boolean node-presence vector.  Every "product" in the rewriting formulas is
 the cell-by-cell AND; there is no row-by-column matrix product anywhere in
 this package.  Matrices are packed row-major into a single int (cell (i, j)
-is bit ``i * n + j``), vectors into an int with bit ``i`` for node ``i``.
+is bit ``i * n + j``), vectors into an int with bit ``i`` for node ``i``;
+other modules read a matrix's rows and columns only as ints (``row_masks``,
+``column_masks``), and ``Digraph.extended`` re-strides the rows for new nodes.
 
 Both kinds share one packed type with ``& | ^`` and a bounded ``~``: the
 complement inside the value's universe (every node for a vector, every
@@ -214,9 +216,21 @@ class BoolMatrix(_Packed):
         )
 
     def rows(self) -> list[list[int]]:
+        return [BoolVector(self.universe, row).tolist() for row in self.row_masks()]
+
+    def row_masks(self) -> list[int]:
+        """Row i as an int with bit j for cell (i, j), for each row i."""
         n = len(self.universe)
         row = (1 << n) - 1
-        return [BoolVector(self.universe, self.bits >> i * n & row).tolist() for i in range(n)]
+        return [self.bits >> i * n & row for i in range(n)]
+
+    def column_masks(self) -> list[int]:
+        """Column j as an int with bit i for cell (i, j), for each column j."""
+        # Cell (i, j) is digit n * n - 1 - (i * n + j) of the bits, so a column
+        # reads highest row first, as int() wants it.
+        n = len(self.universe)
+        digits = format(self.bits, f"0{n * n}b")
+        return [int(digits[n - 1 - j :: n], 2) for j in range(n)]
 
 
 @dataclass(frozen=True)
@@ -248,6 +262,12 @@ class Digraph:
             BoolMatrix.from_edges(universe, edges),
             BoolVector.from_labels(universe, nodes),
         )
+
+    def extended(self, new_labels: Iterable[str]) -> "Digraph":
+        """``complete_to(self, self.universe.extended(new_labels))``, by re-striding each row."""
+        target = self.universe.extended(new_labels)
+        edges = sum(row << i * len(target) for i, row in enumerate(self.edges.row_masks()))
+        return Digraph(BoolMatrix(target, edges), BoolVector(target, self.nodes.bits))
 
 
 def complement(a, ambient):

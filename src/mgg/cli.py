@@ -47,8 +47,7 @@ def _bits_str(bits: int, n: int) -> str:
 
 def matrix_str(m: BoolMatrix) -> str:
     n = len(m.universe)
-    row_mask = (1 << n) - 1
-    return "[" + ",".join(_bits_str(m.bits >> i * n & row_mask, n) for i in range(n)) + "]"
+    return "[" + ",".join(_bits_str(row, n) for row in m.row_masks()) + "]"
 
 
 def vector_str(v: BoolVector) -> str:

@@ -11,12 +11,12 @@ in rule-universe order.  One depth-first search (``_embeddings``) places
 the lhs nodes in rule-universe order and tries each node's candidates in
 ascending host index, so it yields matches in match order and nothing is
 sorted.  A node's candidates are one packed mask of present, unused host
-nodes, ANDed and AND-NOTed with the host's neighbour and self-loop masks
-(``_Masks``) at the nodes placed before it.  A look-ahead narrows the mask
-further, all on AND / OR: for each later lhs neighbour whose candidates the
-placed nodes already narrow, the node must be adjacent to one of them.  It
-removes only hosts no match can use, and it stands in for the pruning a
-degree-ordered search would give on path-shaped rules.
+nodes, ANDed and AND-NOTed with the host's rows, columns and self-loops at
+the nodes placed before it.  A look-ahead narrows the mask further, all on
+AND / OR: for each later lhs neighbour whose candidates the placed nodes
+already narrow, the node must be adjacent to one of them.  It removes only
+hosts no match can use, and it stands in for the pruning a degree-ordered
+search would give on path-shaped rules.
 
 The search is a generator, so ``derive`` stops as soon as the selector has
 its match: "first" takes one match and index K takes K + 1 (an index out
@@ -24,10 +24,10 @@ of range enumerates the rest, to count them), and a map or Match selector
 stops at the equal match.  ``find_matches`` and ``derive_all`` take every
 match.  ``apply_at`` checks a given match cell by cell.
 
-Applying a rule at a match moves its action masks into the host universe
-by the index pairs the match check computed (added rule nodes get fresh host
-labels), then rewrites.  Deleting a node removes its whole row and column,
-so derivation steps preserve dangling-edge freedom whenever the rule does.
+Applying a rule at a match widens the host when the rule adds nodes,
+moves its action masks into the host universe by the match's index pairs,
+and rewrites.  Deleting a node removes its whole row and column, so
+derivation steps preserve dangling-edge freedom whenever the rule does.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .boolmat import (
     _complete_at,
     bounded_one,
     complement,
-    complete_to,
     is_compatible,
     set_bits,
     tensor,
@@ -86,50 +85,39 @@ def host_complement(g: Digraph) -> BoolMatrix:
     return complement(g.edges, bounded_one(g.nodes))
 
 
-class _Masks:
-    """Out- and in-neighbour masks and the self-loop mask of a host graph's nodes."""
-
-    def __init__(self, g: Digraph):
-        if not is_compatible(g):
-            raise ValueError("host graph has dangling edges")
-        n = len(g.universe)
-        # Cell (i, j) of the edge matrix is digit n * n - 1 - (i * n + j): rows and
-        # columns read highest index first, as int() wants them.
-        digits = format(g.edges.bits, f"0{n * n}b")
-        self.nodes = g.nodes.bits
-        self.out = [int(digits[(n - 1 - i) * n : (n - i) * n], 2) for i in range(n)]
-        self.inn = [int(digits[n - 1 - j :: n], 2) for j in range(n)]
-        self.loops = int(digits[:: n + 1], 2)
-
-
 def _embeddings(
-    p: Production, host: _Masks, check_nihil: bool = True
+    p: Production, g: Digraph, check_nihil: bool = True
 ) -> Iterator[tuple[int, ...]]:
     """The host indices of p's lhs nodes, in rule-universe order, of each match in match order.
 
     Without ``check_nihil`` forbidden edges are ignored, which gives every
     embedding of the lhs alone.
     """
+    if not is_compatible(g):
+        raise ValueError("host graph has dangling edges")
     # An lhs edge touching an absent lhs node can never be realized.
     if not is_compatible(p.lhs):
         return
     lhs = list(set_bits(p.lhs.nodes.bits))
     edges, nihil = p.lhs.edges, p.nihilation
+    # Host out-neighbours (rows), in-neighbours (columns) and self-loops, as node masks.
+    out, inn = g.edges.row_masks(), g.edges.column_masks()
+    loops = sum(row & 1 << i for i, row in enumerate(out))
 
     def links(m: BoolMatrix, k: int) -> list[tuple[int, list[int]]]:
         """(j, masks) for each lhs node j < k linked to k in m: k's host is in masks[j's host]."""
         u = lhs[k]
-        return [(j, host.inn) for j in range(k) if m[u, lhs[j]]] + [
-            (j, host.out) for j in range(k) if m[lhs[j], u]
+        return [(j, inn) for j in range(k) if m[u, lhs[j]]] + [
+            (j, out) for j in range(k) if m[lhs[j], u]
         ]
 
     room, must, mustnt = [], [], []
     for k, u in enumerate(lhs):
-        free = host.nodes
+        free = g.nodes.bits
         if edges[u, u]:
-            free &= host.loops
+            free &= loops
         if check_nihil and nihil[u, u]:
-            free &= ~host.loops
+            free &= ~loops
         room.append(free)
         must.append(links(edges, k))
         mustnt.append(links(nihil, k) if check_nihil else [])
@@ -141,7 +129,7 @@ def _embeddings(
         for k, masks in links_w:
             placed = [(j, other) for j, other in links_w if j < k]
             if placed:
-                ahead[k].append((room[w], placed, host.out if masks is host.inn else host.inn))
+                ahead[k].append((room[w], placed, out if masks is inn else inn))
 
     def candidates(k: int, hosts: list[int], used: int) -> int:
         free = room[k] & ~used
@@ -201,7 +189,7 @@ def find_matches(p: Production, g: Digraph) -> list[Match]:
     Match order is lexicographic in the host indices taken in rule-universe
     order; the search yields matches in it (see the module docstring).
     """
-    return list(_matches(p, g, _embeddings(p, _Masks(g))))
+    return list(_matches(p, g, _embeddings(p, g)))
 
 
 def _validate_match(p: Production, g: Digraph, m: Match) -> list[tuple[int, int]]:
@@ -226,12 +214,12 @@ def _violations(p: Production, g: Digraph, image: list[tuple[int, int]]) -> Iter
     for a, ha in image:
         for b, hb in image:
             edge = g.edges[ha, hb]
-            cell = f"{rule_labels[a]}->{rule_labels[b]}"
-            at = f"{host_labels[ha]}->{host_labels[hb]}"
-            if p.lhs.edges[a, b] and not edge:
-                yield f"missing lhs edge {cell} at {at}"
-            elif p.nihilation[a, b] and edge:
-                yield f"forbidden edge {cell} present at {at}"
+            missing = p.lhs.edges[a, b] and not edge
+            if missing or p.nihilation[a, b] and edge:
+                cell = f"{rule_labels[a]}->{rule_labels[b]}"
+                at = f"{host_labels[ha]}->{host_labels[hb]}"
+                yield (f"missing lhs edge {cell} at {at}" if missing
+                       else f"forbidden edge {cell} present at {at}")
 
 
 def fresh_label(p: Production, node: str, step: int, taken) -> str:
@@ -252,14 +240,12 @@ def apply_at(p: Production, g: Digraph, m: Match, step: int = 1) -> Digraph:
     """
     at = dict(_validate_match(p, g, m))
     fresh = []
-    taken = set(g.universe.labels)
     for i in set_bits(p.added_nodes.bits):
         at[i] = len(g.universe) + len(fresh)
-        fresh.append(fresh_label(p, p.universe.labels[i], step, taken))
-        taken.add(fresh[-1])
-
+        # Labels of distinct rule nodes differ before the last "#", so only host labels clash.
+        fresh.append(fresh_label(p, p.universe.labels[i], step, g.universe))
     # A rule that adds no node leaves the host's universe, and so its bits, as they are.
-    host = complete_to(g, g.universe.extended(fresh)) if fresh else g
+    host = g.extended(fresh) if fresh else g
     del_edges, add_edges, del_nodes, add_nodes = (
         _complete_at(x, host.universe, at)
         for x in (p.deleted_edges, p.added_edges, p.deleted_nodes, p.added_nodes)
@@ -297,11 +283,10 @@ _EVERY = object()
 
 def _select(p: Production, g: Digraph, selector, step: int) -> Match:
     """The match of p in g that ``selector`` picks, enumerating no further than it needs."""
-    host = _Masks(g)
-    matches = _matches(p, g, _embeddings(p, host))
+    matches = _matches(p, g, _embeddings(p, g))
     first = next(matches, None)
     if first is None:
-        if next(_embeddings(p, host, check_nihil=False), None) is not None:
+        if next(_embeddings(p, g, check_nihil=False), None) is not None:
             raise DerivationError(
                 step, p.name, "m_K", "no match: every lhs embedding hits a forbidden edge"
             )

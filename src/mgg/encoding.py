@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .boolmat import BoolMatrix, set_bits
+from .boolmat import BoolMatrix
 from .mcl import ComplexTerm, cmul
 
 
@@ -118,12 +118,7 @@ def ell(m: BoolMatrix) -> Dyadic:
     bottom.
     """
     n = len(m.universe)
-    cells = n * n
-    num = 0
-    for cell in set_bits(m.bits):
-        i, j = divmod(cell, n)
-        num |= 1 << (cells - 1 - j * n - i)
-    return Dyadic(num, cells)
+    return Dyadic.from_bits("".join(format(column, f"0{n}b")[::-1] for column in m.column_masks()))
 
 
 def ell_complex(z: ComplexTerm) -> DyadicComplex:

@@ -85,8 +85,10 @@ class TestFindMatches:
     def test_requires_compatible_host(self):
         bad = Digraph(BoolMatrix.from_edges(U2, [("a", "b")]), BoolVector.from_labels(U2, "a"))
         p = rule(U2, "free", "", [], "", [])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^host graph has dangling edges$"):
             find_matches(p, bad)
+        with pytest.raises(ValueError, match="^host graph has dangling edges$"):
+            derive(bad, [(p, "first")])
 
     def test_dangling_lhs_never_matches(self):
         p = Production.from_static(
@@ -120,7 +122,7 @@ class TestFindMatches:
             p = random_production(rng, universes[k % 3], edge_density=0.2, node_delete_prob=0.0)
             g = random_digraph(rng, host_u, node_density=0.9, edge_density=rng.choice([0.2, 0.5]))
             listed, slow = find_matches(p, g), brute_matches(p, g)
-            found = derivation._embeddings(p, derivation._Masks(g))
+            found = derivation._embeddings(p, g)
             index = -1
             for index, m in enumerate(derivation._matches(p, g, found)):
                 assert m == listed[index] == slow[index]
@@ -250,6 +252,12 @@ class TestApplyAt:
             apply_at(p, g, Match(tuple(pairs)))
         assert str(err.value) == message
 
+    def test_rule_adding_nodes_on_an_empty_host_universe(self):
+        p = rule(NodeUniverse.of("a"), "p", "", [], "a", [("a", "a")])
+        result = derive(Digraph.empty(NodeUniverse(())), [(p, "first")]).result
+        assert result.universe.labels == ("p.a#1",)
+        assert (result.edges.bits, result.nodes.bits) == (1, 1)
+
     def test_dangling_lhs_edge_is_unmapped_content(self):
         # A valid match covers the lhs nodes only, so an lhs edge into an absent
         # node has no host image; the rewrite refuses to drop it silently.
@@ -320,6 +328,12 @@ class TestApplyAt:
         assert got.universe.labels == ("a", "b", "grow.b#3")
         assert got.nodes.labels() == ("a", "grow.b#3")
         assert got.edges.edges() == (("a", "grow.b#3"),)
+        # A label the host already has is bumped; labels of distinct rule nodes never clash.
+        u = NodeUniverse.of("a", "b", "b#3")
+        both = rule(u, "grow", "a", [], ["a", "b", "b#3"], [("a", "b"), ("a", "b#3")])
+        host = complete_to(got, got.universe.extended(["b#3"]))
+        again = apply_at(both, host, Match((("a", "a"),)), step=3)
+        assert again.universe.labels[4:] == ("grow.b#4", "grow.b#3#3")
 
     def test_output_compatible_for_compatible_inputs(self):
         rng = random.Random(33)

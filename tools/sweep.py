@@ -1,0 +1,142 @@
+"""Equivalence sweep: the same CLI commands on two source trees, compared byte for byte.
+
+    python3 tools/sweep.py PARENT_TREE CHANGE_TREE
+
+Each tree is a checkout of this repository (its package lives in
+``<tree>/src/mgg``).  The sweep writes seeded grammar files once, with the
+parent tree's ``mgg.oracle`` generators and ``serialize_grammar``, then
+runs every command below through ``mgg.cli.run`` under each tree's
+``src/``, one subprocess per tree:
+
+* ``analyze --check`` with every check (congruence in both modes);
+* ``encode`` of the host and of each rule's lhs;
+* ``derive --select first``, ``0`` and ``2``, plus ``all`` on universes of
+  10 nodes or fewer.
+
+Universes run from 1 to 128 nodes, hosts from no present node to every
+node, and the rules (1 to 3 per sequence, of 1 to 4 nodes each, completed to the universe) grow,
+shrink and rewire.  The sweep prints the exit-code counts of each tree and
+every command whose exit code or stdout sha256 differs, and exits 1 if any
+does.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+SEED = 10
+GRAMMARS = 300
+# Universe sizes, cycled through by grammar number.
+SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16, 24, 32, 48, 64, 96, 128)
+ALL_LIMIT = 10
+CHECKS = ("coherence", "initial", "image", "compatibility")
+
+# Runs a JSON list of argv lists through mgg.cli.run and prints one
+# [exit code, stdout sha256] pair per command.
+RUNNER = """
+import hashlib, io, json, sys
+from mgg.cli import run
+results = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    try:
+        code = run(argv, out)
+    except SystemExit as exc:
+        code = f"exit {exc.code}"
+    except Exception as exc:
+        code = f"raised {type(exc).__name__}: {exc}"
+    results.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest()])
+json.dump(results, sys.stdout)
+"""
+
+
+def write_grammars(parent: Path, directory: Path) -> list[tuple[str, int, list[str]]]:
+    """(path, universe size, rule names) of each seeded grammar written into ``directory``."""
+    sys.path.insert(0, str(parent / "src"))
+    from mgg import GrammarFile, NodeUniverse, Production, complete_to, serialize_grammar
+    from mgg.oracle import random_digraph, random_production
+
+    rng = random.Random(SEED)
+    written = []
+    for k in range(GRAMMARS):
+        n = SIZES[k % len(SIZES)]
+        u = NodeUniverse(tuple(f"v{i}" for i in range(n)))
+        rules = {}
+        for r in range(rng.randint(1, 3)):
+            small = NodeUniverse(tuple(rng.sample(u.labels, min(n, rng.randint(1, 4)))))
+            p = random_production(
+                rng, small, edge_density=rng.choice([0.1, 0.3]),
+                node_delete_prob=0.3, node_add_prob=0.5,
+            )
+            name = f"r{r + 1}"
+            lhs, rhs = complete_to(p.lhs, u), complete_to(p.rhs, u)
+            rules[name] = Production.from_static(name, lhs, rhs)
+        # About 1, 3 or 8 out-edges per present node.
+        host = random_digraph(
+            rng, u, rng.choice([0.0, 0.5, 0.9, 1.0]), min(0.6, rng.choice([1, 3, 8]) / n)
+        )
+        gf = GrammarFile(u, rules, {"s": tuple(rules)}, {"h": host})
+        path = directory / f"sweep-{k:03d}.mgg"
+        path.write_text(serialize_grammar(gf), encoding="utf-8")
+        written.append((str(path), n, list(rules)))
+    sys.path.pop(0)
+    return written
+
+
+def commands(grammars) -> list[list[str]]:
+    argvs = []
+    for path, n, rules in grammars:
+        argvs += [["analyze", path, "--sequence", "s", "--check", c] for c in CHECKS]
+        argvs += [
+            ["analyze", path, "--sequence", "s", "--check", "congruence", "--mode", mode]
+            for mode in ("advance", "delay")
+        ]
+        argvs.append(["encode", path, "--graph", "h"])
+        argvs += [["encode", path, "--production", r] for r in rules]
+        selects = ["first", "0", "2"] + (["all"] if n <= ALL_LIMIT else [])
+        argvs += [
+            ["derive", path, "--host", "h", "--sequence", "s", "--select", s] for s in selects
+        ]
+    return argvs
+
+
+def run_tree(tree: Path, argvs: list[list[str]]) -> list[list]:
+    done = subprocess.run(
+        [sys.executable, "-c", RUNNER],
+        input=json.dumps(argvs),
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(tree / "src")},
+        check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tools/sweep.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
+        return 2
+    parent, change = (Path(a).resolve() for a in argv)
+    with tempfile.TemporaryDirectory(prefix="mgg-sweep-") as tmp:
+        argvs = commands(write_grammars(parent, Path(tmp)))
+        before, after = run_tree(parent, argvs), run_tree(change, argvs)
+    differ = [argv for argv, a, b in zip(argvs, before, after) if a != b]
+    print(f"grammars {GRAMMARS}, commands {len(argvs)}")
+    for label, results in (("parent", before), ("change", after)):
+        counts = Counter(str(code) for code, _ in results)
+        print(f"{label} exit codes: " + ", ".join(f"{c} x{k}" for c, k in sorted(counts.items())))
+    print(f"differing commands {len(differ)}")
+    for argv in differ:
+        print("differs: " + " ".join(argv))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
