@@ -18,7 +18,6 @@ from .boolmat import (
     complete_to,
     contains,
     is_compatible,
-    tensor,
 )
 from .derivation import (
     DerivationError,
@@ -59,7 +58,6 @@ from .mcl import (
     pmma_normalize,
 )
 from .oracle import (
-    OracleReport,
     applies_at_identity,
     brute_matches,
     census_bruteforce,

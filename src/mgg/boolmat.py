@@ -7,6 +7,9 @@ this package.  Matrices are packed row-major into a single int (cell (i, j)
 is bit ``i * n + j``), vectors into an int with bit ``i`` for node ``i``;
 other modules read a matrix's rows and columns only as ints (``row_masks``,
 ``column_masks``), and ``Digraph.extended`` re-strides the rows for new nodes.
+The one matrix built from a node vector is the all-ones block over a node
+set, ``bounded_one``; the per-cell builders and readers the tests use live
+in ``oracle``.
 
 Both kinds share one packed type with ``& | ^`` and a bounded ``~``: the
 complement inside the value's universe (every node for a vector, every
@@ -151,17 +154,6 @@ class BoolVector(_Packed):
             bits |= 1 << index[l]
         return cls(universe, bits)
 
-    @classmethod
-    def from_bits(cls, universe: NodeUniverse, values: Iterable[int]) -> "BoolVector":
-        values = tuple(values)
-        if len(values) != len(universe):
-            raise ValueError("wrong vector length for universe")
-        bits = 0
-        for i, v in enumerate(values):
-            if v:
-                bits |= 1 << i
-        return cls(universe, bits)
-
     def __getitem__(self, i: int) -> int:
         return (self.bits >> i) & 1
 
@@ -170,9 +162,6 @@ class BoolVector(_Packed):
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.universe.labels[i] for i in set_bits(self.bits))
-
-    def tolist(self) -> list[int]:
-        return [self.bits >> i & 1 for i in range(len(self.universe))]
 
 
 class BoolMatrix(_Packed):
@@ -191,19 +180,6 @@ class BoolMatrix(_Packed):
             bits |= 1 << (index[src] * n + index[dst])
         return cls(universe, bits)
 
-    @classmethod
-    def from_rows(cls, universe: NodeUniverse, rows: Iterable[Iterable[int]]) -> "BoolMatrix":
-        n = len(universe)
-        rows = [tuple(r) for r in rows]
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValueError("wrong matrix shape for universe")
-        bits = 0
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if v:
-                    bits |= 1 << (i * n + j)
-        return cls(universe, bits)
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return (self.bits >> (i * len(self.universe) + j)) & 1
@@ -214,9 +190,6 @@ class BoolMatrix(_Packed):
         return tuple(
             (labels[cell // n], labels[cell % n]) for cell in set_bits(self.bits)
         )
-
-    def rows(self) -> list[list[int]]:
-        return [BoolVector(self.universe, row).tolist() for row in self.row_masks()]
 
     def row_masks(self) -> list[int]:
         """Row i as an int with bit j for cell (i, j), for each row i."""
@@ -279,19 +252,16 @@ def complement(a, ambient):
     return ambient & ~a
 
 
-def tensor(u: BoolVector, v: BoolVector) -> BoolMatrix:
-    """Outer product of node vectors: cell (i, j) = u[i] AND v[j]."""
-    _check_operand(u, v)
-    n = len(u.universe)
-    bits = 0
-    for i in set_bits(u.bits):
-        bits |= v.bits << (i * n)
-    return BoolMatrix(u.universe, bits)
-
-
 def bounded_one(v: BoolVector) -> BoolMatrix:
-    """The all-ones block over a node set: every edge between present nodes."""
-    return tensor(v, v)
+    """The all-ones block over a node set: every edge between present nodes.
+
+    ``~bounded_one(kept)`` is every edge incident to a node outside ``kept``.
+    """
+    n = len(v.universe)
+    bits = 0
+    for i in set_bits(v.bits):
+        bits |= v.bits << (i * n)
+    return BoolMatrix(v.universe, bits)
 
 
 def contains(a, b) -> bool:

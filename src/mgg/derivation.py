@@ -44,7 +44,6 @@ from .boolmat import (
     complement,
     is_compatible,
     set_bits,
-    tensor,
 )
 from .production import Production
 
@@ -195,7 +194,8 @@ def find_matches(p: Production, g: Digraph) -> list[Match]:
 def _validate_match(p: Production, g: Digraph, m: Match) -> list[tuple[int, int]]:
     """The (rule index, host index) pairs of a valid match, in rule-universe order."""
     mapping = m.mapping()
-    if sorted(mapping) != sorted(p.lhs.nodes.labels()):
+    # The rule labels of the pairs, not of the mapping, which keeps one pair per label.
+    if sorted(a for a, _ in m.pairs) != sorted(p.lhs.nodes.labels()):
         raise MatchError("match must cover exactly the lhs nodes")
     if len(set(mapping.values())) != len(mapping):
         raise MatchError("match must be injective")
@@ -252,9 +252,8 @@ def apply_at(p: Production, g: Digraph, m: Match, step: int = 1) -> Digraph:
     )
 
     kept_nodes = ~del_nodes
-    # Row/column wipe-out for deleted nodes.
-    kept_block = tensor(kept_nodes, kept_nodes)
-    new_edges = add_edges | (host.edges & kept_block & ~del_edges)
+    # The kept block wipes out the rows and columns of deleted nodes.
+    new_edges = add_edges | (host.edges & bounded_one(kept_nodes) & ~del_edges)
     new_nodes = add_nodes | (host.nodes & kept_nodes)
     return Digraph(new_edges, new_nodes)
 
@@ -305,6 +304,8 @@ def _select(p: Production, g: Digraph, selector, step: int) -> Match:
     wanted = selector.mapping() if isinstance(selector, Match) else selector
     if not isinstance(wanted, dict):
         raise DerivationError(step, p.name, "selector", f"bad selector {selector!r}")
+    if isinstance(selector, Match) and len(wanted) != len(selector.pairs):
+        matches = ()  # it names a rule node twice, so it is no match
     for m in matches:
         if m.mapping() == wanted:
             return m

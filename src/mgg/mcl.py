@@ -111,10 +111,6 @@ def nil_term(universe: NodeUniverse, ambient: BoolVector | None = None) -> Compl
     )
 
 
-def _join_ambient(z1: ComplexTerm, z2: ComplexTerm) -> BoolVector:
-    return z1.ambient | z2.ambient
-
-
 def cadd(z1: ComplexTerm, z2: ComplexTerm) -> ComplexTerm:
     """Componentwise OR of two terms."""
     return ComplexTerm(
@@ -122,7 +118,7 @@ def cadd(z1: ComplexTerm, z2: ComplexTerm) -> ComplexTerm:
         z1.cert_nodes | z2.cert_nodes,
         z1.nihil_edges | z2.nihil_edges,
         z1.nihil_nodes | z2.nihil_nodes,
-        _join_ambient(z1, z2),
+        z1.ambient | z2.ambient,
     )
 
 
@@ -137,7 +133,7 @@ def cmul(z1: ComplexTerm, z2: ComplexTerm) -> ComplexTerm:
         (z1.cert_nodes & z2.cert_nodes) | (z1.nihil_nodes & z2.nihil_nodes),
         (z1.cert_edges & z2.nihil_edges) | (z2.cert_edges & z1.nihil_edges),
         (z1.cert_nodes & z2.nihil_nodes) | (z2.cert_nodes & z1.nihil_nodes),
-        _join_ambient(z1, z2),
+        z1.ambient | z2.ambient,
     )
 
 

@@ -3,14 +3,16 @@
 Every oracle here recomputes its answer from first principles, on a code
 path separate from the module it audits, so the fast implementations can
 be checked against exhaustive enumeration at small sizes.  Randomized
-audits are reproducible from an explicit seed.
+audits are reproducible from an explicit seed.  The per-cell builders and
+readers (``matrix_of``, ``vector_of``, ``rows_of``, ``values_of``) set or
+read one cell at a time, independently of the row and column masks the
+library reads the packed layout through.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from .boolmat import BoolMatrix, BoolVector, Digraph, NodeUniverse, is_compatible
 from .derivation import Match
@@ -19,29 +21,33 @@ from .production import CensusTable, Production, _census_from_groups
 from .sequence import RuleSequence
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    """Outcome of an audit run: pass iff no recorded violations."""
+def matrix_of(universe: NodeUniverse, rows) -> BoolMatrix:
+    """The matrix with cell (i, j) set iff ``rows[i][j]``, one cell at a time."""
+    n = len(universe)
+    rows = [tuple(r) for r in rows]
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise ValueError("wrong matrix shape for universe")
+    cells = (i * n + j for i, row in enumerate(rows) for j, v in enumerate(row) if v)
+    return BoolMatrix(universe, sum(1 << cell for cell in cells))
 
-    name: str
-    seed: int | None
-    checked: int
-    violations: tuple[tuple[str, str, str], ...]  # (input digest, expected, got)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+def vector_of(universe: NodeUniverse, values) -> BoolVector:
+    """The vector with node i set iff ``values[i]``."""
+    values = tuple(values)
+    if len(values) != len(universe):
+        raise ValueError("wrong vector length for universe")
+    return BoolVector(universe, sum(1 << i for i, v in enumerate(values) if v))
 
-    def to_lines(self) -> list[str]:
-        lines = [
-            f"oracle {self.name}",
-            f"seed {self.seed if self.seed is not None else '-'}",
-            f"checked {self.checked}",
-            f"violations {len(self.violations)}",
-        ]
-        for digest, expected, got in self.violations:
-            lines.append(f"violation {digest} expected {expected} got {got}")
-        return lines
+
+def rows_of(m: BoolMatrix) -> list[list[int]]:
+    """Every cell of m, row by row, each read by index."""
+    n = len(m.universe)
+    return [[m[i, j] for j in range(n)] for i in range(n)]
+
+
+def values_of(v: BoolVector) -> list[int]:
+    """Every cell of v, each read by index."""
+    return [v[i] for i in range(len(v.universe))]
 
 
 def delta(t0: int, t1: int, family, zero):

@@ -24,7 +24,6 @@ from .boolmat import (
     bounded_one,
     complement,
     is_compatible,
-    tensor,
 )
 from .mcl import ComplexTerm, dot
 
@@ -101,17 +100,6 @@ class Production:
         """
         return ComplexTerm.of(self.lhs.edges, self.nihilation, self.lhs.nodes)
 
-    def rhs_term(self) -> ComplexTerm:
-        return ComplexTerm.of(self.rhs.edges, self.rhs_nihilation, self.rhs.nodes)
-
-    def is_identity(self) -> bool:
-        return (
-            self.deleted_edges.is_zero()
-            and self.added_edges.is_zero()
-            and self.deleted_nodes.is_zero()
-            and self.added_nodes.is_zero()
-        )
-
 
 def nihilation_matrix(
     deleted_edges: BoolMatrix,
@@ -120,13 +108,11 @@ def nihilation_matrix(
 ) -> BoolMatrix:
     """Forbidden edges of a rule's left hand side.
 
-    Covers edges incident to a deleted node that the rule does not itself
-    delete, plus every edge the rule adds (parallel edges are not allowed
-    in simple digraphs).
+    Covers edges incident to a deleted node (outside the block of kept
+    nodes) that the rule does not itself delete, plus every edge the rule
+    adds (parallel edges are not allowed in simple digraphs).
     """
-    kept_nodes = ~deleted_nodes
-    dangling = ~tensor(kept_nodes, kept_nodes)
-    return added_edges | (~deleted_edges & dangling)
+    return added_edges | (~deleted_edges & ~bounded_one(~deleted_nodes))
 
 
 def apply_production(p: Production, x: Digraph) -> Digraph:

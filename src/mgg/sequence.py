@@ -25,8 +25,8 @@ from .boolmat import (
     Digraph,
     NodeUniverse,
     UniverseMismatchError,
+    bounded_one,
     is_compatible,
-    tensor,
 )
 from .mcl import ComplexTerm
 from .production import Production
@@ -188,9 +188,7 @@ def t_matrix(p: Production) -> BoolMatrix:
 
     Cells incident to an added node, minus cells incident to a deleted one.
     """
-    kept_after_add = ~p.added_nodes
-    kept_after_del = ~p.deleted_nodes
-    return ~tensor(kept_after_add, kept_after_add) & tensor(kept_after_del, kept_after_del)
+    return ~bounded_one(~p.added_nodes) & bounded_one(~p.deleted_nodes)
 
 
 def initial_digraph(s: RuleSequence, check: bool = True) -> ComplexTerm:

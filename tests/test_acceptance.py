@@ -40,6 +40,7 @@ from mgg import (
     sequence_compatibility,
     swap_census,
 )
+from mgg.oracle import matrix_of, rows_of
 from mgg.sequence import IncoherentSequenceWarning
 
 U3 = NodeUniverse.of("a", "b", "c")
@@ -65,8 +66,8 @@ def test_01_coherence_golden(clash):
     analysis = coherence(clash)
     elapsed = time.perf_counter() - start
     ok = (
-        analysis.term.cert_edges.rows() == [[0, 0, 0], [0, 0, 1], [0, 0, 1]]
-        and analysis.term.nihil_edges.rows() == [[0, 0, 1], [0, 0, 1], [0, 0, 0]]
+        rows_of(analysis.term.cert_edges) == [[0, 0, 0], [0, 0, 1], [0, 0, 1]]
+        and rows_of(analysis.term.nihil_edges) == [[0, 0, 1], [0, 0, 1], [0, 0, 0]]
         and not analysis.ok
         and elapsed < 1.0
     )
@@ -78,8 +79,8 @@ def test_02_initial_digraph_golden(handover):
     m = initial_digraph(handover)
     elapsed = time.perf_counter() - start
     ok = (
-        m.cert_edges.rows() == [[1, 1, 0], [0, 1, 0], [1, 1, 0]]
-        and m.nihil_edges.rows() == [[0, 0, 1], [1, 0, 1], [0, 0, 1]]
+        rows_of(m.cert_edges) == [[1, 1, 0], [0, 1, 0], [1, 1, 0]]
+        and rows_of(m.nihil_edges) == [[0, 0, 1], [1, 0, 1], [0, 0, 1]]
         and elapsed < 1.0
     )
     report(2, "initial digraph of the two-rule handover, bit-exact", ok, elapsed)
@@ -88,8 +89,8 @@ def test_02_initial_digraph_golden(handover):
 def test_03_encoding_golden():
     u2 = NodeUniverse.of("a", "b")
     z = ComplexTerm.of(
-        BoolMatrix.from_rows(u2, [[0, 1], [1, 0]]),
-        BoolMatrix.from_rows(u2, [[1, 0], [0, 0]]),
+        matrix_of(u2, [[0, 1], [1, 0]]),
+        matrix_of(u2, [[1, 0], [0, 0]]),
     )
     point = ell_complex(z)
     ok = point.re.as_fraction() == Fraction(3, 8) and point.im.as_fraction() == Fraction(1, 2)
@@ -112,8 +113,8 @@ def test_04_swap_census():
         and table.histogram == (1, 4, 6, 4, 1)
         and table == brute
         and w2 == w3
-        and w2.term.cert_edges.rows() == [[0, 0], [1, 0]]
-        and w2.term.nihil_edges.rows() == [[1, 1], [0, 1]]
+        and rows_of(w2.term.cert_edges) == [[0, 0], [1, 0]]
+        and rows_of(w2.term.nihil_edges) == [[1, 1], [0, 1]]
         and elapsed < 5.0
     )
     report(4, "two-node census: 256 rules, 16 swaps of 16, arity 1/4/6/4/1", ok, elapsed)

@@ -1,4 +1,4 @@
-"""Elementwise algebra, tensor product, completion, compatibility."""
+"""Elementwise algebra, the all-ones block, completion, compatibility."""
 
 import operator
 import random
@@ -17,20 +17,21 @@ from mgg import (
     complete_to,
     contains,
     is_compatible,
-    tensor,
 )
+from mgg import oracle
+from mgg.oracle import matrix_of, rows_of, values_of, vector_of
 
 U2 = NodeUniverse.of("a", "b")
 U3 = NodeUniverse.of("a", "b", "c")
 OPS = (operator.and_, operator.or_, operator.xor)
 
 
-def mat(universe, rows):
-    return BoolMatrix.from_rows(universe, rows)
-
-
-def vec(universe, bits):
-    return BoolVector.from_bits(universe, bits)
+def all_vectors(max_n):
+    """Every vector over the universes of 0..max_n nodes."""
+    for n in range(max_n + 1):
+        u = NodeUniverse(tuple(str(i) for i in range(n)))
+        for bits in range(1 << n):
+            yield BoolVector(u, bits)
 
 
 def matrices(universe=U2):
@@ -45,14 +46,14 @@ def vectors(universe=U2):
 
 class TestElementwise:
     def test_and_annihilator(self):
-        a = mat(U2, [[1, 0], [0, 0]])
+        a = matrix_of(U2, [[1, 0], [0, 0]])
         zero = BoolMatrix.zeros(U2)
         assert a & zero == zero
 
     def test_and_worked_pair(self):
-        forbidden = mat(U3, [[1, 0, 1], [1, 0, 1], [1, 0, 0]])
-        added = mat(U3, [[0, 1, 1], [0, 0, 1], [0, 0, 0]])
-        assert (forbidden & added).rows() == [[0, 0, 1], [0, 0, 1], [0, 0, 0]]
+        forbidden = matrix_of(U3, [[1, 0, 1], [1, 0, 1], [1, 0, 0]])
+        added = matrix_of(U3, [[0, 1, 1], [0, 0, 1], [0, 0, 0]])
+        assert rows_of(forbidden & added) == [[0, 0, 1], [0, 0, 1], [0, 0, 0]]
 
     @given(matrices())
     def test_xor_self_inverse(self, a):
@@ -75,16 +76,16 @@ class TestElementwise:
 
 class TestComplement:
     def test_of_zero_is_ambient(self):
-        ambient = mat(U2, [[1, 1], [0, 1]])
+        ambient = matrix_of(U2, [[1, 1], [0, 1]])
         assert complement(BoolMatrix.zeros(U2), ambient) == ambient
 
     def test_of_ambient_is_zero(self):
-        ambient = mat(U2, [[1, 1], [0, 1]])
+        ambient = matrix_of(U2, [[1, 1], [0, 1]])
         assert complement(ambient, ambient).is_zero()
 
     def test_per_cell(self):
-        a = mat(U2, [[1, 0], [0, 0]])
-        assert complement(a, BoolMatrix.ones(U2)).rows() == [[0, 1], [1, 1]]
+        a = matrix_of(U2, [[1, 0], [0, 0]])
+        assert rows_of(complement(a, BoolMatrix.ones(U2))) == [[0, 1], [1, 1]]
 
     @given(matrices())
     def test_involution_inside_ambient(self, a):
@@ -100,31 +101,6 @@ class TestComplement:
                 assert ~~x == x
 
 
-class TestTensor:
-    def test_oracle_all_cells(self):
-        # exhaustive against the per-cell definition at n <= 4
-        for n in range(1, 5):
-            u = NodeUniverse(tuple(str(i) for i in range(n)))
-            for ub in range(1 << n):
-                for vb in range(1 << n):
-                    uu, vv = BoolVector(u, ub), BoolVector(u, vb)
-                    t = tensor(uu, vv)
-                    for i in range(n):
-                        for j in range(n):
-                            assert t[i, j] == (uu[i] & vv[j])
-
-    def test_kept_block(self):
-        kept = vec(U3, [0, 1, 1])
-        assert tensor(kept, kept).rows() == [[0, 0, 0], [0, 1, 1], [0, 1, 1]]
-
-    def test_zero_absorbs(self):
-        v = vec(U3, [1, 0, 1])
-        assert tensor(BoolVector.zeros(U3), v).is_zero()
-
-    def test_ones(self):
-        assert tensor(BoolVector.ones(U2), BoolVector.ones(U2)) == BoolMatrix.ones(U2)
-
-
 class TestBoundedOne:
     def test_full(self):
         assert bounded_one(BoolVector.ones(U2)) == BoolMatrix.ones(U2)
@@ -133,8 +109,19 @@ class TestBoundedOne:
         assert bounded_one(BoolVector.zeros(U2)).is_zero()
 
     def test_partial(self):
-        got = bounded_one(vec(U3, [1, 0, 1]))
-        assert got.rows() == [[1, 0, 1], [0, 0, 0], [1, 0, 1]]
+        got = bounded_one(vector_of(U3, [1, 0, 1]))
+        assert rows_of(got) == [[1, 0, 1], [0, 0, 0], [1, 0, 1]]
+
+    def test_oracle_all_cells(self):
+        for v in all_vectors(4):
+            assert bounded_one(v).bits == oracle._block_bits(v)
+
+    def test_complement_is_incident_to_the_node_set(self):
+        # ~bounded_one(~d): every edge with an end in d, as the kept-block sites read it
+        for d in all_vectors(4):
+            block = ~bounded_one(~d)
+            n = len(d.universe)
+            assert rows_of(block) == [[d[i] | d[j] for j in range(n)] for i in range(n)]
 
 
 class TestContains:
@@ -147,46 +134,46 @@ class TestContains:
         assert contains(b, b)
 
     def test_not_contained(self):
-        assert not contains(mat(U2, [[1, 1], [0, 0]]), mat(U2, [[1, 0], [0, 0]]))
+        assert not contains(matrix_of(U2, [[1, 1], [0, 0]]), matrix_of(U2, [[1, 0], [0, 0]]))
 
 
 class TestCompleteTo:
     def test_identity(self):
-        a = mat(U2, [[0, 1], [1, 0]])
+        a = matrix_of(U2, [[0, 1], [1, 0]])
         assert complete_to(a, U2) == a
 
     def test_zero_fill(self):
-        a = mat(U2, [[0, 1], [0, 0]])
-        assert complete_to(a, U3).rows() == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+        a = matrix_of(U2, [[0, 1], [0, 0]])
+        assert rows_of(complete_to(a, U3)) == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
 
     def test_rhs_gains_zero_row_and_column(self):
         rhs = Digraph.of(U2, "ab", [("b", "a")])
         lifted = complete_to(rhs, U3)
-        assert lifted.edges.rows() == [[0, 0, 0], [1, 0, 0], [0, 0, 0]]
-        assert lifted.nodes.tolist() == [1, 1, 0]
+        assert rows_of(lifted.edges) == [[0, 0, 0], [1, 0, 0], [0, 0, 0]]
+        assert values_of(lifted.nodes) == [1, 1, 0]
 
     def test_permuting_mapping(self):
-        a = mat(U2, [[0, 1], [0, 0]])
+        a = matrix_of(U2, [[0, 1], [0, 0]])
         got = complete_to(a, U3, {"a": "c", "b": "a"})
-        assert got.rows() == [[0, 0, 0], [0, 0, 0], [1, 0, 0]]
+        assert rows_of(got) == [[0, 0, 0], [0, 0, 0], [1, 0, 0]]
 
     def test_non_injective_rejected(self):
-        a = mat(U2, [[0, 0], [0, 0]])
+        a = matrix_of(U2, [[0, 0], [0, 0]])
         with pytest.raises(ValueError):
             complete_to(a, U3, {"a": "c", "b": "c"})
 
     def test_unknown_label_rejected(self):
-        a = mat(U2, [[0, 0], [0, 0]])
+        a = matrix_of(U2, [[0, 0], [0, 0]])
         with pytest.raises(KeyError):
             complete_to(a, U3, {"a": "z", "b": "a"})
 
     def test_unmapped_content_rejected(self):
-        a = mat(U2, [[0, 1], [0, 0]])
+        a = matrix_of(U2, [[0, 1], [0, 0]])
         with pytest.raises(ValueError, match="^unmapped label carries content: edge 'a'->'b'$"):
             complete_to(a, U3, {"a": "a"})
 
     def test_unmapped_vector_content_rejected(self):
-        v = vec(U3, [1, 0, 1])
+        v = vector_of(U3, [1, 0, 1])
         with pytest.raises(ValueError, match="^unmapped label 'c' carries content$"):
             complete_to(v, U3, {"a": "b", "b": "c"})
 
@@ -213,7 +200,7 @@ class TestCompatibility:
         assert is_compatible(Digraph.of(U2, "ab", [("a", "b")]))
 
     def test_dangling_edge(self):
-        g = Digraph(mat(U2, [[0, 1], [0, 0]]), vec(U2, [1, 0]))
+        g = Digraph(matrix_of(U2, [[0, 1], [0, 0]]), vector_of(U2, [1, 0]))
         assert not is_compatible(g)
 
 
@@ -237,9 +224,7 @@ class TestCellReads:
         m = BoolMatrix(u, data.draw(st.integers(0, (1 << n * n) - 1)))
         v = BoolVector(u, data.draw(st.integers(0, (1 << n) - 1)))
         cells = [(i, j) for i in range(n) for j in range(n)]
-        assert m.rows() == [[m[i, j] for j in range(n)] for i in range(n)]
         assert m.row_masks() == [sum(m[i, j] << j for j in range(n)) for i in range(n)]
         assert m.column_masks() == [sum(m[i, j] << i for i in range(n)) for j in range(n)]
-        assert v.tolist() == [v[i] for i in range(n)]
         assert m.edges() == tuple((u.labels[i], u.labels[j]) for i, j in cells if m[i, j])
         assert v.labels() == tuple(l for i, l in enumerate(u.labels) if v[i])

@@ -27,7 +27,6 @@ from mgg import (
     is_compatible,
     random_digraph,
     random_production,
-    tensor,
 )
 
 U2 = NodeUniverse.of("a", "b")
@@ -186,7 +185,7 @@ def complete_to_apply_at(p, g, m, step):
     del_nodes = complete_to(p.deleted_nodes, target, full_map)
     add_nodes = complete_to(p.added_nodes, target, full_map)
     kept_nodes = ~del_nodes
-    kept_block = tensor(kept_nodes, kept_nodes)
+    kept_block = bounded_one(kept_nodes)
     return Digraph(
         add_edges | (host.edges & kept_block & ~del_edges),
         add_nodes | (host.nodes & kept_nodes),
@@ -241,6 +240,9 @@ class TestApplyAt:
             # Several violations: the first cell row by row is named.
             ([("b", "a"), ("b", "b"), ("a", "b")], [], "ab", [], [("a", "a"), ("b", "b")],
              "missing lhs edge a->b at a->b"),
+            # A rule node named twice: the mapping alone would keep a->b and look valid.
+            ([], [], "abc", [], [("a", "a"), ("a", "b"), ("b", "c")],
+             "match must cover exactly the lhs nodes"),
         ],
     )
     def test_every_match_error_reason(
@@ -465,6 +467,16 @@ class TestDerive:
         second = find_matches(p, g)[1]
         for selector in (second, second.mapping(), 1):
             assert derive(g, [(p, selector)]).steps[0].match == second
+
+    def test_match_selector_naming_a_rule_node_twice(self):
+        # Its mapping keeps the last pair only, which is a valid match on its own.
+        p = rule(U2, "r", "a", [], "ab", [("a", "b")])
+        g = Digraph.of(NodeUniverse.of("x", "y"), "xy", [])
+        with pytest.raises(DerivationError) as err:
+            derive(g, [(p, Match((("a", "x"), ("a", "y"))))])
+        assert (err.value.failed, str(err.value)) == (
+            "selector", "step 1 (r): requested map is not a valid match"
+        )
 
     @pytest.mark.parametrize("selector", ["first", 2])
     def test_first_and_index_stop_early(self, selector, monkeypatch):

@@ -23,6 +23,7 @@ from mgg import (
     norm,
     pascal_mod2,
 )
+from mgg.oracle import matrix_of
 
 U2 = NodeUniverse.of("a", "b")
 U3 = NodeUniverse.of("a", "b", "c")
@@ -81,8 +82,8 @@ class TestDyadic:
 
 class TestEll:
     def test_worked_example_pair(self):
-        assert ell(BoolMatrix.from_rows(U2, [[0, 1], [1, 0]])).as_fraction() == Fraction(3, 8)
-        assert ell(BoolMatrix.from_rows(U2, [[1, 0], [0, 0]])).as_fraction() == Fraction(1, 2)
+        assert ell(matrix_of(U2, [[0, 1], [1, 0]])).as_fraction() == Fraction(3, 8)
+        assert ell(matrix_of(U2, [[1, 0], [0, 0]])).as_fraction() == Fraction(1, 2)
 
     def test_zero(self):
         assert ell(BoolMatrix.zeros(U3)).is_zero()
@@ -93,8 +94,8 @@ class TestEll:
         assert ell(m) == Dyadic.from_bits("01")
 
     def test_complex_worked_example(self):
-        z = term(U2, BoolMatrix.from_rows(U2, [[0, 1], [1, 0]]).bits,
-                 BoolMatrix.from_rows(U2, [[1, 0], [0, 0]]).bits)
+        z = term(U2, matrix_of(U2, [[0, 1], [1, 0]]).bits,
+                 matrix_of(U2, [[1, 0], [0, 0]]).bits)
         got = ell_complex(z)
         assert got.re.as_fraction() == Fraction(3, 8)
         assert got.im.as_fraction() == Fraction(1, 2)
@@ -204,8 +205,8 @@ class TestDistance:
         assert distance(z, z).is_zero()
 
     def test_worked_pair(self):
-        z1 = term(U2, BoolMatrix.from_rows(U2, [[1, 0], [0, 0]]).bits, 0)
-        z2 = term(U2, BoolMatrix.from_rows(U2, [[0, 0], [0, 1]]).bits, 0)
+        z1 = term(U2, matrix_of(U2, [[1, 0], [0, 0]]).bits, 0)
+        z2 = term(U2, matrix_of(U2, [[0, 0], [0, 1]]).bits, 0)
         assert distance(z1, z2).as_fraction() == Fraction(9, 16)
 
     def test_symmetry_random(self):

@@ -19,6 +19,7 @@ from mgg import (
     serialize_grammar,
 )
 from mgg.cli import _load_grammar, build_parser, matrix_str, run, vector_str
+from mgg.oracle import rows_of, values_of
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = str(REPO / "grammars" / "demo.mgg")
@@ -571,9 +572,9 @@ class TestRendering:
             for _ in range(8):
                 m = BoolMatrix(u, rng.getrandbits(n * n))
                 v = BoolVector(u, rng.getrandbits(n))
-                rows = ",".join("[" + ",".join(map(str, row)) + "]" for row in m.rows())
+                rows = ",".join("[" + ",".join(map(str, row)) + "]" for row in rows_of(m))
                 assert matrix_str(m) == "[" + rows + "]"
-                assert vector_str(v) == "[" + ",".join(map(str, v.tolist())) + "]"
+                assert vector_str(v) == "[" + ",".join(map(str, values_of(v))) + "]"
 
     def test_empty_universe(self):
         u = NodeUniverse(())

@@ -10,7 +10,6 @@ from mgg import (
     Digraph,
     Match,
     NodeUniverse,
-    OracleReport,
     Production,
     RuleSequence,
     applies_at_identity,
@@ -144,23 +143,6 @@ class TestCensusBruteforce:
     def test_size_limit(self):
         with pytest.raises(ValueError):
             census_bruteforce(3)
-
-
-class TestOracleReport:
-    def test_pass_and_render(self):
-        report = OracleReport("matching", 42, 100, ())
-        assert report.ok
-        assert report.to_lines() == [
-            "oracle matching",
-            "seed 42",
-            "checked 100",
-            "violations 0",
-        ]
-
-    def test_violations_rendered(self):
-        report = OracleReport("norm", None, 3, (("case7", "0", "1"),))
-        assert not report.ok
-        assert report.to_lines()[-1] == "violation case7 expected 0 got 1"
 
 
 class TestGenerators:

@@ -24,8 +24,8 @@ from mgg import (
     pmma_normalize,
     random_production,
     swap_census,
-    tensor,
 )
+from mgg.oracle import rows_of
 
 U2 = NodeUniverse.of("a", "b")
 U3 = NodeUniverse.of("a", "b", "c")
@@ -49,7 +49,8 @@ class TestFromStatic:
     def test_identity_rule(self):
         g = Digraph.of(U2, "ab", [("a", "b")])
         p = Production.identity("noop", g)
-        assert p.is_identity()
+        actions = (p.deleted_edges, p.added_edges, p.deleted_nodes, p.added_nodes)
+        assert all(x.is_zero() for x in actions)
         assert p.nihilation.is_zero()
         assert p.rhs_nihilation.is_zero()
         assert p.compatible
@@ -57,10 +58,10 @@ class TestFromStatic:
     def test_worked_swap_pair_actions(self):
         p2 = rule(U2, "p2", "ab", [("a", "a"), ("b", "b")], "ab", [("a", "b")])
         p3 = rule(U2, "p3", "ab", [("a", "a"), ("a", "b")], "ab", [("b", "b")])
-        assert p2.deleted_edges.rows() == [[1, 0], [0, 1]]
-        assert p3.deleted_edges.rows() == [[1, 1], [0, 0]]
-        assert p2.added_edges.rows() == [[0, 1], [0, 0]]
-        assert p3.added_edges.rows() == [[0, 0], [0, 1]]
+        assert rows_of(p2.deleted_edges) == [[1, 0], [0, 1]]
+        assert rows_of(p3.deleted_edges) == [[1, 1], [0, 0]]
+        assert rows_of(p2.added_edges) == [[0, 1], [0, 0]]
+        assert rows_of(p3.added_edges) == [[0, 0], [0, 1]]
 
     def test_round_trip_reconstructs_rhs(self):
         rng = random.Random(11)
@@ -85,10 +86,10 @@ class TestNihilation:
 
     def test_deleted_node_row_and_column(self):
         p = rule(U2, "drop", "ab", [("a", "b")], "b", [])
-        assert p.nihilation.rows() == [[1, 0], [1, 0]]
+        assert rows_of(p.nihilation) == [[1, 0], [1, 0]]
 
     def test_worked_example(self, renew):
-        assert renew.nihilation.rows() == [[1, 0, 1], [1, 0, 1], [1, 0, 0]]
+        assert rows_of(renew.nihilation) == [[1, 0, 1], [1, 0, 1], [1, 0, 0]]
 
     def test_per_edge_oracle(self):
         rng = random.Random(13)
@@ -110,7 +111,7 @@ class TestEvolveNihil:
         assert p.rhs_nihilation.is_zero()
 
     def test_worked_example(self, renew):
-        assert renew.rhs_nihilation.rows() == [[1, 1, 1], [1, 0, 0], [1, 0, 0]]
+        assert rows_of(renew.rhs_nihilation) == [[1, 1, 1], [1, 0, 0], [1, 0, 0]]
 
     def test_deleted_block_stays_forbidden(self):
         # edges around deleted nodes remain forbidden on the right side
@@ -119,7 +120,7 @@ class TestEvolveNihil:
             for _ in range(150):
                 p = random_production(rng, universe)
                 kept = complement(p.deleted_nodes, BoolVector.ones(universe))
-                dangling = complement(tensor(kept, kept), BoolMatrix.ones(universe))
+                dangling = complement(bounded_one(kept), BoolMatrix.ones(universe))
                 assert contains(dangling, p.rhs_nihilation)
 
 
@@ -152,8 +153,8 @@ class TestPOperator:
         p3 = rule(U2, "p3", "ab", [("a", "a"), ("a", "b")], "ab", [("b", "b")])
         w2, w3 = p_operator(p2), p_operator(p3)
         assert w2 == w3
-        assert w2.term.cert_edges.rows() == [[0, 0], [1, 0]]
-        assert w2.term.nihil_edges.rows() == [[1, 1], [0, 1]]
+        assert rows_of(w2.term.cert_edges) == [[0, 0], [1, 0]]
+        assert rows_of(w2.term.nihil_edges) == [[1, 1], [0, 1]]
 
     def test_identity_rule_is_all_certainty(self):
         p = Production.identity("noop", Digraph.of(U2, "ab", [("a", "b")]))

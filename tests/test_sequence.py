@@ -29,6 +29,7 @@ from mgg import (
     t_matrix,
 )
 from mgg import sequence
+from mgg.oracle import rows_of, values_of
 from mgg.sequence import _lscan, _rscan, _scan
 
 U3 = NodeUniverse.of("a", "b", "c")
@@ -226,8 +227,8 @@ class TestCoherence:
     def test_worked_defect_pair(self, clash):
         report = coherence(clash)
         assert not report.ok
-        assert report.term.cert_edges.rows() == [[0, 0, 0], [0, 0, 1], [0, 0, 1]]
-        assert report.term.nihil_edges.rows() == [[0, 0, 1], [0, 0, 1], [0, 0, 0]]
+        assert rows_of(report.term.cert_edges) == [[0, 0, 0], [0, 0, 1], [0, 0, 1]]
+        assert rows_of(report.term.nihil_edges) == [[0, 0, 1], [0, 0, 1], [0, 0, 0]]
 
     def test_witnesses_cover_exactly_the_defects(self, clash):
         report = coherence(clash)
@@ -273,7 +274,7 @@ class TestTMatrix:
 
     def test_delete_one_add_another(self):
         p = rule(U3, "renew", "ab", [("a", "b")], "bc", [("b", "c")])
-        assert t_matrix(p).rows() == [[0, 0, 0], [0, 0, 1], [0, 1, 1]]
+        assert rows_of(t_matrix(p)) == [[0, 0, 0], [0, 0, 1], [0, 1, 1]]
 
     def test_per_edge_oracle(self):
         rng = random.Random(43)
@@ -291,9 +292,9 @@ class TestTMatrix:
 class TestInitialDigraph:
     def test_worked_example(self, handover):
         m = initial_digraph(handover)
-        assert m.cert_edges.rows() == [[1, 1, 0], [0, 1, 0], [1, 1, 0]]
-        assert m.nihil_edges.rows() == [[0, 0, 1], [1, 0, 1], [0, 0, 1]]
-        assert m.cert_nodes.tolist() == [1, 1, 1]
+        assert rows_of(m.cert_edges) == [[1, 1, 0], [0, 1, 0], [1, 1, 0]]
+        assert rows_of(m.nihil_edges) == [[0, 0, 1], [1, 0, 1], [0, 0, 1]]
+        assert values_of(m.cert_nodes) == [1, 1, 1]
 
     def test_single_rule_is_lhs_with_nihilation(self):
         # forbidden edges at the rule's own added nodes are vacuous (the
@@ -363,9 +364,9 @@ class TestImage:
 
     def test_worked_example_evolution(self, handover):
         img = image_of_sequence(handover)
-        assert img.cert_edges.rows() == [[1, 1, 1], [1, 1, 1], [0, 0, 0]]
-        assert img.nihil_edges.rows() == [[0, 0, 0], [0, 0, 0], [1, 1, 1]]
-        assert img.cert_nodes.tolist() == [1, 1, 1]
+        assert rows_of(img.cert_edges) == [[1, 1, 1], [1, 1, 1], [0, 0, 0]]
+        assert rows_of(img.nihil_edges) == [[0, 0, 0], [0, 0, 0], [1, 1, 1]]
+        assert values_of(img.cert_nodes) == [1, 1, 1]
         assert img.same_parts(stepwise_image(handover))
 
 
