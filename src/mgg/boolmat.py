@@ -6,7 +6,7 @@ the cell-by-cell AND; there is no row-by-column matrix product anywhere in
 this package.  Matrices are packed row-major into a single int (cell (i, j)
 is bit ``i * n + j``), vectors into an int with bit ``i`` for node ``i``;
 other modules read a matrix's rows and columns only as ints (``row_masks``,
-``column_masks``), and ``Digraph.extended`` re-strides the rows for new nodes.
+``column_masks``) and write one only from its rows (``from_row_masks``).
 The one matrix built from a node vector is the all-ones block over a node
 set, ``bounded_one``; the per-cell builders and readers the tests use live
 in ``oracle``.
@@ -191,6 +191,12 @@ class BoolMatrix(_Packed):
             (labels[cell // n], labels[cell % n]) for cell in set_bits(self.bits)
         )
 
+    @classmethod
+    def from_row_masks(cls, universe: NodeUniverse, rows: Iterable[int]) -> "BoolMatrix":
+        """The matrix whose row i is ``rows[i]`` (not checked to fit): ``row_masks`` inverted."""
+        n = len(universe)
+        return cls(universe, sum(row << i * n for i, row in enumerate(rows)))
+
     def row_masks(self) -> list[int]:
         """Row i as an int with bit j for cell (i, j), for each row i."""
         n = len(self.universe)
@@ -236,12 +242,6 @@ class Digraph:
             BoolVector.from_labels(universe, nodes),
         )
 
-    def extended(self, new_labels: Iterable[str]) -> "Digraph":
-        """``complete_to(self, self.universe.extended(new_labels))``, by re-striding each row."""
-        target = self.universe.extended(new_labels)
-        edges = sum(row << i * len(target) for i, row in enumerate(self.edges.row_masks()))
-        return Digraph(BoolMatrix(target, edges), BoolVector(target, self.nodes.bits))
-
 
 def complement(a, ambient):
     """Bounded complement: every cell of ``ambient`` not set in ``a``.
@@ -281,6 +281,8 @@ def complete_to(x, target: NodeUniverse, mapping: Mapping[str, str] | None = Non
     ``mapping`` sends labels of x's universe to labels of ``target`` and must
     be injective; labels it omits must carry no content in x.  Omitted target
     positions stay zero, which for nihil matrices means "unconstrained".
+    Each set bit goes through one index map.  This is the only completion;
+    ``apply_at`` rewrites row masks instead, so each checks the other.
     """
     source = x.universe
     if mapping is None:
@@ -296,33 +298,22 @@ def complete_to(x, target: NodeUniverse, mapping: Mapping[str, str] | None = Non
             raise KeyError(f"unknown target label {dst!r}")
         at[source.index(src)] = target.index(dst)
     if isinstance(x, Digraph):
-        return Digraph(_complete_at(x.edges, target, at), _complete_at(x.nodes, target, at))
-    return _complete_at(x, target, at)
-
-
-def _complete_at(x, target: NodeUniverse, at: Mapping[int, int]):
-    """``complete_to`` on a checked index map: node i of x's universe goes to node ``at[i]``.
-
-    Nodes that ``at`` omits must carry no content in x.
-    """
-    src_u = x.universe
+        return Digraph(complete_to(x.edges, target, mapping), complete_to(x.nodes, target, mapping))
+    labels, bits = source.labels, 0
     if isinstance(x, BoolVector):
-        bits = 0
         for i in set_bits(x.bits):
             if i not in at:
-                raise ValueError(f"unmapped label {src_u.labels[i]!r} carries content")
+                raise ValueError(f"unmapped label {labels[i]!r} carries content")
             bits |= 1 << at[i]
-        return BoolVector(target, bits)
-    if isinstance(x, BoolMatrix):
-        n_s, n_t = len(src_u), len(target)
-        bits = 0
+    elif isinstance(x, BoolMatrix):
+        n_s, n_t = len(source), len(target)
         for cell in set_bits(x.bits):
             i, j = divmod(cell, n_s)
             if i not in at or j not in at:
                 raise ValueError(
-                    "unmapped label carries content: edge "
-                    f"{src_u.labels[i]!r}->{src_u.labels[j]!r}"
+                    f"unmapped label carries content: edge {labels[i]!r}->{labels[j]!r}"
                 )
             bits |= 1 << (at[i] * n_t + at[j])
-        return BoolMatrix(target, bits)
-    raise TypeError(f"cannot complete value of type {type(x).__name__}")
+    else:
+        raise TypeError(f"cannot complete value of type {type(x).__name__}")
+    return type(x)(target, bits)

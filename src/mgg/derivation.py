@@ -24,10 +24,10 @@ of range enumerates the rest, to count them), and a map or Match selector
 stops at the equal match.  ``find_matches`` and ``derive_all`` take every
 match.  ``apply_at`` checks a given match cell by cell.
 
-Applying a rule at a match widens the host when the rule adds nodes,
-moves its action masks into the host universe by the match's index pairs,
-and rewrites.  Deleting a node removes its whole row and column, so
-derivation steps preserve dangling-edge freedom whenever the rule does.
+Applying a rule at a match rewrites the host's row masks at the match's
+index pairs: new nodes get zero rows, a deleted node's row and column are
+wiped, then deleted edges are cleared and added edges set.  The wipe keeps
+derivation steps dangling-free whenever the rule is.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from typing import Iterable, Iterator
 
 from .boolmat import (
     BoolMatrix,
+    BoolVector,
     Digraph,
-    _complete_at,
     bounded_one,
     complement,
     is_compatible,
@@ -239,23 +239,31 @@ def apply_at(p: Production, g: Digraph, m: Match, step: int = 1) -> Digraph:
     keeping the result dangling-free.
     """
     at = dict(_validate_match(p, g, m))
-    fresh = []
+    fresh, born = [], 0
     for i in set_bits(p.added_nodes.bits):
         at[i] = len(g.universe) + len(fresh)
+        born |= 1 << at[i]
         # Labels of distinct rule nodes differ before the last "#", so only host labels clash.
         fresh.append(fresh_label(p, p.universe.labels[i], step, g.universe))
-    # A rule that adds no node leaves the host's universe, and so its bits, as they are.
-    host = g.extended(fresh) if fresh else g
-    del_edges, add_edges, del_nodes, add_nodes = (
-        _complete_at(x, host.universe, at)
-        for x in (p.deleted_edges, p.added_edges, p.deleted_nodes, p.added_nodes)
+    # A rule that adds no node keeps the host's universe; each new node gets a zero row.
+    universe = g.universe.extended(fresh) if fresh else g.universe
+    rows = g.edges.row_masks() + [0] * len(fresh)
+    gone = sum(1 << at[i] for i in set_bits(p.deleted_nodes.bits))
+    if gone:
+        rows = [0 if gone >> h & 1 else row & ~gone for h, row in enumerate(rows)]
+    n, labels = len(p.universe), p.universe.labels
+    for edges, add in ((p.deleted_edges, 0), (p.added_edges, 1)):
+        for cell in set_bits(edges.bits):
+            i, j = divmod(cell, n)
+            if i not in at or j not in at:
+                raise ValueError(
+                    f"unmapped label carries content: edge {labels[i]!r}->{labels[j]!r}"
+                )
+            rows[at[i]] = rows[at[i]] & ~(1 << at[j]) | add << at[j]
+    return Digraph(
+        BoolMatrix.from_row_masks(universe, rows),
+        BoolVector(universe, g.nodes.bits & ~gone | born),
     )
-
-    kept_nodes = ~del_nodes
-    # The kept block wipes out the rows and columns of deleted nodes.
-    new_edges = add_edges | (host.edges & bounded_one(kept_nodes) & ~del_edges)
-    new_nodes = add_nodes | (host.nodes & kept_nodes)
-    return Digraph(new_edges, new_nodes)
 
 
 @dataclass(frozen=True)

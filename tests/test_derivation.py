@@ -276,12 +276,37 @@ class TestApplyAt:
 
     def test_agrees_with_complete_to_reference(self):
         rng = random.Random(35)
-        compared = grown = shrunk = refused = 0
-        for case in range(1200):
+        tally = {(wide, kind): 0 for wide in (False, True)
+                 for kind in ("compared", "grown", "shrunk", "refused")}
+
+        def rule_for_case(case):
             u = NodeUniverse(tuple("abcd"[: rng.randint(2, 4)]))
             p = random_production(rng, u, "r", node_delete_prob=0.4, node_add_prob=0.5)
             if case % 4 == 0:
                 p = Production.from_static("r", dangling(rng, p.lhs), dangling(rng, p.rhs))
+            return p
+
+        def compare(p, g, m, wide):
+            try:
+                derivation._validate_match(p, g, m)
+            except MatchError:
+                return
+            step = rng.randint(1, 3)
+            try:
+                expected = complete_to_apply_at(p, g, m, step)
+            except ValueError as reference_error:
+                with pytest.raises(ValueError) as err:
+                    apply_at(p, g, m, step)
+                assert str(err.value) == str(reference_error)
+                tally[wide, "refused"] += 1
+                return
+            assert apply_at(p, g, m, step) == expected
+            tally[wide, "compared"] += 1
+            tally[wide, "grown"] += not p.added_nodes.is_zero()
+            tally[wide, "shrunk"] += not p.deleted_nodes.is_zero()
+
+        for case in range(1200):
+            p = rule_for_case(case)
             host_u = NodeUniverse(tuple(f"v{i}" for i in range(rng.randint(4, 16))))
             g = random_digraph(rng, host_u, 0.8, 0.3)
             matches = find_matches(p, g)
@@ -292,26 +317,26 @@ class TestApplyAt:
                 m = Match(tuple(zip(lhs, rng.sample(present, len(lhs)))))
             else:
                 continue
-            try:
-                derivation._validate_match(p, g, m)
-            except MatchError:
-                continue
-            step = rng.randint(1, 3)
-            try:
-                expected = complete_to_apply_at(p, g, m, step)
-            except ValueError as reference_error:
-                with pytest.raises(ValueError) as err:
-                    apply_at(p, g, m, step)
-                assert str(err.value) == str(reference_error)
-                refused += 1
-                continue
-            assert apply_at(p, g, m, step) == expected
-            compared += 1
-            grown += not p.added_nodes.is_zero()
-            shrunk += not p.deleted_nodes.is_zero()
-        assert compared >= 500 and grown > 100 and shrunk > 100 and refused > 10, (
-            compared, grown, shrunk, refused,
-        )
+            compare(p, g, m, wide=False)
+        # Sparse hosts wider than one 64-bit word: the lhs is planted at random
+        # present nodes rather than enumerated, so rows far apart are rewritten.
+        for case in range(300):
+            p = rule_for_case(case)
+            host_u = NodeUniverse(tuple(f"v{i}" for i in range(rng.randint(65, 100))))
+            g = random_digraph(rng, host_u, 0.8, 0.03)
+            lhs = p.lhs.nodes.labels()
+            image = dict(zip(lhs, rng.sample(g.nodes.labels(), len(lhs))))
+            edges = set(g.edges.edges())
+            for cells, planted in ((p.nihilation, edges.discard), (p.lhs.edges, edges.add)):
+                for a, b in cells.edges():
+                    if a in image and b in image:
+                        planted((image[a], image[b]))
+            g = Digraph.of(host_u, g.nodes.labels(), edges)
+            compare(p, g, Match(tuple(image.items())), wide=True)
+        assert tally[False, "compared"] >= 500 and tally[False, "grown"] > 100, tally
+        assert tally[False, "shrunk"] > 100 and tally[False, "refused"] > 10, tally
+        assert tally[True, "compared"] >= 200 and tally[True, "grown"] > 50, tally
+        assert tally[True, "shrunk"] > 100 and tally[True, "refused"] > 10, tally
 
     def test_node_deletion_wipes_row_and_column(self):
         # host edges at the deleted image from outside the mapped block are
@@ -319,6 +344,8 @@ class TestApplyAt:
         p = rule(U2, "drop", "a", [], "", [])
         g = Digraph.of(U3, "abc", [("b", "c"), ("c", "b"), ("a", "b")])
         got = apply_at(p, g, Match((("a", "c"),)))
+        # A rule that adds no node shares the host's universe.
+        assert got.universe is g.universe
         assert got.nodes.labels() == ("a", "b")
         assert got.edges.edges() == (("a", "b"),)
         assert is_compatible(got)
