@@ -20,14 +20,16 @@ search would give on path-shaped rules.
 
 The search is a generator, so ``derive`` stops as soon as the selector has
 its match: "first" takes one match and index K takes K + 1 (an index out
-of range enumerates the rest, to count them), and a map or Match selector
-stops at the equal match.  ``find_matches`` and ``derive_all`` take every
-match.  ``apply_at`` checks a given match cell by cell.
+of range enumerates the rest, to count them); a map or Match selector
+takes the first, which rules out m_L and m_K, and is then checked cell by
+cell as ``apply_at`` checks a given match.  ``find_matches`` and
+``derive_all`` take every match.
 
-Applying a rule at a match rewrites the host's row masks at the match's
-index pairs: new nodes get zero rows, a deleted node's row and column are
-wiped, then deleted edges are cleared and added edges set.  The wipe keeps
-derivation steps dangling-free whenever the rule is.
+A step rewrites the host's row masks at the host indices of the lhs nodes,
+which the walker takes from its own search unchecked: new nodes get zero
+rows, a deleted node's row and column are wiped, then deleted edges are
+cleared and added edges set.  The wipe keeps derivation steps dangling-free
+whenever the rule is.
 """
 
 from __future__ import annotations
@@ -92,15 +94,17 @@ def _embeddings(
     Without ``check_nihil`` forbidden edges are ignored, which gives every
     embedding of the lhs alone.
     """
-    if not is_compatible(g):
+    # Host out-neighbours (rows), in-neighbours (columns) and self-loops, as node masks.
+    out, inn = g.edges.row_masks(), g.edges.column_masks()
+    # An edge touching an absent node sets an absent bit in its row or its column.
+    absent = ~g.nodes.bits
+    if any(mask & absent for mask in chain(out, inn)):
         raise ValueError("host graph has dangling edges")
     # An lhs edge touching an absent lhs node can never be realized.
     if not is_compatible(p.lhs):
         return
     lhs = list(set_bits(p.lhs.nodes.bits))
     edges, nihil = p.lhs.edges, p.nihilation
-    # Host out-neighbours (rows), in-neighbours (columns) and self-loops, as node masks.
-    out, inn = g.edges.row_masks(), g.edges.column_masks()
     loops = sum(row & 1 << i for i, row in enumerate(out))
 
     def links(m: BoolMatrix, k: int) -> list[tuple[int, list[int]]]:
@@ -191,8 +195,8 @@ def find_matches(p: Production, g: Digraph) -> list[Match]:
     return list(_matches(p, g, _embeddings(p, g)))
 
 
-def _validate_match(p: Production, g: Digraph, m: Match) -> list[tuple[int, int]]:
-    """The (rule index, host index) pairs of a valid match, in rule-universe order."""
+def _validate_match(p: Production, g: Digraph, m: Match) -> tuple[int, ...]:
+    """The host indices of a valid match's lhs nodes, in rule-universe order."""
     mapping = m.mapping()
     # The rule labels of the pairs, not of the mapping, which keeps one pair per label.
     if sorted(a for a, _ in m.pairs) != sorted(p.lhs.nodes.labels()):
@@ -203,23 +207,17 @@ def _validate_match(p: Production, g: Digraph, m: Match) -> list[tuple[int, int]
         if target not in g.universe or not g.nodes.get(target):
             raise MatchError(f"host node {target!r} is not present")
     image = sorted((p.universe.index(a), g.universe.index(b)) for a, b in mapping.items())
-    for violation in _violations(p, g, image):
-        raise MatchError(violation)
-    return image
-
-
-def _violations(p: Production, g: Digraph, image: list[tuple[int, int]]) -> Iterator[str]:
-    """The violated lhs and forbidden cells of a match, row by row, as error messages."""
-    rule_labels, host_labels = p.universe.labels, g.universe.labels
+    # The first violated lhs or forbidden cell, row by row, is named.
     for a, ha in image:
         for b, hb in image:
             edge = g.edges[ha, hb]
             missing = p.lhs.edges[a, b] and not edge
             if missing or p.nihilation[a, b] and edge:
-                cell = f"{rule_labels[a]}->{rule_labels[b]}"
-                at = f"{host_labels[ha]}->{host_labels[hb]}"
-                yield (f"missing lhs edge {cell} at {at}" if missing
-                       else f"forbidden edge {cell} present at {at}")
+                cell = f"{p.universe.labels[a]}->{p.universe.labels[b]}"
+                at = f"{g.universe.labels[ha]}->{g.universe.labels[hb]}"
+                raise MatchError(f"missing lhs edge {cell} at {at}" if missing
+                                 else f"forbidden edge {cell} present at {at}")
+    return tuple(h for _, h in image)
 
 
 def fresh_label(p: Production, node: str, step: int, taken) -> str:
@@ -238,7 +236,12 @@ def apply_at(p: Production, g: Digraph, m: Match, step: int = 1) -> Digraph:
     The deletion of a node erases its entire row and column in the host,
     keeping the result dangling-free.
     """
-    at = dict(_validate_match(p, g, m))
+    return _rewrite(p, g, _validate_match(p, g, m), step)
+
+
+def _rewrite(p: Production, g: Digraph, hosts: tuple[int, ...], step: int) -> Digraph:
+    """Rewrite g at a match given by the host index of each lhs node, in rule-universe order."""
+    at = dict(zip(set_bits(p.lhs.nodes.bits), hosts))
     fresh, born = [], 0
     for i in set_bits(p.added_nodes.bits):
         at[i] = len(g.universe) + len(fresh)
@@ -251,14 +254,12 @@ def apply_at(p: Production, g: Digraph, m: Match, step: int = 1) -> Digraph:
     gone = sum(1 << at[i] for i in set_bits(p.deleted_nodes.bits))
     if gone:
         rows = [0 if gone >> h & 1 else row & ~gone for h, row in enumerate(rows)]
-    n, labels = len(p.universe), p.universe.labels
+    index = p.universe.index
     for edges, add in ((p.deleted_edges, 0), (p.added_edges, 1)):
-        for cell in set_bits(edges.bits):
-            i, j = divmod(cell, n)
+        for a, b in edges.edges():
+            i, j = index(a), index(b)
             if i not in at or j not in at:
-                raise ValueError(
-                    f"unmapped label carries content: edge {labels[i]!r}->{labels[j]!r}"
-                )
+                raise ValueError(f"unmapped label carries content: edge {a!r}->{b!r}")
             rows[at[i]] = rows[at[i]] & ~(1 << at[j]) | add << at[j]
     return Digraph(
         BoolMatrix.from_row_masks(universe, rows),
@@ -288,10 +289,10 @@ class DerivationTrace:
 _EVERY = object()
 
 
-def _select(p: Production, g: Digraph, selector, step: int) -> Match:
-    """The match of p in g that ``selector`` picks, enumerating no further than it needs."""
-    matches = _matches(p, g, _embeddings(p, g))
-    first = next(matches, None)
+def _select(p: Production, g: Digraph, selector, step: int) -> tuple[int, ...]:
+    """The host indices of the match that ``selector`` picks, searched no further than needed."""
+    found = _embeddings(p, g)
+    first = next(found, None)
     if first is None:
         if next(_embeddings(p, g, check_nihil=False), None) is not None:
             raise DerivationError(
@@ -300,30 +301,29 @@ def _select(p: Production, g: Digraph, selector, step: int) -> Match:
         raise DerivationError(step, p.name, "m_L", "no match: lhs cannot be embedded")
     if selector == "first":
         return first
-    matches = chain([first], matches)
     if isinstance(selector, int):
-        for index, m in enumerate(matches):
+        for index, hosts in enumerate(chain([first], found)):
             if index == selector:
-                return m
+                return hosts
         raise DerivationError(
             step, p.name, "selector",
             f"match index {selector} out of range ({index + 1} matches)",
         )
-    wanted = selector.mapping() if isinstance(selector, Match) else selector
-    if not isinstance(wanted, dict):
+    if isinstance(selector, dict):
+        selector = Match(tuple(selector.items()))
+    if not isinstance(selector, Match):
         raise DerivationError(step, p.name, "selector", f"bad selector {selector!r}")
-    if isinstance(selector, Match) and len(wanted) != len(selector.pairs):
-        matches = ()  # it names a rule node twice, so it is no match
-    for m in matches:
-        if m.mapping() == wanted:
-            return m
-    raise DerivationError(step, p.name, "selector", "requested map is not a valid match")
+    try:
+        return _validate_match(p, g, selector)
+    except (MatchError, TypeError):  # TypeError: a label that is not a string
+        raise DerivationError(step, p.name, "selector", "requested map is not a valid match")
 
 
 def _walk(g: Digraph, steps) -> Iterator[DerivationTrace]:
     """Every derivation along (production, selector) steps, in match order.
 
-    A selector picks one match (see ``_select``); ``_EVERY`` branches on each.
+    A selector picks one match (see ``_select``) and ``_EVERY`` each; the
+    host is rewritten at the host indices the search found, unchecked.
     The walk is depth first on a stack, so long sequences need no recursion.
     """
     stack = [((), (g,))]
@@ -333,14 +333,14 @@ def _walk(g: Digraph, steps) -> Iterator[DerivationTrace]:
         if k == len(steps):
             yield DerivationTrace(trail, graphs)
             continue
-        p, selector = steps[k]
+        (p, selector), host = steps[k], graphs[-1]
         if selector is _EVERY:
-            matches = find_matches(p, graphs[-1])
+            found = list(_embeddings(p, host))[::-1]
         else:
-            matches = [_select(p, graphs[-1], selector, k + 1)]
-        for m in reversed(matches):
+            found = [_select(p, host, selector, k + 1)]
+        for hosts, m in zip(found, _matches(p, host, found)):
             step = DerivationStep(p.name, m, f"g{k}", f"g{k + 1}")
-            stack.append((trail + (step,), graphs + (apply_at(p, graphs[-1], m, step=k + 1),)))
+            stack.append((trail + (step,), graphs + (_rewrite(p, host, hosts, k + 1),)))
 
 
 def derive(g: Digraph, steps) -> DerivationTrace:

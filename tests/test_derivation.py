@@ -81,13 +81,28 @@ class TestFindMatches:
         assert find_matches(p, g) == []
         assert brute_matches(p, g) == []
 
-    def test_requires_compatible_host(self):
-        bad = Digraph(BoolMatrix.from_edges(U2, [("a", "b")]), BoolVector.from_labels(U2, "a"))
+    @pytest.mark.parametrize("edge", [("a", "b"), ("b", "a"), ("b", "b")])
+    def test_requires_compatible_host(self, edge):
+        # An edge to, from and on the absent node b.
+        bad = Digraph(BoolMatrix.from_edges(U2, [edge]), BoolVector.from_labels(U2, "a"))
         p = rule(U2, "free", "", [], "", [])
         with pytest.raises(ValueError, match="^host graph has dangling edges$"):
             find_matches(p, bad)
         with pytest.raises(ValueError, match="^host graph has dangling edges$"):
             derive(bad, [(p, "first")])
+
+    def test_host_left_dangling_by_a_step_is_refused(self):
+        # Built through the API, this rule deletes b and adds an edge into it,
+        # so step 1 leaves a dangling edge that the search of step 2 refuses.
+        p = Production.from_static(
+            "bad",
+            Digraph.of(U2, "ab"),
+            Digraph(BoolMatrix.from_edges(U2, [("a", "b")]), BoolVector.from_labels(U2, "a")),
+        )
+        free = rule(U2, "free", "", [], "", [])
+        assert not p.compatible
+        with pytest.raises(ValueError, match="^host graph has dangling edges$"):
+            derive(Digraph.of(U2, "ab"), [(p, "first"), (free, "first")])
 
     def test_dangling_lhs_never_matches(self):
         p = Production.from_static(
@@ -479,6 +494,11 @@ class TestDerive:
                 "selector",
                 "requested map is not a valid match",
             ),
+            # Labels that are not strings: no match has them.
+            (Digraph.of(U2, "ab", []), {"a": "a", 0: "b"}, "selector",
+             "requested map is not a valid match"),
+            (Digraph.of(U2, "ab", []), {"a": "a", "b": ["x"]}, "selector",
+             "requested map is not a valid match"),
             (Digraph.of(U2, "ab", []), -1, "selector", "match index -1 out of range (2 matches)"),
             (Digraph.of(U2, "ab", []), 2, "selector", "match index 2 out of range (2 matches)"),
             (Digraph.of(U2, "ab", []), "last", "selector", "bad selector 'last'"),
@@ -540,6 +560,64 @@ class TestDerive:
         assert trace.result == apply_at(p, g, wanted)
         limit = 1 if selector == "first" else selector + 1
         assert 0 < len(built) <= limit and 0 < len(searched) <= limit
+
+    @pytest.mark.parametrize(
+        "pick",
+        [lambda m: m, Match.mapping, lambda m: Match(m.pairs[::-1])],
+        ids=["match", "map", "reordered-match"],
+    )
+    def test_map_and_match_selectors_are_checked_not_searched(self, pick, monkeypatch):
+        # A late match of an edge in a complete 60-node digraph: the search
+        # stops at its first match, which rules out m_L and m_K.
+        host_u = NodeUniverse(tuple(f"h{i}" for i in range(60)))
+        g = Digraph(BoolMatrix.ones(host_u), BoolVector.ones(host_u))
+        p = rule(U2, "edge", "ab", [("a", "b")], "ab", [("a", "b")])
+        wanted = find_matches(p, g)[2000]
+        searched = []
+        embeddings = derivation._embeddings
+
+        def counted_embeddings(*args, **kwargs):
+            for hosts in embeddings(*args, **kwargs):
+                searched.append(hosts)
+                yield hosts
+
+        monkeypatch.setattr(derivation, "_embeddings", counted_embeddings)
+        trace = derive(g, [(p, pick(wanted))])
+        assert trace.steps[0].match == wanted
+        assert trace.result == apply_at(p, g, wanted)
+        assert len(searched) == 1
+
+    def test_derive_all_equals_apply_at_over_find_matches(self):
+        # derive_all rewrites at its own search's host indices, unchecked; the
+        # checked apply_at over find_matches, step by step, must agree.
+        rng = random.Random(37)
+
+        def fold(rules, trail, graphs):
+            """Every trace that extends ``trail``, in match order."""
+            k, g = len(trail), graphs[-1]
+            if k == len(rules):
+                return [derivation.DerivationTrace(trail, graphs)]
+            p, traces = rules[k], []
+            for m in find_matches(p, g):
+                step = derivation.DerivationStep(p.name, m, f"g{k}", f"g{k + 1}")
+                traces += fold(rules, trail + (step,), graphs + (apply_at(p, g, m, step=k + 1),))
+            return traces
+
+        traces = grown = shrunk = 0
+        for _ in range(300):
+            u = NodeUniverse(tuple("abc"[: rng.randint(1, 3)]))
+            rules = [
+                random_production(rng, u, f"r{i}", 0.3, node_delete_prob=0.4, node_add_prob=0.5)
+                for i in range(rng.randint(1, 3))
+            ]
+            host_u = NodeUniverse(tuple(f"v{i}" for i in range(rng.randint(2, 6))))
+            g = random_digraph(rng, host_u, 0.8, 0.2)
+            got = derive_all(g, rules)
+            assert got == fold(rules, (), (g,))
+            traces += len(got)
+            grown += sum(len(t.result.universe) > len(host_u) for t in got)
+            shrunk += sum(t.result.nodes.count() < g.nodes.count() for t in got)
+        assert traces > 1500 and grown > 1000 and shrunk > 250, (traces, grown, shrunk)
 
     def test_derive_all_enumerates_traces(self):
         p = rule(U2, "edge", "ab", [("a", "b")], "ab", [("a", "b")])
