@@ -81,15 +81,15 @@ class TestFindMatches:
         assert find_matches(p, g) == []
         assert brute_matches(p, g) == []
 
-    @pytest.mark.parametrize("edge", [("a", "b"), ("b", "a"), ("b", "b")])
-    def test_requires_compatible_host(self, edge):
-        # An edge to, from and on the absent node b.
-        bad = Digraph(BoolMatrix.from_edges(U2, [edge]), BoolVector.from_labels(U2, "a"))
+    def test_requires_compatible_host(self):
         p = rule(U2, "free", "", [], "", [])
-        with pytest.raises(ValueError, match="^host graph has dangling edges$"):
-            find_matches(p, bad)
-        with pytest.raises(ValueError, match="^host graph has dangling edges$"):
-            derive(bad, [(p, "first")])
+        # An edge to, from and on the absent node b.
+        for edge in [("a", "b"), ("b", "a"), ("b", "b")]:
+            bad = Digraph(BoolMatrix.from_edges(U2, [edge]), BoolVector.from_labels(U2, "a"))
+            with pytest.raises(ValueError, match="^host graph has dangling edges$"):
+                find_matches(p, bad)
+            with pytest.raises(ValueError, match="^host graph has dangling edges$"):
+                derive(bad, [(p, "first")])
 
     def test_host_left_dangling_by_a_step_is_refused(self):
         # Built through the API, this rule deletes b and adds an edge into it,
