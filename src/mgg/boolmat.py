@@ -8,8 +8,13 @@ is bit ``i * n + j``), vectors into an int with bit ``i`` for node ``i``;
 other modules read a matrix's rows and columns only as ints (``row_masks``,
 ``column_masks``) and write one only from its rows (``from_row_masks``).
 The one matrix built from a node vector is the all-ones block over a node
-set, ``bounded_one``; the per-cell builders and readers the tests use live
-in ``oracle``.
+set, ``bounded_one``, whose bits ``block_bits`` gives to modules that
+compute on ints; the per-cell builders and readers the tests use live in
+``oracle``.
+
+A universe carries its size and its all-ones vector and matrix masks,
+computed once; every vector and matrix construction, ``~`` and ``ones``
+read them, and every construction is still range-checked against them.
 
 Both kinds share one packed type with ``& | ^`` and a bounded ``~``: the
 complement inside the value's universe (every node for a vector, every
@@ -20,7 +25,8 @@ inside any other ambient, such as the block of a digraph's node set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Iterator, Mapping
+from operator import attrgetter
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping
 
 
 class UniverseMismatchError(ValueError):
@@ -40,18 +46,25 @@ class NodeUniverse:
 
     labels: tuple[str, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    size: int = field(init=False, repr=False, compare=False)
+    vector_full: int = field(init=False, repr=False, compare=False)
+    matrix_full: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(set(self.labels)) != len(self.labels):
+        n = len(self.labels)
+        if len(set(self.labels)) != n:
             raise ValueError(f"duplicate node labels: {self.labels}")
         object.__setattr__(self, "_index", _Index({l: i for i, l in enumerate(self.labels)}))
+        object.__setattr__(self, "size", n)
+        object.__setattr__(self, "vector_full", (1 << n) - 1)
+        object.__setattr__(self, "matrix_full", (1 << n * n) - 1)
 
     @classmethod
     def of(cls, *labels: str) -> "NodeUniverse":
         return cls(tuple(labels))
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return self.size
 
     def index(self, label: str) -> int:
         return self._index[label]
@@ -91,25 +104,22 @@ def _check_operand(a, b) -> None:
     _check_universe(a, b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Packed:
-    """Cells of a vector (``_rank`` 1) or matrix (``_rank`` 2), packed into an int.
+    """Cells of a vector or matrix, packed into an int.
 
-    A value has ``len(universe) ** _rank`` cells.
+    ``_full`` reads the universe's all-ones mask of the kind; every
+    construction checks that the bits lie inside it.
     """
 
     universe: NodeUniverse
     bits: int
-    _rank: ClassVar[int]
+    _full: ClassVar[Callable[[NodeUniverse], int]]
     _kind: ClassVar[str]
 
     def __post_init__(self) -> None:
-        if self.bits < 0 or self.bits >> len(self.universe) ** self._rank:
+        if self.bits < 0 or self.bits > self._full(self.universe):
             raise ValueError(f"{self._kind} bits out of range for universe")
-
-    @classmethod
-    def _full(cls, universe: NodeUniverse) -> int:
-        return (1 << len(universe) ** cls._rank) - 1
 
     @classmethod
     def zeros(cls, universe: NodeUniverse):
@@ -143,7 +153,8 @@ class _Packed:
 
 
 class BoolVector(_Packed):
-    _rank = 1
+    __slots__ = ()
+    _full = attrgetter("vector_full")
     _kind = "vector"
 
     @classmethod
@@ -167,14 +178,15 @@ class BoolVector(_Packed):
 class BoolMatrix(_Packed):
     """Square Boolean edge matrix; row = source node, column = target node."""
 
-    _rank = 2
+    __slots__ = ()
+    _full = attrgetter("matrix_full")
     _kind = "matrix"
 
     @classmethod
     def from_edges(
         cls, universe: NodeUniverse, edges: Iterable[tuple[str, str]]
     ) -> "BoolMatrix":
-        n, index = len(universe), universe._index
+        n, index = universe.size, universe._index
         bits = 0
         for src, dst in edges:
             bits |= 1 << (index[src] * n + index[dst])
@@ -182,10 +194,10 @@ class BoolMatrix(_Packed):
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
-        return (self.bits >> (i * len(self.universe) + j)) & 1
+        return (self.bits >> (i * self.universe.size + j)) & 1
 
     def edges(self) -> tuple[tuple[str, str], ...]:
-        n = len(self.universe)
+        n = self.universe.size
         labels = self.universe.labels
         return tuple(
             (labels[cell // n], labels[cell % n]) for cell in set_bits(self.bits)
@@ -194,12 +206,12 @@ class BoolMatrix(_Packed):
     @classmethod
     def from_row_masks(cls, universe: NodeUniverse, rows: Iterable[int]) -> "BoolMatrix":
         """The matrix whose row i is ``rows[i]`` (not checked to fit): ``row_masks`` inverted."""
-        n = len(universe)
+        n = universe.size
         return cls(universe, sum(row << i * n for i, row in enumerate(rows)))
 
     def row_masks(self) -> list[int]:
         """Row i as an int with bit j for cell (i, j), for each row i."""
-        n = len(self.universe)
+        n = self.universe.size
         row = (1 << n) - 1
         return [self.bits >> i * n & row for i in range(n)]
 
@@ -207,7 +219,7 @@ class BoolMatrix(_Packed):
         """Column j as an int with bit i for cell (i, j), for each column j."""
         # Cell (i, j) is digit n * n - 1 - (i * n + j) of the bits, so a column
         # reads highest row first, as int() wants it.
-        n = len(self.universe)
+        n = self.universe.size
         digits = format(self.bits, f"0{n * n}b")
         return [int(digits[n - 1 - j :: n], 2) for j in range(n)]
 
@@ -252,16 +264,22 @@ def complement(a, ambient):
     return ambient & ~a
 
 
+def block_bits(n: int, nodes: int) -> int:
+    """The packed bits of every cell (i, j) with i and j in ``nodes`` (bit i = node i), n nodes.
+
+    Each set bit of ``nodes`` spreads to the start of its row, and the
+    product with ``nodes`` places the node set in each of those rows; rows
+    are n bits apart, so no two terms overlap.
+    """
+    return int(("0" * (n - 1)).join(bin(nodes)[2:]), 2) * nodes
+
+
 def bounded_one(v: BoolVector) -> BoolMatrix:
     """The all-ones block over a node set: every edge between present nodes.
 
     ``~bounded_one(kept)`` is every edge incident to a node outside ``kept``.
     """
-    n = len(v.universe)
-    bits = 0
-    for i in set_bits(v.bits):
-        bits |= v.bits << (i * n)
-    return BoolMatrix(v.universe, bits)
+    return BoolMatrix(v.universe, block_bits(v.universe.size, v.bits))
 
 
 def contains(a, b) -> bool:
@@ -272,7 +290,7 @@ def contains(a, b) -> bool:
 
 def is_compatible(g: Digraph) -> bool:
     """True iff g has no dangling edges (edges touching absent nodes)."""
-    return g.edges.bits & ~bounded_one(g.nodes).bits == 0
+    return g.edges.bits & ~block_bits(g.universe.size, g.nodes.bits) == 0
 
 
 def complete_to(x, target: NodeUniverse, mapping: Mapping[str, str] | None = None):
@@ -306,7 +324,7 @@ def complete_to(x, target: NodeUniverse, mapping: Mapping[str, str] | None = Non
                 raise ValueError(f"unmapped label {labels[i]!r} carries content")
             bits |= 1 << at[i]
     elif isinstance(x, BoolMatrix):
-        n_s, n_t = len(source), len(target)
+        n_s, n_t = source.size, target.size
         for cell in set_bits(x.bits):
             i, j = divmod(cell, n_s)
             if i not in at or j not in at:

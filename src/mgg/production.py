@@ -21,6 +21,7 @@ from .boolmat import (
     Digraph,
     NodeUniverse,
     UniverseMismatchError,
+    block_bits,
     bounded_one,
     complement,
     is_compatible,
@@ -64,27 +65,31 @@ class Production:
         """
         if lhs.universe != rhs.universe:
             raise UniverseMismatchError("lhs and rhs must share a universe")
-        deleted_edges = lhs.edges & ~rhs.edges
-        added_edges = rhs.edges & ~lhs.edges
-        deleted_nodes = lhs.nodes & ~rhs.nodes
-        added_nodes = rhs.nodes & ~lhs.nodes
-
-        nihil = nihilation_matrix(deleted_edges, deleted_nodes, added_edges)
-        rhs_nihil = deleted_edges | (~added_edges & nihil)
+        u = lhs.universe
+        lhs_edges, rhs_edges = lhs.edges.bits, rhs.edges.bits
+        deleted_edges = lhs_edges & ~rhs_edges
+        added_edges = rhs_edges & ~lhs_edges
+        deleted_nodes = lhs.nodes.bits & ~rhs.nodes.bits
+        # Forbidden: edges incident to a deleted node (outside the block of
+        # kept nodes) that the rule does not itself delete, plus every edge
+        # the rule adds (parallel edges are not allowed in simple digraphs).
+        kept_block = block_bits(u.size, u.vector_full ^ deleted_nodes)
+        nihil = added_edges | (u.matrix_full ^ kept_block) & ~deleted_edges
+        rhs_nihil = deleted_edges | nihil & ~added_edges
         # The forbidden-overlap test alone misses added edges that dangle
         # (they are excluded from the rhs nihilation), so require the rhs to
         # be a proper digraph as well.
-        compatible = (rhs.edges & rhs_nihil).is_zero() and is_compatible(rhs)
+        compatible = rhs_edges & rhs_nihil == 0 and is_compatible(rhs)
         return cls(
             name,
             lhs,
             rhs,
-            deleted_edges,
-            added_edges,
-            deleted_nodes,
-            added_nodes,
-            nihil,
-            rhs_nihil,
+            BoolMatrix(u, deleted_edges),
+            BoolMatrix(u, added_edges),
+            BoolVector(u, deleted_nodes),
+            BoolVector(u, rhs.nodes.bits & ~lhs.nodes.bits),
+            BoolMatrix(u, nihil),
+            BoolMatrix(u, rhs_nihil),
             compatible,
         )
 
@@ -99,20 +104,6 @@ class Production:
         the certainty part alone.
         """
         return ComplexTerm.of(self.lhs.edges, self.nihilation, self.lhs.nodes)
-
-
-def nihilation_matrix(
-    deleted_edges: BoolMatrix,
-    deleted_nodes: BoolVector,
-    added_edges: BoolMatrix,
-) -> BoolMatrix:
-    """Forbidden edges of a rule's left hand side.
-
-    Covers edges incident to a deleted node (outside the block of kept
-    nodes) that the rule does not itself delete, plus every edge the rule
-    adds (parallel edges are not allowed in simple digraphs).
-    """
-    return added_edges | (~deleted_edges & ~bounded_one(~deleted_nodes))
 
 
 def apply_production(p: Production, x: Digraph) -> Digraph:

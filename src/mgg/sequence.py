@@ -25,7 +25,7 @@ from .boolmat import (
     Digraph,
     NodeUniverse,
     UniverseMismatchError,
-    bounded_one,
+    block_bits,
     is_compatible,
 )
 from .mcl import ComplexTerm
@@ -188,7 +188,10 @@ def t_matrix(p: Production) -> BoolMatrix:
 
     Cells incident to an added node, minus cells incident to a deleted one.
     """
-    return ~bounded_one(~p.added_nodes) & bounded_one(~p.deleted_nodes)
+    u = p.universe
+    unadded = block_bits(u.size, u.vector_full ^ p.added_nodes.bits)
+    undeleted = block_bits(u.size, u.vector_full ^ p.deleted_nodes.bits)
+    return BoolMatrix(u, undeleted & ~unadded)
 
 
 def initial_digraph(s: RuleSequence, check: bool = True) -> ComplexTerm:
@@ -216,8 +219,11 @@ def _prefix_digraphs(s: RuleSequence) -> list[tuple[BoolMatrix, BoolMatrix, Bool
     rules = s.rules
     cert_edges = _lscan([~p.added_edges for p in rules], [p.lhs.edges for p in rules], zero_e)
     cert_nodes = _lscan([~p.added_nodes for p in rules], [p.lhs.nodes for p in rules], zero_v)
+    full = u.matrix_full
     nihil_edges = _lscan(
-        [~p.deleted_edges & ~t_matrix(p) for p in rules], [p.nihilation for p in rules], zero_e
+        [BoolMatrix(u, full ^ (p.deleted_edges.bits | t_matrix(p).bits)) for p in rules],
+        [p.nihilation for p in rules],
+        zero_e,
     )
     return list(zip(cert_edges, nihil_edges, cert_nodes))
 

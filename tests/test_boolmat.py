@@ -43,6 +43,56 @@ def vectors(universe=U2):
     return st.integers(0, (1 << n) - 1).map(lambda b: BoolVector(universe, b))
 
 
+def universe_of(n):
+    return NodeUniverse(tuple(f"v{i}" for i in range(n)))
+
+
+class TestRangeCheck:
+    """Every construction checks its bits against the universe's cached masks."""
+
+    SIZES = (0, 1, 8, 64)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_out_of_range_bits_rejected(self, n):
+        u = universe_of(n)
+        for kind, cells, name in ((BoolMatrix, n * n, "matrix"), (BoolVector, n, "vector")):
+            for bits in (1 << cells, -1):
+                with pytest.raises(ValueError, match=f"^{name} bits out of range for universe$"):
+                    kind(u, bits)
+            assert kind(u, (1 << cells) - 1) == kind.ones(u)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_built_values_stay_inside(self, n):
+        u = universe_of(n)
+        assert u.size == len(u) == n
+        assert (u.vector_full, u.matrix_full) == ((1 << n) - 1, (1 << n * n) - 1)
+        assert BoolMatrix.ones(u).bits == u.matrix_full
+        assert BoolVector.ones(u).bits == u.vector_full
+        assert (~BoolMatrix.zeros(u)).bits == u.matrix_full
+        assert (~BoolVector.ones(u)).bits == 0
+        assert bounded_one(BoolVector.ones(u)) == BoolMatrix.ones(u)
+        if n:
+            v = BoolVector(u, 1 | 1 << (n - 1))
+            assert bounded_one(v).bits == oracle._block_bits(v)
+            assert (~bounded_one(v)).count() == n * n - v.count() ** 2
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_cached_fields_leave_identity_alone(self, n):
+        a, b = universe_of(n), universe_of(n)
+        assert a == b and hash(a) == hash(b)
+        assert a != universe_of(n + 1)
+        assert BoolMatrix(a, 0) == BoolMatrix(b, 0)
+        grown = a.extended(["x", "y"])
+        assert (grown.size, grown.vector_full) == (n + 2, (1 << n + 2) - 1)
+        assert grown.matrix_full == (1 << (n + 2) ** 2) - 1
+
+    def test_repr(self):
+        assert repr(NodeUniverse.of("a")) == "NodeUniverse(labels=('a',))"
+        assert repr(BoolVector(NodeUniverse.of("a"), 1)) == (
+            "BoolVector(universe=NodeUniverse(labels=('a',)), bits=1)"
+        )
+
+
 class TestElementwise:
     def test_and_annihilator(self):
         a = matrix_of(U2, [[1, 0], [0, 0]])

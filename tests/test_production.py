@@ -25,7 +25,7 @@ from mgg import (
     random_production,
     swap_census,
 )
-from mgg.oracle import rows_of
+from mgg.oracle import rows_of, values_of
 
 U2 = NodeUniverse.of("a", "b")
 U3 = NodeUniverse.of("a", "b", "c")
@@ -92,17 +92,41 @@ class TestNihilation:
         assert rows_of(renew.nihilation) == [[1, 0, 1], [1, 0, 1], [1, 0, 0]]
 
     def test_per_edge_oracle(self):
+        # The whole dynamic form, cell by cell, from its definitions.  Each
+        # random rule also runs with one rhs cell or node flipped, so that
+        # some pairs are not compatible.
         rng = random.Random(13)
-        n = len(U3)
-        for _ in range(300):
-            p = random_production(rng, U3)
-            for i in range(n):
-                for j in range(n):
-                    incident_deleted = p.deleted_nodes[i] or p.deleted_nodes[j]
-                    expected = (incident_deleted and not p.deleted_edges[i, j]) or bool(
-                        p.added_edges[i, j]
-                    )
-                    assert bool(p.nihilation[i, j]) == expected
+        for n, count in ((1, 40), (2, 100), (3, 300), (8, 60), (64, 2)):
+            universe = NodeUniverse(tuple(f"v{i}" for i in range(n)))
+            for _ in range(count):
+                p = random_production(rng, universe)
+                edges, nodes = p.rhs.edges, p.rhs.nodes
+                flip_edge = BoolMatrix(universe, edges.bits ^ 1 << rng.randrange(n * n))
+                flip_node = BoolVector(universe, nodes.bits ^ 1 << rng.randrange(n))
+                for rhs in (p.rhs, Digraph(flip_edge, nodes), Digraph(edges, flip_node)):
+                    check_dynamic_form(Production.from_static("q", p.lhs, rhs))
+
+
+def check_dynamic_form(p):
+    n = len(p.universe)
+    lhs_e, rhs_e = rows_of(p.lhs.edges), rows_of(p.rhs.edges)
+    lhs_v, rhs_v = values_of(p.lhs.nodes), values_of(p.rhs.nodes)
+    deleted, added = rows_of(p.deleted_edges), rows_of(p.added_edges)
+    nihil, rhs_nihil = rows_of(p.nihilation), rows_of(p.rhs_nihilation)
+    assert values_of(p.deleted_nodes) == [a & (not b) for a, b in zip(lhs_v, rhs_v)]
+    assert values_of(p.added_nodes) == [b & (not a) for a, b in zip(lhs_v, rhs_v)]
+    gone = values_of(p.deleted_nodes)
+    compatible = True
+    for i in range(n):
+        for j in range(n):
+            assert deleted[i][j] == (lhs_e[i][j] and not rhs_e[i][j])
+            assert added[i][j] == (rhs_e[i][j] and not lhs_e[i][j])
+            incident_deleted = gone[i] or gone[j]
+            assert nihil[i][j] == ((incident_deleted and not deleted[i][j]) or added[i][j])
+            assert rhs_nihil[i][j] == (deleted[i][j] or (not added[i][j] and nihil[i][j]))
+            if rhs_e[i][j] and (rhs_nihil[i][j] or not (rhs_v[i] and rhs_v[j])):
+                compatible = False
+    assert p.compatible == compatible
 
 
 class TestEvolveNihil:

@@ -15,7 +15,10 @@ runs every command below through ``mgg.cli.run`` under each tree's
 
 Universes run from 1 to 128 nodes, hosts from no present node to every
 node, and the rules (1 to 3 per sequence, of 1 to 4 nodes each, completed to the universe) grow,
-shrink and rewire.  The sweep prints the exit-code counts of each tree and
+shrink and rewire.  After those, long grammars hold sequences of 8 to 32
+such rules over 4 to 16 nodes; ``derive --select all`` runs only on
+sequences of up to 3 rules, since its trace count is the product of the
+per-step match counts.  The sweep prints the exit-code counts of each tree and
 every command whose exit code or stdout sha256 differs, and exits 1 if any
 does.
 """
@@ -33,9 +36,12 @@ from pathlib import Path
 
 SEED = 10
 GRAMMARS = 300
+# Long sequences, drawn after the others so that their commands come first unchanged.
+LONG_GRAMMARS = 24
 # Universe sizes, cycled through by grammar number.
 SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16, 24, 32, 48, 64, 96, 128)
 ALL_LIMIT = 10
+ALL_RULES_LIMIT = 3
 CHECKS = ("coherence", "initial", "image", "compatibility")
 
 # Runs a JSON list of argv lists through mgg.cli.run and prints one
@@ -65,11 +71,14 @@ def write_grammars(parent: Path, directory: Path) -> list[tuple[str, int, list[s
 
     rng = random.Random(SEED)
     written = []
-    for k in range(GRAMMARS):
-        n = SIZES[k % len(SIZES)]
+    for k in range(GRAMMARS + LONG_GRAMMARS):
+        if k < GRAMMARS:
+            n, rule_count = SIZES[k % len(SIZES)], rng.randint(1, 3)
+        else:
+            n, rule_count = rng.randint(4, 16), rng.randint(8, 32)
         u = NodeUniverse(tuple(f"v{i}" for i in range(n)))
         rules = {}
-        for r in range(rng.randint(1, 3)):
+        for r in range(rule_count):
             small = NodeUniverse(tuple(rng.sample(u.labels, min(n, rng.randint(1, 4)))))
             p = random_production(
                 rng, small, edge_density=rng.choice([0.1, 0.3]),
@@ -100,7 +109,8 @@ def commands(grammars) -> list[list[str]]:
         ]
         argvs.append(["encode", path, "--graph", "h"])
         argvs += [["encode", path, "--production", r] for r in rules]
-        selects = ["first", "0", "2"] + (["all"] if n <= ALL_LIMIT else [])
+        every = n <= ALL_LIMIT and len(rules) <= ALL_RULES_LIMIT
+        selects = ["first", "0", "2"] + (["all"] if every else [])
         argvs += [
             ["derive", path, "--host", "h", "--sequence", "s", "--select", s] for s in selects
         ]
@@ -128,7 +138,7 @@ def main(argv: list[str]) -> int:
         argvs = commands(write_grammars(parent, Path(tmp)))
         before, after = run_tree(parent, argvs), run_tree(change, argvs)
     differ = [argv for argv, a, b in zip(argvs, before, after) if a != b]
-    print(f"grammars {GRAMMARS}, commands {len(argvs)}")
+    print(f"grammars {GRAMMARS + LONG_GRAMMARS}, commands {len(argvs)}")
     for label, results in (("parent", before), ("change", after)):
         counts = Counter(str(code) for code, _ in results)
         print(f"{label} exit codes: " + ", ".join(f"{c} x{k}" for c, k in sorted(counts.items())))
