@@ -23,6 +23,7 @@ DEMO = "grammars/demo.mgg"
 PAIR = "grammars/pair.mgg"
 LONG = "grammars/long.mgg"
 WIDE = "grammars/wide.mgg"
+BIG = "grammars/big.mgg"
 CHECKS = ("coherence", "initial", "image", "compatibility")
 
 
@@ -63,6 +64,14 @@ def _cases() -> dict[str, list[str]]:
             "derive", WIDE, "--host", "field", "--sequence", "trek",
             "--select", select,
         ]
+    for check in ("coherence", "compatibility"):
+        cases[f"analyze-big-{check}"] = [
+            "analyze", BIG, "--sequence", "climb", "--check", check,
+        ]
+    cases["encode-graph-sparse"] = ["encode", BIG, "--graph", "sparse"]
+    cases["derive-big-first"] = [
+        "derive", BIG, "--host", "sparse", "--sequence", "climb", "--select", "first",
+    ]
     for nodes in ("0", "1", "2"):
         cases[f"census-{nodes}"] = ["census", "--nodes", nodes]
     return cases
