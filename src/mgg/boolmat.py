@@ -5,8 +5,9 @@ Boolean node-presence vector.  Every "product" in the rewriting formulas is
 the cell-by-cell AND; there is no row-by-column matrix product anywhere in
 this package.  Matrices are packed row-major into a single int (cell (i, j)
 is bit ``i * n + j``), vectors into an int with bit ``i`` for node ``i``;
-other modules read a matrix's rows and columns only as ints (``row_masks``,
-``column_masks``) and write one only from its rows (``from_row_masks``).
+other modules read cells as text only through ``cells``, rows and columns
+for matching and rewriting only as ints (``row_masks``, ``column_masks``),
+and write a matrix only from its rows (``from_row_masks``).
 The one matrix built from a node vector is the all-ones block over a node
 set, ``bounded_one``, whose bits ``block_bits`` gives to modules that
 compute on ints; the per-cell builders and readers the tests use live in
@@ -128,6 +129,11 @@ class _Packed:
     @classmethod
     def ones(cls, universe: NodeUniverse):
         return cls(universe, cls._full(universe))
+
+    def cells(self) -> str:
+        """Every cell as "1" or "0", lowest bit first: a matrix row by row, (i, j) at i * n + j."""
+        width = self._full(self.universe).bit_length()  # the cell count
+        return format(self.bits, f"0{width}b")[::-1] if width else ""  # format(0, "00b") is "0"
 
     def count(self) -> int:
         return self.bits.bit_count()

@@ -40,18 +40,13 @@ _SELECT = re.compile(r"first|all|[0-9]+")
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
-def _bits_str(bits: int, n: int) -> str:
-    """``[b0,b1,...]`` of the n low bits, lowest first; ``format(0, "00b")`` is "0"."""
-    return "[" + ",".join(format(bits, f"0{n}b")[::-1]) + "]" if n else "[]"
-
-
 def matrix_str(m: BoolMatrix) -> str:
-    n = len(m.universe)
-    return "[" + ",".join(_bits_str(row, n) for row in m.row_masks()) + "]"
+    n, cells = m.universe.size, m.cells()
+    return "[" + ",".join("[" + ",".join(cells[i * n : i * n + n]) + "]" for i in range(n)) + "]"
 
 
 def vector_str(v: BoolVector) -> str:
-    return _bits_str(v.bits, len(v.universe))
+    return "[" + ",".join(v.cells()) + "]"
 
 
 def _bool_str(flag: bool) -> str:

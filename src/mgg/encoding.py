@@ -117,8 +117,8 @@ def ell(m: BoolMatrix) -> Dyadic:
     (k-1) // n, both 0-based: columns are visited one after another, top to
     bottom.
     """
-    n = len(m.universe)
-    return Dyadic.from_bits("".join(format(column, f"0{n}b")[::-1] for column in m.column_masks()))
+    n, cells = m.universe.size, m.cells()
+    return Dyadic.from_bits("".join(cells[j::n] for j in range(n)))
 
 
 def ell_complex(z: ComplexTerm) -> DyadicComplex:

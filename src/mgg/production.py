@@ -76,10 +76,10 @@ class Production:
         kept_block = block_bits(u.size, u.vector_full ^ deleted_nodes)
         nihil = added_edges | (u.matrix_full ^ kept_block) & ~deleted_edges
         rhs_nihil = deleted_edges | nihil & ~added_edges
-        # The forbidden-overlap test alone misses added edges that dangle
-        # (they are excluded from the rhs nihilation), so require the rhs to
-        # be a proper digraph as well.
-        compatible = rhs_edges & rhs_nihil == 0 and is_compatible(rhs)
+        # No rhs edge in rhs_nihil, and the rhs a proper digraph; the second implies the
+        # first: a deleted edge is not in the rhs, and an rhs edge the rule does not add
+        # is an lhs edge, so it meets rhs_nihil only at a deleted node, which the rhs lacks.
+        compatible = is_compatible(rhs)
         return cls(
             name,
             lhs,

@@ -247,21 +247,28 @@ def stepwise_image(s: RuleSequence, start: ComplexTerm | None = None) -> Complex
     return z
 
 
-def image_of_sequence(s: RuleSequence) -> ComplexTerm:
-    """Closed form of the sequence applied to its own initial digraph."""
+def _images(s: RuleSequence, m: ComplexTerm) -> list[tuple[BoolMatrix, BoolMatrix, BoolVector]]:
+    """Certainty edges, nihil edges and certainty nodes of m rewritten by each
+    prefix of s, from three Δ scans seeded with m: entry t is after rule t.
+
+    Entry t is A(t) & B(t) | A(t) & entry t - 1.  A rule's added and deleted
+    cells are disjoint, so A(t) & B(t) is added(t) for the certainty parts
+    (A = ¬deleted, B = added) and deleted(t) for the nihil edges (A = ¬added,
+    B = deleted): entry t is ``rewrite_term`` of rule t on entry t - 1.
+    """
     rules = s.rules
-    m = initial_digraph(s, check=False)
-    # Seeding a Δ scan with m adds (AND over x of A(x)) & m to Δ(1, n).
-    cert_edges = _scan(
-        [~p.deleted_edges for p in rules], [p.added_edges for p in rules], m.cert_edges
-    )
+    deleted, added = [p.deleted_edges for p in rules], [p.added_edges for p in rules]
+    cert_edges = _scan([~x for x in deleted], added, m.cert_edges)
+    nihil_edges = _scan([~x for x in added], deleted, m.nihil_edges)
     cert_nodes = _scan(
         [~p.deleted_nodes for p in rules], [p.added_nodes for p in rules], m.cert_nodes
     )
-    nihil_edges = _scan(
-        [~p.added_edges for p in rules], [p.deleted_edges for p in rules], m.nihil_edges
-    )
-    return ComplexTerm.of(cert_edges[-1], nihil_edges[-1], cert_nodes[-1])
+    return list(zip(cert_edges, nihil_edges, cert_nodes))
+
+
+def image_of_sequence(s: RuleSequence) -> ComplexTerm:
+    """Closed form of the sequence applied to its own initial digraph."""
+    return ComplexTerm.of(*_images(s, initial_digraph(s, check=False))[-1])
 
 
 def sequence_compatibility(s: RuleSequence) -> AnalysisReport:
@@ -275,7 +282,7 @@ def sequence_compatibility(s: RuleSequence) -> AnalysisReport:
     dangling edges: every prefix's smallest host and every intermediate
     image of the full initial digraph must be a proper digraph.  The analysis is
     O(L): one forward pass over per-rule factor lists gives every prefix's
-    initial digraph.
+    initial digraph, and the image's Δ scans (``_images``) every image.
     """
     notes: list[str] = []
     incompatible_rules = [p.name for p in s.rules if not p.compatible]
@@ -296,10 +303,9 @@ def sequence_compatibility(s: RuleSequence) -> AnalysisReport:
     for m, (cert_edges, _, cert_nodes) in enumerate(prefixes[1:], start=1):
         if not is_compatible(Digraph(cert_edges, cert_nodes)):
             notes.append(f"prefix {m} smallest host has dangling edges")
-    running = ComplexTerm.of(*prefixes[-1])
-    for m, p in enumerate(s.rules, start=1):
-        running = rewrite_term(p, running)
-        if not is_compatible(Digraph(running.cert_edges, running.cert_nodes)):
+    images = _images(s, ComplexTerm.of(*prefixes[-1]))
+    for m, (cert_edges, _, cert_nodes) in enumerate(images[1:], start=1):
+        if not is_compatible(Digraph(cert_edges, cert_nodes)):
             notes.append(f"image after rule {m} has dangling edges")
 
     # Every note is an incompatible rule or a dangling edge.

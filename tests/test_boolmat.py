@@ -254,7 +254,7 @@ class TestBooleanLaws:
 
 
 class TestCellReads:
-    """Row slices and set-bit walks agree with reading each cell by index."""
+    """Row slices, cell strings and set-bit walks agree with reading each cell by index."""
 
     @given(st.data())
     def test_agree_with_getitem(self, data):
@@ -268,3 +268,5 @@ class TestCellReads:
         assert m.column_masks() == [sum(m[i, j] << i for i in range(n)) for j in range(n)]
         assert m.edges() == tuple((u.labels[i], u.labels[j]) for i, j in cells if m[i, j])
         assert v.labels() == tuple(l for i, l in enumerate(u.labels) if v[i])
+        assert m.cells() == "".join(str(m[i, j]) for i, j in cells)
+        assert v.cells() == "".join(str(v[i]) for i in range(n))

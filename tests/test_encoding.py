@@ -92,6 +92,14 @@ class TestEll:
         # the second bit is row b, column a
         m = BoolMatrix.from_edges(U2, [("b", "a")])
         assert ell(m) == Dyadic.from_bits("01")
+        # Digit k (0-based) is cell (k mod n, k div n), read cell by cell.
+        rng = random.Random(83)
+        for n in range(71):
+            u = NodeUniverse(tuple(f"v{i}" for i in range(n)))
+            for _ in range(2):
+                m = BoolMatrix(u, rng.getrandbits(n * n))
+                digits = "".join(str(m[k % n, k // n]) for k in range(n * n))
+                assert ell(m) == Dyadic.from_bits(digits)
 
     def test_complex_worked_example(self):
         z = term(U2, matrix_of(U2, [[0, 1], [1, 0]]).bits,

@@ -565,9 +565,9 @@ class TestIntegerArguments:
 
 class TestRendering:
     def test_rows_render_cell_by_cell(self):
-        # Rows are rendered from their bits at once; the reference reads each cell.
+        # Rows are slices of one digit string per value; the reference reads each cell.
         rng = random.Random(71)
-        for n in list(range(18)) + [64, 65]:
+        for n in list(range(18)) + [64, 65, 127, 128]:
             u = NodeUniverse(tuple(f"v{i}" for i in range(n)))
             for _ in range(8):
                 m = BoolMatrix(u, rng.getrandbits(n * n))

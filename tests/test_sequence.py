@@ -8,6 +8,7 @@ import pytest
 from mgg import (
     BoolMatrix,
     BoolVector,
+    ComplexTerm,
     Digraph,
     IncoherentSequenceWarning,
     NodeUniverse,
@@ -20,6 +21,7 @@ from mgg import (
     g_congruence,
     image_of_sequence,
     initial_digraph,
+    is_compatible,
     nabla,
     random_production,
     random_sequence,
@@ -361,6 +363,23 @@ class TestImage:
             assert img.same_parts(stepwise_image(s))
             checked += 1
         assert checked > 100
+        # Every entry t of the image scans is the fold of the first t rules
+        # over the seed, on coherent and incoherent sequences alike.
+        dangling = 0
+        for n in range(1, 9):
+            u = NodeUniverse(tuple(f"v{i}" for i in range(n)))
+            for length in range(1, 9):
+                for _ in range(20):
+                    s = random_sequence(rng, u, length)
+                    m = initial_digraph(s, check=False)
+                    images = sequence._images(s, m)
+                    assert len(images) == length + 1
+                    assert ComplexTerm.of(*images[0]).same_parts(m)
+                    for t in range(1, length + 1):
+                        z = stepwise_image(s.prefix(t), m)
+                        assert ComplexTerm.of(*images[t]).same_parts(z)
+                        dangling += not is_compatible(Digraph(z.cert_edges, z.cert_nodes))
+        assert dangling > 1000
 
     def test_worked_example_evolution(self, handover):
         img = image_of_sequence(handover)
