@@ -22,10 +22,11 @@ and no line may list a label or an edge twice.  Example::
       edges a->a a->b b->b c->a c->b
 
 Every label must be declared in the universe; rules and hosts are completed
-to it at parse time.  Each line is lexed once, and every error is a
-``GrammarError`` carrying the offending line (0 for a file with no ``nodes``
-line).  Parsing and serialization are mutually inverse on the model
-(serialization canonicalizes label order).
+to it at parse time.  Each line is lexed once, each distinct edge token is
+split and looked up once per file, and every error is a ``GrammarError``
+carrying the offending line (0 for a file with no ``nodes`` line).  Parsing
+and serialization are mutually inverse on the model (serialization
+canonicalizes label order).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .boolmat import Digraph, NodeUniverse, is_compatible
+from .boolmat import BoolMatrix, BoolVector, Digraph, NodeUniverse, is_compatible
 from .production import Production
 
 
@@ -85,8 +86,11 @@ def _bad_token(universe: NodeUniverse, nodes, node_line: int, edges, edge_line: 
 def _check_unique(tokens: list[str], distinct: int, what: str, line: int) -> None:
     """``distinct`` counts the cells the tokens set: fewer cells than tokens is a repeat."""
     if distinct < len(tokens):
-        repeated = next(t for i, t in enumerate(tokens) if t in tokens[:i])
-        raise GrammarError(line, f"duplicate {what} {repeated!r}")
+        seen = set()
+        for token in tokens:
+            if token in seen:
+                raise GrammarError(line, f"duplicate {what} {token!r}")
+            seen.add(token)
 
 
 def _check_no_fields(fields: dict[str, tuple[int, list[str]]], block: str) -> None:
@@ -102,6 +106,7 @@ class _Parser:
     def __init__(self, text: str):
         self.lines = _lex(text)
         self.universe: NodeUniverse | None = None
+        self.cells: dict[str, int] = {}  # each well-formed edge token read so far -> its cell
         self.productions: dict[str, Production] = {}
         self.sequences: dict[str, tuple[str, ...]] = {}
         self.hosts: dict[str, Digraph] = {}
@@ -138,8 +143,15 @@ class _Parser:
         edge_key = f"{prefix} edges" if prefix else "edges"
         node_line, nodes = fields.pop(node_key, (block_line, []))
         edge_line, edges = fields.pop(edge_key, (block_line, []))
+        memo, cell, cells = self.cells, u.cell, []
         try:
-            g = Digraph.of(u, nodes, [token.partition("->")[::2] for token in edges])
+            for token in edges:
+                at = memo.get(token)
+                if at is None:
+                    src, _, dst = token.partition("->")
+                    at = memo[token] = cell(src, dst)
+                cells.append(at)
+            g = Digraph(BoolMatrix.from_cells(u, cells), BoolVector.from_labels(u, nodes))
         except KeyError:
             raise _bad_token(u, nodes, node_line, edges, edge_line) from None
         _check_unique(nodes, g.nodes.count(), "node label", node_line)

@@ -1,6 +1,7 @@
 """Elementwise algebra, the all-ones block, completion, compatibility."""
 
 import operator
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,7 @@ from mgg import (
     is_compatible,
 )
 from mgg import oracle
+from mgg.boolmat import _digits_from
 from mgg.oracle import matrix_of, rows_of, values_of, vector_of
 
 U2 = NodeUniverse.of("a", "b")
@@ -270,3 +272,25 @@ class TestCellReads:
         assert v.labels() == tuple(l for i, l in enumerate(u.labels) if v[i])
         assert m.cells() == "".join(str(m[i, j]) for i, j in cells)
         assert v.cells() == "".join(str(v[i]) for i in range(n))
+
+
+class TestPackers:
+    """Both ways ``from_cells`` packs, each side of the density rule, against per-cell building."""
+
+    @pytest.mark.parametrize("n", (0, 1, 8, 63, 64, 65, 128, 512))
+    def test_from_edges_matches_the_oracle(self, n):
+        rng = random.Random(n)
+        u = universe_of(n)
+        at = _digits_from(n)
+        counts = sorted({c for c in (0, 1, at - 1, at, at + 1, n * n // 2) if c <= n * n})
+        for count in counts:
+            cells = rng.sample(range(n * n), count)
+            rows = [[0] * n for _ in range(n)]
+            for cell in cells:
+                rows[cell // n][cell % n] = 1
+            expected = matrix_of(u, rows)
+            edges = [(u.labels[cell // n], u.labels[cell % n]) for cell in cells]
+            assert [u.cell(src, dst) for src, dst in edges] == cells
+            assert BoolMatrix.from_edges(u, edges) == expected, (n, count)
+            # A repeated cell sets it once, on either path.
+            assert BoolMatrix.from_cells(u, cells + cells[:1]) == expected, (n, count)

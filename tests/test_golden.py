@@ -7,10 +7,17 @@ with repo-relative paths, because reports echo the grammar path.
 Regenerate (only when a report change is intended) with::
 
     PYTHONPATH=src python tests/test_golden.py
+
+``sweep.json`` beside them records the exit code and stdout sha256 of each
+``tools/sweep.py`` command; re-record it (same condition) with::
+
+    python3 tools/sweep.py --record tests/golden/sweep.json
 """
 
 import io
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,6 +98,16 @@ def test_report_matches_golden(name, monkeypatch):
     monkeypatch.chdir(REPO)
     expected = (GOLDEN / f"{name}.txt").read_bytes()
     assert _render(CASES[name]).encode("utf-8") == expected
+
+
+def test_sweep_matches_its_record():
+    """Every ``tools/sweep.py`` command's exit code and stdout sha256, as recorded."""
+    done = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "sweep.py"), "--check", str(GOLDEN / "sweep.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 if __name__ == "__main__":

@@ -45,6 +45,10 @@ host line
 """
 
 
+# Every cell of a 128-node universe as one host edge line, in row order.
+LABELS_128 = " ".join(f"v{i}" for i in range(128))
+EVERY_EDGE_128 = " ".join(f"{a}->{b}" for a in LABELS_128.split() for b in LABELS_128.split())
+
 # At least one row per ``GrammarError`` wording: (case, grammar text, exact stdout of
 # a command that loads it).  Every row exits 2.
 PARSE_ERRORS = [
@@ -126,6 +130,49 @@ PARSE_ERRORS = [
         "duplicate-edge",
         "nodes a b\nhost h\n  nodes a b\n  edges a->b b->a a->b\n",
         "line 4: duplicate edge 'a->b'",
+    ),
+    (
+        "duplicate-edge-after-every-cell",
+        f"nodes {LABELS_128}\n\nhost h\n  nodes {LABELS_128}\n"
+        f"  edges {EVERY_EDGE_128} v127->v127\n",
+        "line 5: duplicate edge 'v127->v127'",
+    ),
+    # An edge token read in an earlier block words its errors as if read for the first time.
+    (
+        "repeat-of-earlier-token",
+        "nodes a b\nhost g\n  nodes a b\n  edges a->b\nhost h\n  nodes a b\n"
+        "  edges b->a a->b a->b\n",
+        "line 7: duplicate edge 'a->b'",
+    ),
+    (
+        "two-arrows-after-earlier-token",
+        "nodes a b c\nhost g\n  nodes a b\n  edges a->b\nhost h\n  nodes a b c\n"
+        "  edges a->b a->b->c\n",
+        "line 7: malformed edge 'a->b->c'; expected src->dst",
+    ),
+    (
+        "empty-end-after-earlier-token",
+        "nodes a b\nhost g\n  nodes a b\n  edges a->b\nhost h\n  nodes a b\n"
+        "  edges a->b a->\n",
+        "line 7: malformed edge 'a->'; expected src->dst",
+    ),
+    (
+        "empty-start-after-earlier-token",
+        "nodes a b\nhost g\n  nodes a b\n  edges a->b\nhost h\n  nodes a b\n"
+        "  edges a->b ->b\n",
+        "line 7: malformed edge '->b'; expected src->dst",
+    ),
+    (
+        "unknown-among-earlier-tokens",
+        "nodes a b\nproduction p\n  lhs nodes a b\n  lhs edges a->b b->a\n  rhs nodes a b\n"
+        "  rhs edges b->a a->z ->a a->b\n",
+        "line 6: unknown node label 'z'",
+    ),
+    (
+        "malformed-among-earlier-tokens",
+        "nodes a b\nproduction p\n  lhs nodes a b\n  lhs edges a->b b->a\n  rhs nodes a b\n"
+        "  rhs edges b->a ->a a->z a->b\n",
+        "line 6: malformed edge '->a'; expected src->dst",
     ),
     (
         "dangling-lhs",
@@ -316,9 +363,9 @@ class TestParseErrors:
 
 
 class TestRoundTripAtScale:
-    def test_random_grammars_round_trip_on_1_to_70_nodes(self):
+    def test_random_grammars_round_trip_on_1_to_130_nodes(self):
         rng = random.Random(97)
-        for n in range(1, 71):
+        for n in range(1, 131):
             # '-' and '>' next to an edge token's arrow check where the token is split.
             labels = tuple(("v{}", "v{}-", ">v{}")[i % 3].format(i) for i in range(n))
             u = NodeUniverse(labels)

@@ -1,12 +1,16 @@
 """Equivalence sweep: the same CLI commands on two source trees, compared byte for byte.
 
     python3 tools/sweep.py PARENT_TREE CHANGE_TREE
+    python3 tools/sweep.py --record FILE [TREE]
+    python3 tools/sweep.py --check FILE [TREE]
 
 Each tree is a checkout of this repository (its package lives in
-``<tree>/src/mgg``).  The sweep writes seeded grammar files once, with the
-parent tree's ``mgg.oracle`` generators and ``serialize_grammar``, then
-runs every command below through ``mgg.cli.run`` under each tree's
-``src/``, one subprocess per tree:
+``<tree>/src/mgg``); TREE defaults to the checkout holding this script.
+The sweep writes seeded grammar files once, with the first tree's
+``mgg.oracle`` generators and ``serialize_grammar``, then runs every
+command below through ``mgg.cli.run`` under each tree's ``src/``, one
+subprocess per tree, from the directory of the grammar files (so reports
+name a file, not a temporary path):
 
 * ``analyze --check`` with every check (congruence in both modes);
 * ``encode`` of the host and of each rule's lhs;
@@ -21,6 +25,13 @@ sequences of up to 3 rules, since its trace count is the product of the
 per-step match counts.  The sweep prints the exit-code counts of each tree and
 every command whose exit code or stdout sha256 differs, and exits 1 if any
 does.
+
+``--record`` writes each command's (exit code, stdout sha256), keyed by its
+command line, to FILE as JSON; ``--check`` runs one tree and compares it
+with FILE the same way, so it needs no second checkout.  The record is made
+at a commit whose reports are known good and checked in
+(``tests/golden/sweep.json``); a change to the generators, to
+``serialize_grammar`` or to any report re-records it.
 """
 
 from __future__ import annotations
@@ -64,7 +75,7 @@ json.dump(results, sys.stdout)
 
 
 def write_grammars(parent: Path, directory: Path) -> list[tuple[str, int, list[str]]]:
-    """(path, universe size, rule names) of each seeded grammar written into ``directory``."""
+    """(file name, universe size, rule names) of each seeded grammar written into ``directory``."""
     sys.path.insert(0, str(parent / "src"))
     from mgg import GrammarFile, NodeUniverse, Production, complete_to, serialize_grammar
     from mgg.oracle import random_digraph, random_production
@@ -92,9 +103,9 @@ def write_grammars(parent: Path, directory: Path) -> list[tuple[str, int, list[s
             rng, u, rng.choice([0.0, 0.5, 0.9, 1.0]), min(0.6, rng.choice([1, 3, 8]) / n)
         )
         gf = GrammarFile(u, rules, {"s": tuple(rules)}, {"h": host})
-        path = directory / f"sweep-{k:03d}.mgg"
-        path.write_text(serialize_grammar(gf), encoding="utf-8")
-        written.append((str(path), n, list(rules)))
+        name = f"sweep-{k:03d}.mgg"
+        (directory / name).write_text(serialize_grammar(gf), encoding="utf-8")
+        written.append((name, n, list(rules)))
     sys.path.pop(0)
     return written
 
@@ -117,35 +128,63 @@ def commands(grammars) -> list[list[str]]:
     return argvs
 
 
-def run_tree(tree: Path, argvs: list[list[str]]) -> list[list]:
+def run_tree(tree: Path, argvs: list[list[str]], directory: Path) -> list[list]:
     done = subprocess.run(
         [sys.executable, "-c", RUNNER],
         input=json.dumps(argvs),
         capture_output=True,
         text=True,
+        cwd=directory,
         env={**os.environ, "PYTHONPATH": str(tree / "src")},
         check=True,
     )
     return json.loads(done.stdout)
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print("usage: python3 tools/sweep.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
-        return 2
-    parent, change = (Path(a).resolve() for a in argv)
+def sweep(trees: list[Path]) -> dict[str, list[list]]:
+    """Each command line -> one (exit code, stdout sha256) per tree."""
     with tempfile.TemporaryDirectory(prefix="mgg-sweep-") as tmp:
-        argvs = commands(write_grammars(parent, Path(tmp)))
-        before, after = run_tree(parent, argvs), run_tree(change, argvs)
-    differ = [argv for argv, a, b in zip(argvs, before, after) if a != b]
-    print(f"grammars {GRAMMARS + LONG_GRAMMARS}, commands {len(argvs)}")
-    for label, results in (("parent", before), ("change", after)):
-        counts = Counter(str(code) for code, _ in results)
+        argvs = commands(write_grammars(trees[0], Path(tmp)))
+        results = [run_tree(tree, argvs, Path(tmp)) for tree in trees]
+    return {" ".join(argv): list(pair) for argv, *pair in zip(argvs, *results)}
+
+
+def report(labels: tuple[str, str], pairs: dict[str, list[list]]) -> int:
+    """Print the exit-code counts per side and every differing command; 1 if any differs."""
+    differ = [key for key, (a, b) in pairs.items() if a != b]
+    print(f"grammars {GRAMMARS + LONG_GRAMMARS}, commands {len(pairs)}")
+    for side, label in enumerate(labels):
+        counts = Counter(str(pair[side][0]) for pair in pairs.values() if pair[side])
         print(f"{label} exit codes: " + ", ".join(f"{c} x{k}" for c, k in sorted(counts.items())))
     print(f"differing commands {len(differ)}")
-    for argv in differ:
-        print("differs: " + " ".join(argv))
+    for key in differ:
+        print("differs: " + key)
     return 1 if differ else 0
+
+
+def main(argv: list[str]) -> int:
+    here = Path(__file__).resolve().parent.parent
+    if len(argv) in (2, 3) and argv[0] in ("--record", "--check"):
+        mode, record = argv[0], Path(argv[1])
+        tree = Path(argv[2]).resolve() if len(argv) == 3 else here
+        results = {key: pair[0] for key, pair in sweep([tree]).items()}
+        if mode == "--record":
+            lines = ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in results.items())
+            record.write_text("{\n" + lines + "\n}\n", encoding="utf-8")
+            print(f"recorded {len(results)} commands in {record}")
+            return 0
+        recorded = json.loads(record.read_text(encoding="utf-8"))
+        keys = list(recorded) + [key for key in results if key not in recorded]
+        return report(("recorded", "tree"), {k: [recorded.get(k), results.get(k)] for k in keys})
+    if len(argv) != 2:
+        print(
+            "usage: python3 tools/sweep.py PARENT_TREE CHANGE_TREE\n"
+            "       python3 tools/sweep.py --record FILE [TREE]\n"
+            "       python3 tools/sweep.py --check FILE [TREE]",
+            file=sys.stderr,
+        )
+        return 2
+    return report(("parent", "change"), sweep([Path(a).resolve() for a in argv]))
 
 
 if __name__ == "__main__":
