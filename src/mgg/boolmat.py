@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, ClassVar, Collection, Iterable, Iterator, Mapping
+from typing import Callable, ClassVar, Collection, Iterable, Iterator
 
 
 class UniverseMismatchError(ValueError):
@@ -329,45 +329,24 @@ def is_compatible(g: Digraph) -> bool:
     return g.edges.bits & ~block_bits(g.universe.size, g.nodes.bits) == 0
 
 
-def complete_to(x, target: NodeUniverse, mapping: Mapping[str, str] | None = None):
-    """Embed x into a (usually larger) universe, zero-filling elsewhere.
+def complete_to(x, target: NodeUniverse):
+    """Embed x into a universe that holds each of its labels, zero-filling elsewhere.
 
-    ``mapping`` sends labels of x's universe to labels of ``target`` and must
-    be injective; labels it omits must carry no content in x.  Omitted target
-    positions stay zero, which for nihil matrices means "unconstrained".
-    Each set bit goes through one index map.  This is the only completion;
-    ``apply_at`` rewrites row masks instead, so each checks the other.
+    Each node of x goes to the node of the same label in ``target``; the
+    target cells x does not name stay zero, which for nihil matrices means
+    "unconstrained".  Each set bit goes through one index list.
     """
-    source = x.universe
-    if mapping is None:
-        mapping = {l: l for l in source.labels}
-    images = list(mapping.values())
-    if len(set(images)) != len(images):
-        raise ValueError("completion mapping must be injective")
-    at = {}
-    for src, dst in mapping.items():
-        if src not in source:
-            raise KeyError(f"unknown source label {src!r}")
-        if dst not in target:
-            raise KeyError(f"unknown target label {dst!r}")
-        at[source.index(src)] = target.index(dst)
     if isinstance(x, Digraph):
-        return Digraph(complete_to(x.edges, target, mapping), complete_to(x.nodes, target, mapping))
-    labels, bits = source.labels, 0
+        return Digraph(complete_to(x.edges, target), complete_to(x.nodes, target))
+    at = []
+    for label in x.universe.labels:
+        if label not in target:
+            raise KeyError(f"unknown target label {label!r}")
+        at.append(target.index(label))
     if isinstance(x, BoolVector):
-        for i in set_bits(x.bits):
-            if i not in at:
-                raise ValueError(f"unmapped label {labels[i]!r} carries content")
-            bits |= 1 << at[i]
-    elif isinstance(x, BoolMatrix):
-        n_s, n_t = source.size, target.size
-        for cell in set_bits(x.bits):
-            i, j = divmod(cell, n_s)
-            if i not in at or j not in at:
-                raise ValueError(
-                    f"unmapped label carries content: edge {labels[i]!r}->{labels[j]!r}"
-                )
-            bits |= 1 << (at[i] * n_t + at[j])
-    else:
-        raise TypeError(f"cannot complete value of type {type(x).__name__}")
-    return type(x)(target, bits)
+        return BoolVector(target, sum(1 << at[i] for i in set_bits(x.bits)))
+    if isinstance(x, BoolMatrix):
+        n, width = x.universe.size, target.size
+        cells = [at[cell // n] * width + at[cell % n] for cell in set_bits(x.bits)]
+        return BoolMatrix.from_cells(target, cells)
+    raise TypeError(f"cannot complete value of type {type(x).__name__}")

@@ -241,25 +241,25 @@ def apply_at(p: Production, g: Digraph, m: Match, step: int = 1) -> Digraph:
 
 def _rewrite(p: Production, g: Digraph, hosts: tuple[int, ...], step: int) -> Digraph:
     """Rewrite g at a match given by the host index of each lhs node, in rule-universe order."""
+    n, rule = p.universe.size, p.universe.labels
     at = dict(zip(set_bits(p.lhs.nodes.bits), hosts))
     fresh, born = [], 0
     for i in set_bits(p.added_nodes.bits):
         at[i] = len(g.universe) + len(fresh)
         born |= 1 << at[i]
         # Labels of distinct rule nodes differ before the last "#", so only host labels clash.
-        fresh.append(fresh_label(p, p.universe.labels[i], step, g.universe))
+        fresh.append(fresh_label(p, rule[i], step, g.universe))
     # A rule that adds no node keeps the host's universe; each new node gets a zero row.
     universe = g.universe.extended(fresh) if fresh else g.universe
     rows = g.edges.row_masks() + [0] * len(fresh)
     gone = sum(1 << at[i] for i in set_bits(p.deleted_nodes.bits))
     if gone:
         rows = [0 if gone >> h & 1 else row & ~gone for h, row in enumerate(rows)]
-    index = p.universe.index
     for edges, add in ((p.deleted_edges, 0), (p.added_edges, 1)):
-        for a, b in edges.edges():
-            i, j = index(a), index(b)
+        for cell in set_bits(edges.bits):
+            i, j = divmod(cell, n)
             if i not in at or j not in at:
-                raise ValueError(f"unmapped label carries content: edge {a!r}->{b!r}")
+                raise ValueError(f"unmapped label carries content: edge {rule[i]!r}->{rule[j]!r}")
             rows[at[i]] = rows[at[i]] & ~(1 << at[j]) | add << at[j]
     return Digraph(
         BoolMatrix.from_row_masks(universe, rows),

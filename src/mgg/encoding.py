@@ -198,6 +198,8 @@ def h_points(node_count: int) -> list[DyadicComplex]:
     Each of the n*n cells independently is absent, certain or nihil, giving
     3^(n*n) points; all land on the gasket.
     """
+    if node_count < 0:
+        raise ValueError(f"h_points needs a node count of at least 0, not {node_count}")
     if node_count > 3:
         raise ValueError("node_count must be at most 3")
     cells = node_count * node_count

@@ -46,8 +46,8 @@ class ComplexTerm:
         return self.cert_edges.universe
 
     @classmethod
-    def zero(cls, universe: NodeUniverse, ambient: BoolVector | None = None) -> "ComplexTerm":
-        return cls.of(BoolMatrix.zeros(universe), ambient=ambient)
+    def zero(cls, universe: NodeUniverse) -> "ComplexTerm":
+        return cls.of(BoolMatrix.zeros(universe))
 
     @classmethod
     def of(
@@ -55,20 +55,14 @@ class ComplexTerm:
         cert_edges: BoolMatrix,
         nihil_edges: BoolMatrix | None = None,
         cert_nodes: BoolVector | None = None,
-        nihil_nodes: BoolVector | None = None,
-        ambient: BoolVector | None = None,
     ) -> "ComplexTerm":
-        """Build a term from edge matrices; node components default to empty."""
+        """Build a term from edge matrices; unset node parts are empty, the ambient every node."""
         u = cert_edges.universe
         if nihil_edges is None:
             nihil_edges = BoolMatrix.zeros(u)
-        if ambient is None:
-            ambient = BoolVector.ones(u)
         if cert_nodes is None:
             cert_nodes = BoolVector.zeros(u)
-        if nihil_nodes is None:
-            nihil_nodes = BoolVector.zeros(u)
-        return cls(cert_edges, cert_nodes, nihil_edges, nihil_nodes, ambient)
+        return cls(cert_edges, cert_nodes, nihil_edges, BoolVector.zeros(u), BoolVector.ones(u))
 
     def ambient_edges(self) -> BoolMatrix:
         """The all-ones edge block 1_z determined by the ambient node set."""
@@ -98,16 +92,12 @@ class ComplexTerm:
         )
 
 
-def nil_term(universe: NodeUniverse, ambient: BoolVector | None = None) -> ComplexTerm:
-    """The pure-nihil unit: certainty empty, nihil the full ambient block."""
-    if ambient is None:
-        ambient = BoolVector.ones(universe)
+def nil_term(universe: NodeUniverse) -> ComplexTerm:
+    """The pure-nihil unit: certainty empty, nihil every edge and node of the universe."""
+    every = BoolVector.ones(universe)
     return ComplexTerm(
-        BoolMatrix.zeros(universe),
-        BoolVector.zeros(universe),
-        bounded_one(ambient),
-        ambient,
-        ambient,
+        BoolMatrix.zeros(universe), BoolVector.zeros(universe), BoolMatrix.ones(universe),
+        every, every,
     )
 
 

@@ -15,7 +15,7 @@ import itertools
 import random
 
 from .boolmat import BoolMatrix, BoolVector, Digraph, NodeUniverse, is_compatible
-from .derivation import Match
+from .derivation import Match, fresh_label
 from .encoding import Bitmap
 from .production import CensusTable, Production, _census_from_groups
 from .sequence import RuleSequence
@@ -129,6 +129,37 @@ def _block_bits(nodes: BoolVector) -> int:
     return bits
 
 
+def rewrite_at(p: Production, g: Digraph, m: Match, step: int = 1) -> Digraph:
+    """Reference rewrite of g at a valid match m, one host cell at a time.
+
+    Added rule nodes get fresh labels appended to the host universe.  A cell
+    is set iff the rule adds it, or the host has it, the rule does not delete
+    it and neither end is a node the rule deletes.
+    """
+    rule, old = p.universe.labels, len(g.universe)
+    at = {p.universe.index(a): g.universe.index(b) for a, b in m.pairs}
+    labels = list(g.universe.labels)
+    for i in range(len(rule)):
+        if p.added_nodes[i]:
+            at[i] = len(labels)
+            labels.append(fresh_label(p, rule[i], step, labels))
+    cells = {}  # host cell -> 0 where the rule deletes an edge, 1 where it adds one
+    for edges, value in ((p.deleted_edges, 0), (p.added_edges, 1)):
+        for i, j in itertools.product(range(len(rule)), repeat=2):
+            if edges[i, j] and not (i in at and j in at):
+                raise ValueError(f"unmapped label carries content: edge {rule[i]!r}->{rule[j]!r}")
+            if edges[i, j]:
+                cells[at[i], at[j]] = value
+    gone = {at[i] for i in range(len(rule)) if p.deleted_nodes[i]}
+    kept = [h < old and h not in gone for h in range(len(labels))]
+    u, n = NodeUniverse(tuple(labels)), len(labels)
+    rows = [[cells.get((h, k), kept[h] and kept[k] and g.edges[h, k]) for k in range(n)]
+            for h in range(n)]
+    # Every node past the host's own is an added one.
+    nodes = [h >= old or kept[h] and g.nodes[h] for h in range(n)]
+    return Digraph(matrix_of(u, rows), vector_of(u, nodes))
+
+
 def applies_at_identity(s: RuleSequence, host: Digraph) -> bool:
     """Stepwise applicability of a completed sequence at the identity match.
 
@@ -156,7 +187,7 @@ def applies_at_identity(s: RuleSequence, host: Digraph) -> bool:
     return True
 
 
-def minimal_hosts(s: RuleSequence, bound: int = 4) -> list[Digraph]:
+def minimal_hosts(s: RuleSequence) -> list[Digraph]:
     """Componentwise-minimal hosts firing s at the identity completion.
 
     Enumerates every compatible digraph over the sequence universe and
@@ -164,7 +195,7 @@ def minimal_hosts(s: RuleSequence, bound: int = 4) -> list[Digraph]:
     edges, or equal edges and fewer nodes).
     """
     n = len(s.universe)
-    if n > bound or bound > 4:
+    if n > 4:
         raise ValueError("host enumeration is limited to 4 nodes")
     if len(s) > 3:
         raise ValueError("host enumeration is limited to 3 rules")
@@ -172,25 +203,15 @@ def minimal_hosts(s: RuleSequence, bound: int = 4) -> list[Digraph]:
     for node_bits in range(1 << n):
         nodes = BoolVector(s.universe, node_bits)
         block = _block_bits(nodes)
-        inside = []
-        for i in range(n * n):
-            if block & (1 << i):
-                inside.append(i)
+        inside = [i for i in range(n * n) if block >> i & 1]
         for picks in range(1 << len(inside)):
-            edge_bits = 0
-            for k, cell in enumerate(inside):
-                if picks & (1 << k):
-                    edge_bits |= 1 << cell
+            edge_bits = sum(1 << cell for k, cell in enumerate(inside) if picks >> k & 1)
             host = Digraph(BoolMatrix(s.universe, edge_bits), nodes)
             if applies_at_identity(s, host):
                 candidates.append((edge_bits, node_bits))
 
     def below(a: tuple[int, int], b: tuple[int, int]) -> bool:
-        return (
-            a != b
-            and a[0] & b[0] == a[0]
-            and a[1] & b[1] == a[1]
-        )
+        return a != b and a[0] & b[0] == a[0] and a[1] & b[1] == a[1]
 
     minimal = [
         c for c in candidates if not any(below(other, c) for other in candidates)
@@ -232,6 +253,8 @@ def census_bruteforce(node_count: int) -> CensusTable:
     addition set disjoint from it, grouping by the touched-cell mask
     computed directly, without the swap-operator code path.
     """
+    if node_count < 0:
+        raise ValueError(f"census needs a node count of at least 0, not {node_count}")
     if node_count > 2:
         raise ValueError("census enumeration is limited to 2 nodes")
     cells = node_count * node_count

@@ -239,12 +239,11 @@ def rewrite_term(p: Production, z: ComplexTerm) -> ComplexTerm:
     )
 
 
-def stepwise_image(s: RuleSequence, start: ComplexTerm | None = None) -> ComplexTerm:
-    """Fold the rules of s over a host term (default: the initial digraph)."""
-    z = initial_digraph(s) if start is None else start
+def stepwise_image(s: RuleSequence, start: ComplexTerm) -> ComplexTerm:
+    """Fold the rules of s over the host term ``start``."""
     for p in s.rules:
-        z = rewrite_term(p, z)
-    return z
+        start = rewrite_term(p, start)
+    return start
 
 
 def _images(s: RuleSequence, m: ComplexTerm) -> list[tuple[BoolMatrix, BoolMatrix, BoolVector]]:

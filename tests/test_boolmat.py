@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from mgg import (
     BoolMatrix,
     BoolVector,
+    ComplexTerm,
     Digraph,
     NodeUniverse,
     UniverseMismatchError,
@@ -204,29 +205,39 @@ class TestCompleteTo:
         assert values_of(lifted.nodes) == [1, 1, 0]
 
     def test_permuting_mapping(self):
+        # The target orders the labels differently: each cell goes by label.
         a = matrix_of(U2, [[0, 1], [0, 0]])
-        got = complete_to(a, U3, {"a": "c", "b": "a"})
+        got = complete_to(a, NodeUniverse.of("b", "c", "a"))
         assert rows_of(got) == [[0, 0, 0], [0, 0, 0], [1, 0, 0]]
 
-    def test_non_injective_rejected(self):
-        a = matrix_of(U2, [[0, 0], [0, 0]])
-        with pytest.raises(ValueError):
-            complete_to(a, U3, {"a": "c", "b": "c"})
-
     def test_unknown_label_rejected(self):
-        a = matrix_of(U2, [[0, 0], [0, 0]])
-        with pytest.raises(KeyError):
-            complete_to(a, U3, {"a": "z", "b": "a"})
+        g = Digraph.of(U3, "c", [("a", "c")])
+        for x in (g.edges, g.nodes, g):
+            with pytest.raises(KeyError) as err:
+                complete_to(x, NodeUniverse.of("b", "a"))
+            assert err.value.args == ("unknown target label 'c'",)
+        with pytest.raises(TypeError, match="^cannot complete value of type ComplexTerm$"):
+            complete_to(ComplexTerm.zero(U2), U3)
 
-    def test_unmapped_content_rejected(self):
-        a = matrix_of(U2, [[0, 1], [0, 0]])
-        with pytest.raises(ValueError, match="^unmapped label carries content: edge 'a'->'b'$"):
-            complete_to(a, U3, {"a": "a"})
-
-    def test_unmapped_vector_content_rejected(self):
-        v = vector_of(U3, [1, 0, 1])
-        with pytest.raises(ValueError, match="^unmapped label 'c' carries content$"):
-            complete_to(v, U3, {"a": "b", "b": "c"})
+    def test_agrees_with_per_cell_placement(self):
+        # Targets are shuffled supersets, so the source is not a prefix of them.
+        rng = random.Random(36)
+        for n in list(range(0, 71, 5)) + [1, 2, 3, 63, 64, 65]:
+            source = NodeUniverse(tuple(f"v{i}" for i in range(n)))
+            labels = list(source.labels) + [f"w{i}" for i in range(rng.randint(1, 9))]
+            rng.shuffle(labels)
+            target = NodeUniverse(tuple(labels))
+            g = oracle.random_digraph(rng, source, 0.8, rng.choice([0.02, 0.3]))
+            at = [target.index(label) for label in source.labels]
+            rows, values = [[0] * len(target) for _ in labels], [0] * len(target)
+            for i, row in enumerate(rows_of(g.edges)):
+                values[at[i]] = g.nodes[i]
+                for j, value in enumerate(row):
+                    rows[at[i]][at[j]] = value
+            want = Digraph(matrix_of(target, rows), vector_of(target, values))
+            assert complete_to(g.edges, target) == want.edges
+            assert complete_to(g.nodes, target) == want.nodes
+            assert complete_to(g, target) == want
 
     @given(matrices())
     def test_preserves_cell_count(self, a):

@@ -298,3 +298,7 @@ class TestHPoints:
     def test_size_limit(self):
         with pytest.raises(ValueError):
             h_points(4)
+
+    def test_negative_count(self):
+        with pytest.raises(ValueError, match="^h_points needs a node count of at least 0, not -2$"):
+            h_points(-2)

@@ -241,6 +241,22 @@ class TestAlignTerms:
         assert a2.cert_edges.edges() == (("a", "a"),)
         assert b2.cert_edges.edges() == (("b", "b"),)
 
+    def test_interleaved_labels_placed_by_name(self):
+        u1, u2 = NodeUniverse.of("a", "c", "e"), NodeUniverse.of("d", "c", "b", "a")
+        z1 = ComplexTerm.of(BoolMatrix.from_edges(u1, [("e", "a"), ("c", "c")]))
+        z2 = ComplexTerm.of(
+            BoolMatrix.from_edges(u2, [("a", "d")]), BoolMatrix.from_edges(u2, [("b", "c")])
+        )
+        a2, b2 = align_terms(z1, z2)
+        merged = NodeUniverse.of("a", "c", "e", "d", "b")
+        assert a2.universe == b2.universe == merged
+        assert a2.cert_edges.edges() == (("c", "c"), ("e", "a"))
+        assert b2.cert_edges.edges() == (("a", "d"),)
+        assert b2.nihil_edges.edges() == (("b", "c"),)
+        assert a2.ambient.labels() == ("a", "c", "e")
+        assert b2.ambient.labels() == ("a", "c", "d", "b")
+        assert a2.nihil_edges.is_zero() and b2.cert_nodes.is_zero()
+
     def test_same_universe_untouched(self):
         z = term(U2, 0b1000, 0)
         a2, b2 = align_terms(z, z)

@@ -144,6 +144,10 @@ class TestCensusBruteforce:
         with pytest.raises(ValueError):
             census_bruteforce(3)
 
+    def test_negative_count(self):
+        with pytest.raises(ValueError, match="^census needs a node count of at least 0, not -1$"):
+            census_bruteforce(-1)
+
 
 class TestGenerators:
     def test_reproducible_from_seed(self):

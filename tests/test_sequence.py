@@ -360,7 +360,7 @@ class TestImage:
             if not coherence(s).ok:
                 continue
             img = image_of_sequence(s)
-            assert img.same_parts(stepwise_image(s))
+            assert img.same_parts(stepwise_image(s, initial_digraph(s)))
             checked += 1
         assert checked > 100
         # Every entry t of the image scans is the fold of the first t rules
@@ -386,7 +386,7 @@ class TestImage:
         assert rows_of(img.cert_edges) == [[1, 1, 1], [1, 1, 1], [0, 0, 0]]
         assert rows_of(img.nihil_edges) == [[0, 0, 0], [0, 0, 0], [1, 1, 1]]
         assert values_of(img.cert_nodes) == [1, 1, 1]
-        assert img.same_parts(stepwise_image(handover))
+        assert img.same_parts(stepwise_image(handover, initial_digraph(handover)))
 
 
 class TestSequenceCompatibility:

@@ -22,9 +22,11 @@ node, and the rules (1 to 3 per sequence, of 1 to 4 nodes each, completed to the
 shrink and rewire.  After those, long grammars hold sequences of 8 to 32
 such rules over 4 to 16 nodes; ``derive --select all`` runs only on
 sequences of up to 3 rules, since its trace count is the product of the
-per-step match counts.  The sweep prints the exit-code counts of each tree and
-every command whose exit code or stdout sha256 differs, and exits 1 if any
-does.
+per-step match counts.  Last come wide grammars: sequences of 4 to 8 rules
+over 65 to 128 nodes, then hosts of 200 to 300 nodes, on which only
+``derive`` runs (universes above 128 nodes are not analyzed or encoded).
+The sweep prints the exit-code counts of each tree and every command whose
+exit code or stdout sha256 differs, and exits 1 if any does.
 
 ``--record`` writes each command's (exit code, stdout sha256), keyed by its
 command line, to FILE as JSON; ``--check`` runs one tree and compares it
@@ -49,10 +51,13 @@ SEED = 10
 GRAMMARS = 300
 # Long sequences, drawn after the others so that their commands come first unchanged.
 LONG_GRAMMARS = 24
+# Wide grammars, drawn after the long ones: (count, universe sizes, rules per sequence).
+WIDE_GRAMMARS = ((6, (65, 128), (4, 8)), (6, (200, 300), (1, 3)))
 # Universe sizes, cycled through by grammar number.
 SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16, 24, 32, 48, 64, 96, 128)
 ALL_LIMIT = 10
 ALL_RULES_LIMIT = 3
+ANALYZE_LIMIT = 128
 CHECKS = ("coherence", "initial", "image", "compatibility")
 
 # Runs a JSON list of argv lists through mgg.cli.run and prints one
@@ -81,12 +86,13 @@ def write_grammars(parent: Path, directory: Path) -> list[tuple[str, int, list[s
     from mgg.oracle import random_digraph, random_production
 
     rng = random.Random(SEED)
+    shapes = [(SIZES[k % len(SIZES)], (1, 3)) for k in range(GRAMMARS)]
+    shapes += [((4, 16), (8, 32))] * LONG_GRAMMARS
+    shapes += [(sizes, rules) for count, sizes, rules in WIDE_GRAMMARS for _ in range(count)]
     written = []
-    for k in range(GRAMMARS + LONG_GRAMMARS):
-        if k < GRAMMARS:
-            n, rule_count = SIZES[k % len(SIZES)], rng.randint(1, 3)
-        else:
-            n, rule_count = rng.randint(4, 16), rng.randint(8, 32)
+    for k, (size, rules_range) in enumerate(shapes):
+        n = size if isinstance(size, int) else rng.randint(*size)
+        rule_count = rng.randint(*rules_range)
         u = NodeUniverse(tuple(f"v{i}" for i in range(n)))
         rules = {}
         for r in range(rule_count):
@@ -113,13 +119,14 @@ def write_grammars(parent: Path, directory: Path) -> list[tuple[str, int, list[s
 def commands(grammars) -> list[list[str]]:
     argvs = []
     for path, n, rules in grammars:
-        argvs += [["analyze", path, "--sequence", "s", "--check", c] for c in CHECKS]
-        argvs += [
-            ["analyze", path, "--sequence", "s", "--check", "congruence", "--mode", mode]
-            for mode in ("advance", "delay")
-        ]
-        argvs.append(["encode", path, "--graph", "h"])
-        argvs += [["encode", path, "--production", r] for r in rules]
+        if n <= ANALYZE_LIMIT:
+            argvs += [["analyze", path, "--sequence", "s", "--check", c] for c in CHECKS]
+            argvs += [
+                ["analyze", path, "--sequence", "s", "--check", "congruence", "--mode", mode]
+                for mode in ("advance", "delay")
+            ]
+            argvs.append(["encode", path, "--graph", "h"])
+            argvs += [["encode", path, "--production", r] for r in rules]
         every = n <= ALL_LIMIT and len(rules) <= ALL_RULES_LIMIT
         selects = ["first", "0", "2"] + (["all"] if every else [])
         argvs += [
@@ -152,7 +159,8 @@ def sweep(trees: list[Path]) -> dict[str, list[list]]:
 def report(labels: tuple[str, str], pairs: dict[str, list[list]]) -> int:
     """Print the exit-code counts per side and every differing command; 1 if any differs."""
     differ = [key for key, (a, b) in pairs.items() if a != b]
-    print(f"grammars {GRAMMARS + LONG_GRAMMARS}, commands {len(pairs)}")
+    grammars = GRAMMARS + LONG_GRAMMARS + sum(count for count, _, _ in WIDE_GRAMMARS)
+    print(f"grammars {grammars}, commands {len(pairs)}")
     for side, label in enumerate(labels):
         counts = Counter(str(pair[side][0]) for pair in pairs.values() if pair[side])
         print(f"{label} exit codes: " + ", ".join(f"{c} x{k}" for c, k in sorted(counts.items())))
