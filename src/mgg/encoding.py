@@ -167,9 +167,7 @@ class Bitmap:
     def to_p1(self) -> str:
         """Portable bitmap text: header line pair, then one row per line."""
         lines = ["P1", f"{self.width} {self.height}"]
-        for y in range(self.height):
-            row = self.rows[y]
-            lines.append("".join("1" if (row >> x) & 1 else "0" for x in range(self.width)))
+        lines += [format(row, f"0{self.width}b")[::-1] for row in self.rows]
         return "\n".join(lines) + "\n"
 
 
@@ -177,19 +175,17 @@ def gasket_raster(bits: int) -> Bitmap:
     """Sierpinski gasket stage: pixel (x, y) set iff x AND y = 0 bitwise.
 
     These are exactly the coordinate pairs whose binary digits never
-    collide, i.e. the encodable disjoint certainty/nihil pairs.
+    collide, i.e. the encodable disjoint certainty/nihil pairs.  Each step
+    doubles a stage of h rows: a row y < h lacks bit h, so it gains a copy
+    shifted to x + h; row h + y has bit h, which x must lack, so it is row y.
     """
     if not 1 <= bits <= 16:
         raise ValueError("bits must be between 1 and 16")
-    size = 1 << bits
-    rows = []
-    for y in range(size):
-        row = 0
-        for x in range(size):
-            if x & y == 0:
-                row |= 1 << x
-        rows.append(row)
-    return Bitmap(size, size, tuple(rows))
+    rows = [1]
+    for _ in range(bits):
+        h = len(rows)
+        rows = [r | r << h for r in rows] + rows
+    return Bitmap(len(rows), len(rows), tuple(rows))
 
 
 def h_points(node_count: int) -> list[DyadicComplex]:

@@ -172,7 +172,6 @@ def applies_at_identity(s: RuleSequence, host: Digraph) -> bool:
     if not is_compatible(host):
         return False
     edges, nodes = host.edges.bits, host.nodes.bits
-    n = len(s.universe)
     for p in s.rules:
         if p.lhs.edges.bits & ~edges:
             return False

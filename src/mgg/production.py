@@ -22,8 +22,6 @@ from .boolmat import (
     NodeUniverse,
     UniverseMismatchError,
     block_bits,
-    bounded_one,
-    complement,
     is_compatible,
 )
 from .mcl import ComplexTerm, dot
@@ -48,11 +46,21 @@ class Production:
     added_nodes: BoolVector
     nihilation: BoolMatrix
     rhs_nihilation: BoolMatrix
-    compatible: bool
 
     @property
     def universe(self) -> NodeUniverse:
         return self.lhs.universe
+
+    @property
+    def compatible(self) -> bool:
+        """True iff applying the rule preserves dangling-edge freedom.
+
+        That is no rhs edge in ``rhs_nihilation`` and the rhs a proper digraph; the
+        second implies the first: a deleted edge is not in the rhs, and an rhs edge the
+        rule does not add is an lhs edge, so it meets ``rhs_nihilation`` only at a
+        deleted node, which the rhs lacks.
+        """
+        return is_compatible(self.rhs)
 
     @classmethod
     def from_static(cls, name: str, lhs: Digraph, rhs: Digraph) -> "Production":
@@ -60,7 +68,7 @@ class Production:
 
         The deletion part is whatever the left side has and the right side
         lacks; the addition part the converse.  Any pair of digraphs over a
-        shared universe defines a rule; ``compatible`` records whether its
+        shared universe defines a rule; ``compatible`` tells whether its
         application preserves dangling-edge freedom.
         """
         if lhs.universe != rhs.universe:
@@ -76,10 +84,6 @@ class Production:
         kept_block = block_bits(u.size, u.vector_full ^ deleted_nodes)
         nihil = added_edges | (u.matrix_full ^ kept_block) & ~deleted_edges
         rhs_nihil = deleted_edges | nihil & ~added_edges
-        # No rhs edge in rhs_nihil, and the rhs a proper digraph; the second implies the
-        # first: a deleted edge is not in the rhs, and an rhs edge the rule does not add
-        # is an lhs edge, so it meets rhs_nihil only at a deleted node, which the rhs lacks.
-        compatible = is_compatible(rhs)
         return cls(
             name,
             lhs,
@@ -90,7 +94,6 @@ class Production:
             BoolVector(u, rhs.nodes.bits & ~lhs.nodes.bits),
             BoolMatrix(u, nihil),
             BoolMatrix(u, rhs_nihil),
-            compatible,
         )
 
     @classmethod
@@ -121,12 +124,12 @@ class Swap:
     """Dynamics of a rule up to its left hand side.
 
     Self-adjoint by construction, so only the nihil part (the touched
-    cells) is stored; the certainty part is its bounded complement.
+    cells) is stored; the certainty part is its complement, and the
+    ambient every node.
     """
 
     nihil_edges: BoolMatrix
     nihil_nodes: BoolVector
-    ambient: BoolVector
 
     @property
     def universe(self) -> NodeUniverse:
@@ -135,11 +138,11 @@ class Swap:
     @property
     def term(self) -> ComplexTerm:
         return ComplexTerm(
-            complement(self.nihil_edges, bounded_one(self.ambient)),
-            complement(self.nihil_nodes, self.ambient),
+            ~self.nihil_edges,
+            ~self.nihil_nodes,
             self.nihil_edges,
             self.nihil_nodes,
-            self.ambient,
+            BoolVector.ones(self.universe),
         )
 
     def touched_edge_count(self) -> int:
@@ -148,11 +151,7 @@ class Swap:
 
 def p_operator(p: Production) -> Swap:
     """Collapse a rule to its swap: nihil part = every cell the rule touches."""
-    return Swap(
-        p.deleted_edges | p.added_edges,
-        p.deleted_nodes | p.added_nodes,
-        BoolVector.ones(p.universe),
-    )
+    return Swap(p.deleted_edges | p.added_edges, p.deleted_nodes | p.added_nodes)
 
 
 def apply_swap(w: Swap, z: ComplexTerm) -> ComplexTerm:
@@ -182,11 +181,10 @@ class CensusTable:
 def _census_from_groups(node_count: int, groups: dict[int, int], total: int) -> CensusTable:
     u = NodeUniverse(tuple(str(i + 1) for i in range(node_count)))
     cells = node_count * node_count
-    ambient = BoolVector.ones(u)
     classes = []
     histogram = [0] * (cells + 1)
     for nihil_bits in sorted(groups):
-        swap = Swap(BoolMatrix(u, nihil_bits), BoolVector.zeros(u), ambient)
+        swap = Swap(BoolMatrix(u, nihil_bits), BoolVector.zeros(u))
         classes.append((swap, groups[nihil_bits]))
         histogram[swap.touched_edge_count()] += 1
     return CensusTable(node_count, total, tuple(classes), tuple(histogram))

@@ -9,6 +9,11 @@ The analyses: coherence (no rule disturbs a later one), the initial digraph
 (smallest host firing the sequence, plus the forbidden edges), the image of
 the sequence, sequence compatibility, and G-congruence against the
 advance/delay permutations.
+
+Ints inside, wrappers on return: an analysis reads each rule part's ``.bits``
+once, complements against the universe's full masks and combines ints only;
+it wraps the term, witness masks and extras it returns, and the digraphs it
+hands to ``is_compatible``.  ``stepwise_image`` folds on wrappers, as a reference.
 """
 
 from __future__ import annotations
@@ -80,7 +85,7 @@ class RuleSequence:
         return RuleSequence(self.rules[1:] + (self.rules[0],))
 
 
-def _scan(a: list, b: list, start):
+def _scan(a: list[int], b: list[int], start: int) -> list[int]:
     """Every Δ(1, t) of a separable family f(x, y) = A(x) & B(y).
 
     ``a`` and ``b`` hold A and B per 1-based rule position: A(x) = a[x - 1].
@@ -88,34 +93,29 @@ def _scan(a: list, b: list, start):
     Entry t of the result, for t = 0..len(a), is Δ(1, t) with Δ(1, 0) =
     ``start``, by the recurrence Δ(1, t) = A(t) & (B(t) | Δ(1, t - 1)).
     A ``start`` other than zero adds the AND of every A(x) with it.
-
-    Like ``_rscan`` and ``_lscan``, it runs on the packed bits and wraps once
-    per entry; every factor must be in ``start``'s universe.
     """
-    out = [start.bits]
+    out = [start]
     for ax, by in zip(a, b):
-        out.append(ax.bits & (by.bits | out[-1]))
-    return [type(start)(start.universe, bits) for bits in out]
+        out.append(ax & (by | out[-1]))
+    return out
 
 
-def _rscan(a: list, b: list, zero):
+def _rscan(a: list[int], b: list[int]) -> list[int]:
     """Every ∇(t, n) of the same family: entry i is ∇(i + 1, n), entry n zero.
 
     ∇(t, n) = A(t) & (B(t) | ∇(t + 1, n)) is the recurrence of ``_scan``
     run over the reversed factor lists.
     """
-    return _scan(a[::-1], b[::-1], zero)[::-1]
+    return _scan(a[::-1], b[::-1], 0)[::-1]
 
 
-def _lscan(a: list, b: list, zero):
+def _lscan(a: list[int], b: list[int]) -> list[int]:
     """Every ∇(1, m) of the same family: entry m is ∇(1, m), entry 0 zero.
 
     ∇(1, m) = ∇(1, m - 1) | (A(1) & ... & A(m)) & B(m): one forward pass with a
     running AND of the A(x).
     """
-    a_bits = accumulate([x.bits for x in a], and_)
-    nabla_bits = accumulate(map(and_, a_bits, [y.bits for y in b]), or_, initial=zero.bits)
-    return [type(zero)(zero.universe, bits) for bits in nabla_bits]
+    return list(accumulate(map(and_, accumulate(a, and_), b), or_, initial=0))
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,6 @@ class AnalysisReport:
     ``-`` edges, ``+`` nodes.
     """
 
-    kind: str
     ok: bool
     term: ComplexTerm
     witnesses: tuple[tuple[str, int, BoolMatrix | BoolVector], ...] = ()
@@ -137,9 +136,14 @@ class AnalysisReport:
     extras: tuple[tuple[str, BoolMatrix], ...] = ()
 
 
-def _flagged(entries) -> tuple[tuple[str, int, BoolMatrix | BoolVector], ...]:
-    """The witness entries whose mask flags at least one cell."""
-    return tuple(entry for entry in entries if not entry[2].is_zero())
+def _flagged(u: NodeUniverse, entries) -> tuple[tuple[str, int, BoolMatrix | BoolVector], ...]:
+    """Each ``(part, position, kind, bits)`` entry that flags a cell, wrapped as ``kind``."""
+    return tuple((part, position, kind(u, bits)) for part, position, kind, bits in entries if bits)
+
+
+def _term(u: NodeUniverse, edges: int, nihil: int, nodes: int) -> ComplexTerm:
+    """The term of packed certainty ``edges``, ``nihil`` edges and certainty ``nodes``."""
+    return ComplexTerm.of(BoolMatrix(u, edges), BoolMatrix(u, nihil), BoolVector(u, nodes))
 
 
 def coherence(s: RuleSequence) -> AnalysisReport:
@@ -152,35 +156,36 @@ def coherence(s: RuleSequence) -> AnalysisReport:
     disturbed, with the cells it flags in each part.
     """
     u = s.universe
-    zero = BoolMatrix.zeros(u)
-    zero_v = BoolVector.zeros(u)
-    del_e = [p.deleted_edges for p in s.rules]
-    add_e = [p.added_edges for p in s.rules]
-    del_v = [p.deleted_nodes for p in s.rules]
-    add_v = [p.added_nodes for p in s.rules]
-    kept_e = [~m for m in del_e]
-    unadded_e = [~m for m in add_e]
+    full, full_v = u.matrix_full, u.vector_full
+    del_e = [p.deleted_edges.bits for p in s.rules]
+    add_e = [p.added_edges.bits for p in s.rules]
+    del_v = [p.deleted_nodes.bits for p in s.rules]
+    add_v = [p.added_nodes.bits for p in s.rules]
+    kept_e = [full ^ m for m in del_e]
+    unadded_e = [full ^ m for m in add_e]
     # Entry j of a ∇ scan is ∇(j + 1, n); entry j - 1 of a Δ scan is Δ(1, j - 1).
-    later_plus = _rscan(kept_e, add_e, zero)
-    earlier_plus = _scan(unadded_e, del_e, zero)
-    later_minus = _rscan(unadded_e, del_e, zero)
-    earlier_minus = _scan(kept_e, add_e, zero)
-    later_nodes = _rscan([~v for v in del_v], add_v, zero_v)
-    earlier_nodes = _scan([~v for v in add_v], del_v, zero_v)
-    c_plus = zero
-    c_minus = zero
-    c_plus_nodes = zero_v
+    later_plus = _rscan(kept_e, add_e)
+    earlier_plus = _scan(unadded_e, del_e, 0)
+    later_minus = _rscan(unadded_e, del_e)
+    earlier_minus = _scan(kept_e, add_e, 0)
+    later_nodes = _rscan([full_v ^ v for v in del_v], add_v)
+    earlier_nodes = _scan([full_v ^ v for v in add_v], del_v, 0)
+    c_plus = c_minus = c_plus_nodes = 0
     witnesses = []
-    for j, pj in enumerate(s.rules, start=1):
-        plus_j = (pj.rhs.edges & later_plus[j]) | (pj.lhs.edges & earlier_plus[j - 1])
-        minus_j = (pj.rhs_nihilation & later_minus[j]) | (pj.nihilation & earlier_minus[j - 1])
-        plus_nodes_j = (pj.rhs.nodes & later_nodes[j]) | (pj.lhs.nodes & earlier_nodes[j - 1])
-        witnesses += [("+", j, plus_j), ("-", j, minus_j), ("+", j, plus_nodes_j)]
-        c_plus = c_plus | plus_j
-        c_minus = c_minus | minus_j
-        c_plus_nodes = c_plus_nodes | plus_nodes_j
-    term = ComplexTerm.of(c_plus, c_minus, c_plus_nodes)
-    return AnalysisReport("coherence", term.is_zero(), term, _flagged(witnesses))
+    for j, p in enumerate(s.rules, start=1):
+        plus_j = p.rhs.edges.bits & later_plus[j] | p.lhs.edges.bits & earlier_plus[j - 1]
+        minus_j = p.rhs_nihilation.bits & later_minus[j] | p.nihilation.bits & earlier_minus[j - 1]
+        plus_nodes_j = p.rhs.nodes.bits & later_nodes[j] | p.lhs.nodes.bits & earlier_nodes[j - 1]
+        witnesses += [
+            ("+", j, BoolMatrix, plus_j),
+            ("-", j, BoolMatrix, minus_j),
+            ("+", j, BoolVector, plus_nodes_j),
+        ]
+        c_plus |= plus_j
+        c_minus |= minus_j
+        c_plus_nodes |= plus_nodes_j
+    term = _term(u, c_plus, c_minus, c_plus_nodes)
+    return AnalysisReport(term.is_zero(), term, _flagged(u, witnesses))
 
 
 def t_matrix(p: Production) -> BoolMatrix:
@@ -207,23 +212,20 @@ def initial_digraph(s: RuleSequence, check: bool = True) -> ComplexTerm:
             IncoherentSequenceWarning,
             stacklevel=2,
         )
-    return ComplexTerm.of(*_prefix_digraphs(s)[-1])
+    return _term(s.universe, *_prefix_digraphs(s)[-1])
 
 
-def _prefix_digraphs(s: RuleSequence) -> list[tuple[BoolMatrix, BoolMatrix, BoolVector]]:
-    """Certainty edges, nihil edges and certainty nodes of the initial digraph
-    of every prefix of s, from one pass: entry m is prefix m's."""
-    u = s.universe
-    zero_e = BoolMatrix.zeros(u)
-    zero_v = BoolVector.zeros(u)
+def _prefix_digraphs(s: RuleSequence) -> list[tuple[int, int, int]]:
+    """Packed certainty edges, nihil edges and certainty nodes of the initial
+    digraph of every prefix of s, from one pass: entry m is prefix m's."""
+    full, full_v = s.universe.matrix_full, s.universe.vector_full
     rules = s.rules
-    cert_edges = _lscan([~p.added_edges for p in rules], [p.lhs.edges for p in rules], zero_e)
-    cert_nodes = _lscan([~p.added_nodes for p in rules], [p.lhs.nodes for p in rules], zero_v)
-    full = u.matrix_full
+    added, added_v = [p.added_edges.bits for p in rules], [p.added_nodes.bits for p in rules]
+    cert_edges = _lscan([full ^ x for x in added], [p.lhs.edges.bits for p in rules])
+    cert_nodes = _lscan([full_v ^ x for x in added_v], [p.lhs.nodes.bits for p in rules])
     nihil_edges = _lscan(
-        [BoolMatrix(u, full ^ (p.deleted_edges.bits | t_matrix(p).bits)) for p in rules],
-        [p.nihilation for p in rules],
-        zero_e,
+        [full ^ (p.deleted_edges.bits | t_matrix(p).bits) for p in rules],
+        [p.nihilation.bits for p in rules],
     )
     return list(zip(cert_edges, nihil_edges, cert_nodes))
 
@@ -246,28 +248,28 @@ def stepwise_image(s: RuleSequence, start: ComplexTerm) -> ComplexTerm:
     return start
 
 
-def _images(s: RuleSequence, m: ComplexTerm) -> list[tuple[BoolMatrix, BoolMatrix, BoolVector]]:
-    """Certainty edges, nihil edges and certainty nodes of m rewritten by each
-    prefix of s, from three Δ scans seeded with m: entry t is after rule t.
+def _images(s: RuleSequence, edges: int, nihil: int, nodes: int) -> list[tuple[int, int, int]]:
+    """The start's packed certainty ``edges``, ``nihil`` edges and certainty ``nodes``
+    rewritten by each prefix of s, from three Δ scans: entry t is after rule t.
 
     Entry t is A(t) & B(t) | A(t) & entry t - 1.  A rule's added and deleted
     cells are disjoint, so A(t) & B(t) is added(t) for the certainty parts
     (A = ¬deleted, B = added) and deleted(t) for the nihil edges (A = ¬added,
     B = deleted): entry t is ``rewrite_term`` of rule t on entry t - 1.
     """
+    full, full_v = s.universe.matrix_full, s.universe.vector_full
     rules = s.rules
-    deleted, added = [p.deleted_edges for p in rules], [p.added_edges for p in rules]
-    cert_edges = _scan([~x for x in deleted], added, m.cert_edges)
-    nihil_edges = _scan([~x for x in added], deleted, m.nihil_edges)
-    cert_nodes = _scan(
-        [~p.deleted_nodes for p in rules], [p.added_nodes for p in rules], m.cert_nodes
-    )
+    deleted, added = [p.deleted_edges.bits for p in rules], [p.added_edges.bits for p in rules]
+    deleted_v, added_v = [p.deleted_nodes.bits for p in rules], [p.added_nodes.bits for p in rules]
+    cert_edges = _scan([full ^ x for x in deleted], added, edges)
+    nihil_edges = _scan([full ^ x for x in added], deleted, nihil)
+    cert_nodes = _scan([full_v ^ x for x in deleted_v], added_v, nodes)
     return list(zip(cert_edges, nihil_edges, cert_nodes))
 
 
 def image_of_sequence(s: RuleSequence) -> ComplexTerm:
     """Closed form of the sequence applied to its own initial digraph."""
-    return ComplexTerm.of(*_images(s, initial_digraph(s, check=False))[-1])
+    return _term(s.universe, *_images(s, *_prefix_digraphs(s)[-1])[-1])
 
 
 def sequence_compatibility(s: RuleSequence) -> AnalysisReport:
@@ -288,31 +290,29 @@ def sequence_compatibility(s: RuleSequence) -> AnalysisReport:
     if incompatible_rules:
         notes.append("incompatible rules: " + " ".join(incompatible_rules))
 
+    u = s.universe
     prefixes = _prefix_digraphs(s)
     clashes = [
-        ~p.deleted_edges & ~p.added_edges & cert_edges & nihil_edges
+        (u.matrix_full ^ (p.deleted_edges.bits | p.added_edges.bits)) & cert_edges & nihil_edges
         for p, (cert_edges, nihil_edges, _) in zip(s.rules, prefixes[1:])
     ]
-    witnesses = _flagged(("+", m, clash) for m, clash in enumerate(clashes, start=1))
+    witnesses = _flagged(u, (("+", m, BoolMatrix, c) for m, c in enumerate(clashes, start=1)))
     violations = reduce(or_, clashes)
     # Each AND term of the literal ∇(1, n) over the clashes has the first clash as
     # a factor, and its y = 1 term is that clash alone, so the OR is the first clash.
-    literal = clashes[0]
+    literal = BoolMatrix(u, clashes[0])
 
     for m, (cert_edges, _, cert_nodes) in enumerate(prefixes[1:], start=1):
-        if not is_compatible(Digraph(cert_edges, cert_nodes)):
+        if not is_compatible(Digraph(BoolMatrix(u, cert_edges), BoolVector(u, cert_nodes))):
             notes.append(f"prefix {m} smallest host has dangling edges")
-    images = _images(s, ComplexTerm.of(*prefixes[-1]))
-    for m, (cert_edges, _, cert_nodes) in enumerate(images[1:], start=1):
-        if not is_compatible(Digraph(cert_edges, cert_nodes)):
+    for m, (cert_edges, _, cert_nodes) in enumerate(_images(s, *prefixes[-1])[1:], start=1):
+        if not is_compatible(Digraph(BoolMatrix(u, cert_edges), BoolVector(u, cert_nodes))):
             notes.append(f"image after rule {m} has dangling edges")
 
     # Every note is an incompatible rule or a dangling edge.
-    ok = violations.is_zero() and not notes
-    term = ComplexTerm.of(violations)
-    return AnalysisReport(
-        "compatibility", ok, term, witnesses, tuple(notes), (("literal", literal),)
-    )
+    ok = not violations and not notes
+    term = _term(u, violations, 0, 0)
+    return AnalysisReport(ok, term, witnesses, tuple(notes), (("literal", literal),))
 
 
 def g_congruence(s: RuleSequence, mode: str = "advance") -> AnalysisReport:
@@ -327,7 +327,7 @@ def g_congruence(s: RuleSequence, mode: str = "advance") -> AnalysisReport:
     if n < 2:
         raise ValueError("congruence needs at least two rules")
     u = s.universe
-    zero = BoolMatrix.zeros(u)
+    full = u.matrix_full
 
     if mode == "advance":
         pivot_pos = n
@@ -339,19 +339,16 @@ def g_congruence(s: RuleSequence, mode: str = "advance") -> AnalysisReport:
         raise ValueError(f"unknown mode {mode!r}; expected advance or delay")
     pivot = s.rule(pivot_pos)
 
-    plus = pivot.lhs.edges & _rscan(
-        [~p.deleted_edges for p in rest],
-        [p.nihilation & (p.added_edges | pivot.deleted_edges) for p in rest],
-        zero,
+    plus = pivot.lhs.edges.bits & _rscan(
+        [full ^ p.deleted_edges.bits for p in rest],
+        [p.nihilation.bits & (p.added_edges.bits | pivot.deleted_edges.bits) for p in rest],
     )[0]
-    minus = pivot.nihilation & _rscan(
-        [~p.added_edges for p in rest],
-        [p.lhs.edges & (p.deleted_edges | pivot.added_edges) for p in rest],
-        zero,
+    minus = pivot.nihilation.bits & _rscan(
+        [full ^ p.added_edges.bits for p in rest],
+        [p.lhs.edges.bits & (p.deleted_edges.bits | pivot.added_edges.bits) for p in rest],
     )[0]
-    term = ComplexTerm.of(plus, minus)
-    witnesses = _flagged([("+", pivot_pos, plus), ("-", pivot_pos, minus)])
-    return AnalysisReport(f"congruence-{mode}", term.is_zero(), term, witnesses)
+    witnesses = [("+", pivot_pos, BoolMatrix, plus), ("-", pivot_pos, BoolMatrix, minus)]
+    return AnalysisReport(not (plus or minus), _term(u, plus, minus, 0), _flagged(u, witnesses))
 
 
 def sequential_independence(s: RuleSequence, perm: str = "advance") -> bool:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mgg import (
+    Bitmap,
     BoolMatrix,
     ComplexTerm,
     Dyadic,
@@ -269,6 +270,11 @@ class TestGasket:
             gasket_raster(0)
         with pytest.raises(ValueError):
             gasket_raster(17)
+
+    def test_p1_of_asymmetric_bitmap(self):
+        # Pixel (x, y) is bit x of row y; a P1 row lists x = 0 first.
+        bitmap = Bitmap(3, 2, (0b001, 0b110))
+        assert bitmap.to_p1() == "P1\n3 2\n100\n011\n"
 
     def test_p1_shape(self):
         text = gasket_raster(2).to_p1()

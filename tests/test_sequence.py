@@ -31,6 +31,7 @@ from mgg import (
     t_matrix,
 )
 from mgg import sequence
+from mgg.boolmat import _Packed
 from mgg.oracle import rows_of, values_of
 from mgg.sequence import _lscan, _rscan, _scan
 
@@ -43,6 +44,11 @@ def rule(universe, name, lhs_nodes, lhs_edges, rhs_nodes, rhs_edges):
         Digraph.of(universe, lhs_nodes, lhs_edges),
         Digraph.of(universe, rhs_nodes, rhs_edges),
     )
+
+
+def packed(z):
+    """The bits of a term's certainty edges, nihil edges and certainty nodes."""
+    return z.cert_edges.bits, z.nihil_edges.bits, z.cert_nodes.bits
 
 
 def coherent_compatible_pairs(rng, universe, count, tries=5000, node_add_prob=0.25):
@@ -108,7 +114,7 @@ class TestDeltaNabla:
 
 
 class TestScans:
-    """The separable scans against the generic double-loop reference."""
+    """The separable scans on packed ints against the generic double-loop reference."""
 
     @staticmethod
     def factor_lists(rng):
@@ -126,19 +132,26 @@ class TestScans:
     def separable(a, b):
         return lambda x, y: a[x - 1] & b[y - 1]
 
+    @staticmethod
+    def bits(values):
+        return [x.bits for x in values]
+
     def test_scans_equal_reference_on_every_range(self):
         rng = random.Random(53)
         for _ in range(150):
             a, b, zero, _ = self.factor_lists(rng)
             n = len(a)
             family = self.separable(a, b)
-            assert _scan(a, b, zero) == [delta(1, t, family, zero) for t in range(n + 1)]
-            assert _rscan(a, b, zero) == [nabla(t, n, family, zero) for t in range(1, n + 2)]
+            a_bits, b_bits = self.bits(a), self.bits(b)
+            deltas = [delta(1, t, family, zero).bits for t in range(n + 1)]
+            nablas = [nabla(t, n, family, zero).bits for t in range(1, n + 2)]
+            assert _scan(a_bits, b_bits, 0) == deltas
+            assert _rscan(a_bits, b_bits) == nablas
             for t0 in range(1, n + 2):
                 for t1 in range(t0 - 1, n + 1):
-                    part_a, part_b = a[t0 - 1 : t1], b[t0 - 1 : t1]
-                    assert _scan(part_a, part_b, zero)[-1] == delta(t0, t1, family, zero)
-                    assert _rscan(part_a, part_b, zero)[0] == nabla(t0, t1, family, zero)
+                    part_a, part_b = a_bits[t0 - 1 : t1], b_bits[t0 - 1 : t1]
+                    assert _scan(part_a, part_b, 0)[-1] == delta(t0, t1, family, zero).bits
+                    assert _rscan(part_a, part_b)[0] == nabla(t0, t1, family, zero).bits
 
     def test_seeded_scan_adds_kept_start(self):
         # The image's reading: a scan from m is Δ(1, n) | (AND of every A(x)) & m.
@@ -149,7 +162,8 @@ class TestScans:
             for ax in a:
                 kept = kept & ax
             family = self.separable(a, b)
-            assert _scan(a, b, m)[-1] == delta(1, len(a), family, zero) | kept
+            expected = delta(1, len(a), family, zero) | kept
+            assert _scan(self.bits(a), self.bits(b), m.bits)[-1] == expected.bits
 
     def test_prefix_scan_equals_reference_on_every_prefix(self):
         # Entry m of the forward pass is ∇(1, m): every prefix's initial digraph part.
@@ -157,7 +171,29 @@ class TestScans:
         for _ in range(150):
             a, b, zero, _ = self.factor_lists(rng)
             family = self.separable(a, b)
-            assert _lscan(a, b, zero) == [nabla(1, m, family, zero) for m in range(len(a) + 1)]
+            expected = [nabla(1, m, family, zero).bits for m in range(len(a) + 1)]
+            assert _lscan(self.bits(a), self.bits(b)) == expected
+
+
+def test_analyses_combine_no_wrappers(monkeypatch):
+    # Ints inside, wrappers on return: no BoolMatrix/BoolVector operator runs in an analysis.
+    rng = random.Random(73)
+    universe = NodeUniverse(tuple(f"v{i}" for i in range(6)))
+    sequences = [random_sequence(rng, universe, 12, node_add_prob=0.4) for _ in range(20)]
+
+    def forbidden(*args):
+        raise AssertionError("a wrapper operator ran inside an analysis")
+
+    for name in ("__and__", "__or__", "__xor__", "__invert__"):
+        monkeypatch.setattr(_Packed, name, forbidden)
+    for s in sequences:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IncoherentSequenceWarning)
+            initial_digraph(s)  # coherence included
+        image_of_sequence(s)
+        sequence_compatibility(s)
+        g_congruence(s, "advance")
+        g_congruence(s, "delay")
 
 
 class TestWitnessMasks:
@@ -223,6 +259,39 @@ class TestWitnessMasks:
                 clash = ~r(m).deleted_edges & ~r(m).added_edges & cert & nihil
                 expected.append(("+", m, clash))
             assert sequence_compatibility(s).witnesses == self.flagged(expected)
+
+    def test_congruence_terms_against_literal_nabla(self):
+        # The pivot against ∇ over the other rules' positions: 1..n-1 in advance, 2..n in delay.
+        checked = 0
+        for s in self.sequences():
+            n, r = len(s), s.rule
+            if n < 2:
+                continue
+            zero = BoolMatrix.zeros(s.universe)
+            for mode, pivot, first, last in (("advance", n, 1, n - 1), ("delay", 1, 2, n)):
+                q = r(pivot)
+                plus = q.lhs.edges & nabla(
+                    first,
+                    last,
+                    lambda x, y: ~r(x).deleted_edges
+                    & r(y).nihilation
+                    & (r(y).added_edges | q.deleted_edges),
+                    zero,
+                )
+                minus = q.nihilation & nabla(
+                    first,
+                    last,
+                    lambda x, y: ~r(x).added_edges
+                    & r(y).lhs.edges
+                    & (r(y).deleted_edges | q.added_edges),
+                    zero,
+                )
+                report = g_congruence(s, mode)
+                assert report.term.same_parts(ComplexTerm.of(plus, minus))
+                assert report.ok == (plus | minus).is_zero()
+                assert report.witnesses == self.flagged([("+", pivot, plus), ("-", pivot, minus)])
+                checked += 1
+        assert checked > 300
 
 
 class TestCoherence:
@@ -372,12 +441,12 @@ class TestImage:
                 for _ in range(20):
                     s = random_sequence(rng, u, length)
                     m = initial_digraph(s, check=False)
-                    images = sequence._images(s, m)
+                    images = sequence._images(s, *packed(m))
                     assert len(images) == length + 1
-                    assert ComplexTerm.of(*images[0]).same_parts(m)
+                    assert images[0] == packed(m)
                     for t in range(1, length + 1):
                         z = stepwise_image(s.prefix(t), m)
-                        assert ComplexTerm.of(*images[t]).same_parts(z)
+                        assert images[t] == packed(z)
                         dangling += not is_compatible(Digraph(z.cert_edges, z.cert_nodes))
         assert dangling > 1000
 
