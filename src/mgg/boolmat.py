@@ -305,8 +305,10 @@ def block_bits(n: int, nodes: int) -> int:
 
     Each set bit of ``nodes`` spreads to the start of its row, and the
     product with ``nodes`` places the node set in each of those rows; rows
-    are n bits apart, so no two terms overlap.
+    are n bits apart, so no two terms overlap.  Every node gives every cell.
     """
+    if nodes == (1 << n) - 1:
+        return (1 << n * n) - 1
     return int(("0" * (n - 1)).join(bin(nodes)[2:]), 2) * nodes
 
 

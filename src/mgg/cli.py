@@ -49,6 +49,20 @@ def vector_str(v: BoolVector) -> str:
     return "[" + ",".join(v.cells()) + "]"
 
 
+class _Joined(dict):
+    """The cells of a row or a vector -> ``[c0,c1,...]``, each joined when first asked for."""
+
+    def __missing__(self, cells: str) -> str:
+        text = self[cells] = "[" + ",".join(cells) + "]"
+        return text
+
+
+def _matrix_str(m: BoolMatrix, joined: _Joined) -> str:
+    """``matrix_str(m)``, each row read from ``joined``."""
+    n, cells = m.universe.size, m.cells()
+    return "[" + ",".join([joined[cells[i * n : i * n + n]] for i in range(n)]) + "]"
+
+
 def _bool_str(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -149,10 +163,10 @@ def cmd_analyze(args, out) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _add_graph(report: Report, gid: str, g: Digraph) -> None:
+def _add_graph(report: Report, gid: str, g: Digraph, joined: _Joined) -> None:
     report.add(f"graph {gid} universe", " ".join(g.universe.labels))
-    report.add(f"graph {gid} nodes", vector_str(g.nodes))
-    report.add(f"graph {gid} edges", matrix_str(g.edges))
+    report.add(f"graph {gid} nodes", joined[g.nodes.cells()])
+    report.add(f"graph {gid} edges", _matrix_str(g.edges, joined))
 
 
 def cmd_derive(args, out) -> int:
@@ -168,6 +182,8 @@ def cmd_derive(args, out) -> int:
     report.add("host", args.host)
     report.add("sequence", args.sequence)
     report.add("select", args.select)
+    # Graphs of one report share most rows: each distinct one is joined once per report.
+    joined = _Joined()
 
     if args.select == "all":
         traces = derive_all(host, rules)
@@ -178,7 +194,7 @@ def cmd_derive(args, out) -> int:
                     f"trace {t} step",
                     f"{step.production} match {step.match.render()}",
                 )
-            _add_graph(report, f"trace-{t}-result", trace.result)
+            _add_graph(report, f"trace-{t}-result", trace.result, joined)
         report.add("ok", _bool_str(bool(traces)))
         report.emit(out)
         return EXIT_OK if traces else EXIT_FAIL
@@ -194,14 +210,14 @@ def cmd_derive(args, out) -> int:
         report.add("error", str(exc))
         report.emit(out)
         return EXIT_FAIL
-    _add_graph(report, "g0", host)
+    _add_graph(report, "g0", host, joined)
     for step in trace.steps:
         report.add(
             "step",
             f"{step.input_id} {step.production} match {step.match.render()} -> {step.output_id}",
         )
     for k, g in enumerate(trace.graphs[1:], start=1):
-        _add_graph(report, f"g{k}", g)
+        _add_graph(report, f"g{k}", g, joined)
     report.add("result", f"g{len(trace.steps)}")
     report.add("ok", "yes")
     report.emit(out)

@@ -25,18 +25,23 @@ takes the first, which rules out m_L and m_K, and is then checked cell by
 cell as ``apply_at`` checks a given match.  ``find_matches`` and
 ``derive_all`` take every match.
 
-A step rewrites the host's row masks at the host indices of the lhs nodes,
-which the walker takes from its own search unchecked: new nodes get zero
-rows, a deleted node's row and column are wiped, then deleted edges are
-cleared and added edges set.  The wipe keeps derivation steps dangling-free
-whenever the rule is.
+A step rewrites through a plan (``_plan``) built once per rule and host,
+and only for a host the rule matches: the fresh labels and their universe,
+one object that every match shares, the host's edge bits at the new width
+(new nodes get zero rows), the new nodes' bits, and the rule's deleted
+nodes and edited cells named by slot (lhs nodes, then added nodes).  A
+match, given by host indices that the walker takes from its own search
+unchecked, fills in the slots: the edge bits lose each deleted node's row
+and column and each deleted edge in one AND-NOT, then gain the added edges
+in one OR.  The wipe keeps derivation steps dangling-free whenever the
+rule is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .boolmat import (
     BoolMatrix,
@@ -236,35 +241,59 @@ def apply_at(p: Production, g: Digraph, m: Match, step: int = 1) -> Digraph:
     The deletion of a node erases its entire row and column in the host,
     keeping the result dangling-free.
     """
-    return _rewrite(p, g, _validate_match(p, g, m), step)
+    hosts = _validate_match(p, g, m)
+    return _plan(p, g, step)(hosts)
 
 
-def _rewrite(p: Production, g: Digraph, hosts: tuple[int, ...], step: int) -> Digraph:
-    """Rewrite g at a match given by the host index of each lhs node, in rule-universe order."""
+def _plan(p: Production, g: Digraph, step: int) -> Callable[[tuple[int, ...]], Digraph]:
+    """p's rewrite of g at step ``step``, as a function of a match's lhs host indices.
+
+    The indices are the matched host nodes of p's lhs nodes, in rule-universe
+    order.  Every match of p in g shares what the match does not change: the
+    fresh labels and their universe, the host's edge bits at the new width
+    and the rule's edits, each end of an edited cell named by its slot in
+    the lhs nodes followed by the added nodes.
+    """
     n, rule = p.universe.size, p.universe.labels
-    at = dict(zip(set_bits(p.lhs.nodes.bits), hosts))
-    fresh, born = [], 0
-    for i in set_bits(p.added_nodes.bits):
-        at[i] = len(g.universe) + len(fresh)
-        born |= 1 << at[i]
-        # Labels of distinct rule nodes differ before the last "#", so only host labels clash.
-        fresh.append(fresh_label(p, rule[i], step, g.universe))
-    # A rule that adds no node keeps the host's universe; each new node gets a zero row.
-    universe = g.universe.extended(fresh) if fresh else g.universe
-    rows = g.edges.row_masks() + [0] * len(fresh)
-    gone = sum(1 << at[i] for i in set_bits(p.deleted_nodes.bits))
-    if gone:
-        rows = [0 if gone >> h & 1 else row & ~gone for h, row in enumerate(rows)]
-    for edges, add in ((p.deleted_edges, 0), (p.added_edges, 1)):
+    added = list(set_bits(p.added_nodes.bits))
+    slot = {i: s for s, i in enumerate(chain(set_bits(p.lhs.nodes.bits), added))}
+    cuts, puts = [], []  # (slot, slot) of each cell the rule deletes, and of each it adds
+    for edges, listed in ((p.deleted_edges, cuts), (p.added_edges, puts)):
         for cell in set_bits(edges.bits):
             i, j = divmod(cell, n)
-            if i not in at or j not in at:
+            if i not in slot or j not in slot:
                 raise ValueError(f"unmapped label carries content: edge {rule[i]!r}->{rule[j]!r}")
-            rows[at[i]] = rows[at[i]] & ~(1 << at[j]) | add << at[j]
-    return Digraph(
-        BoolMatrix.from_row_masks(universe, rows),
-        BoolVector(universe, g.nodes.bits & ~gone | born),
-    )
+            listed.append((slot[i], slot[j]))
+    deleted = [slot[i] for i in set_bits(p.deleted_nodes.bits)]
+    # Labels of distinct rule nodes differ before the last "#", so only host labels clash.
+    fresh = [fresh_label(p, rule[i], step, g.universe) for i in added]
+    # A rule that adds no node keeps the host's universe and bits; each new node gets a zero row.
+    universe = g.universe.extended(fresh) if fresh else g.universe
+    bits = BoolMatrix.from_row_masks(universe, g.edges.row_masks()).bits if fresh else g.edges.bits
+    w = universe.size
+    born_at = tuple(range(g.universe.size, w))
+    nodes, born = g.nodes.bits, universe.vector_full ^ g.universe.vector_full
+    # A deleted node h loses row h (row << h * w) and column h (column << h), where
+    # column = (2^(w·w) - 1) / (2^w - 1) has bit i·w for each row i.
+    row = universe.vector_full
+    column = universe.matrix_full // row if deleted else 0
+
+    def rewrite(hosts: tuple[int, ...]) -> Digraph:
+        at = hosts + born_at
+        gone = cut = put = 0
+        for s in deleted:
+            h = at[s]
+            gone |= 1 << h
+            cut |= row << h * w | column << h
+        for s, t in cuts:
+            cut |= 1 << at[s] * w + at[t]
+        for s, t in puts:
+            put |= 1 << at[s] * w + at[t]
+        return Digraph(
+            BoolMatrix(universe, bits & ~cut | put), BoolVector(universe, nodes & ~gone | born)
+        )
+
+    return rewrite
 
 
 @dataclass(frozen=True)
@@ -338,9 +367,11 @@ def _walk(g: Digraph, steps) -> Iterator[DerivationTrace]:
             found = list(_embeddings(p, host))[::-1]
         else:
             found = [_select(p, host, selector, k + 1)]
+        # A host without a match builds no plan, so its rule's errors do not show.
+        rewrite = _plan(p, host, k + 1) if found else None
         for hosts, m in zip(found, _matches(p, host, found)):
             step = DerivationStep(p.name, m, f"g{k}", f"g{k + 1}")
-            stack.append((trail + (step,), graphs + (_rewrite(p, host, hosts, k + 1),)))
+            stack.append((trail + (step,), graphs + (rewrite(hosts),)))
 
 
 def derive(g: Digraph, steps) -> DerivationTrace:

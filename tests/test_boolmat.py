@@ -20,7 +20,7 @@ from mgg import (
     is_compatible,
 )
 from mgg import oracle
-from mgg.boolmat import _digits_from
+from mgg.boolmat import _digits_from, block_bits
 from mgg.oracle import matrix_of, rows_of, values_of, vector_of
 
 U2 = NodeUniverse.of("a", "b")
@@ -167,6 +167,16 @@ class TestBoundedOne:
     def test_oracle_all_cells(self):
         for v in all_vectors(4):
             assert bounded_one(v).bits == oracle._block_bits(v)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 13, 64])
+    def test_block_bits_empty_partial_and_full(self, n):
+        # A full node set takes its own path: every cell, with no digit string.
+        u = universe_of(n)
+        every_other, last = u.vector_full // 3, u.vector_full >> 1 ^ u.vector_full
+        for nodes in (0, every_other, last, u.vector_full):
+            v = BoolVector(u, nodes)
+            assert block_bits(n, nodes) == oracle._block_bits(v)
+        assert block_bits(n, u.vector_full) == u.matrix_full
 
     def test_complement_is_incident_to_the_node_set(self):
         # ~bounded_one(~d): every edge with an end in d, as the kept-block sites read it

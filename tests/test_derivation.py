@@ -268,6 +268,18 @@ class TestApplyAt:
         assert type(err.value) is ValueError
         assert str(err.value) == "unmapped label carries content: edge 'a'->'b'"
 
+    def test_unmapped_content_shows_only_at_a_match(self):
+        # The rhs edge a->b has no host image: b is neither an lhs nor an added node.
+        # The walker plans a rewrite only on a host the rule matches.
+        p = Production.from_static(
+            "r",
+            Digraph.of(U2, "a"),
+            Digraph(BoolMatrix.from_edges(U2, [("a", "b")]), BoolVector.from_labels(U2, "a")),
+        )
+        assert derive_all(Digraph.of(U3, ""), [p]) == []
+        with pytest.raises(ValueError, match="^unmapped label carries content: edge 'a'->'b'$"):
+            derive_all(Digraph.of(U3, "c"), [p])
+
     def test_agrees_with_rewrite_at_reference(self):
         rng = random.Random(35)
         tally = {(wide, kind): 0 for wide in (False, True)
@@ -597,6 +609,61 @@ class TestDerive:
             grown += sum(len(t.result.universe) > len(host_u) for t in got)
             shrunk += sum(t.result.nodes.count() < g.nodes.count() for t in got)
         assert traces > 1500 and grown > 1000 and shrunk > 250, (traces, grown, shrunk)
+
+    def test_derive_all_equals_reference_fold(self):
+        # The independent reference: oracle.rewrite_at folded over oracle.brute_matches.
+        # Host labels such as "r0.a#1" make fresh_label bump.
+        rng = random.Random(38)
+
+        def fold(rules, trail, graphs):
+            k, g = len(trail), graphs[-1]
+            if k == len(rules):
+                return [derivation.DerivationTrace(trail, graphs)]
+            p, traces = rules[k], []
+            # Match order is by host index; brute_matches sorts by label.
+            order = sorted(brute_matches(p, g), key=lambda m: [g.universe.index(h) for _, h in m.pairs])
+            for m in order:
+                step = derivation.DerivationStep(p.name, m, f"g{k}", f"g{k + 1}")
+                traces += fold(rules, trail + (step,), graphs + (rewrite_at(p, g, m, k + 1),))
+            return traces
+
+        tally = dict.fromkeys(("traces", "grown", "shrunk", "bumped", "shared"), 0)
+        for _ in range(300):
+            u = NodeUniverse(tuple("abc"[: rng.randint(1, 3)]))
+            rules = [
+                random_production(rng, u, f"r{i}", 0.3, node_delete_prob=0.4, node_add_prob=0.5)
+                for i in range(rng.randint(1, 3))
+            ]
+            taken = [f"r{rng.randint(0, 2)}.{rng.choice('abc')}#{rng.randint(1, 3)}"
+                     for _ in range(rng.randint(1, 3))]
+            labels = [f"v{i}" for i in range(rng.randint(2, 5))] + list(dict.fromkeys(taken))
+            g = random_digraph(rng, NodeUniverse(tuple(rng.sample(labels, len(labels)))), 0.8, 0.2)
+            try:
+                expected = fold(rules, (), (g,))
+            except ValueError:  # a host grew past brute_matches' 7 present nodes
+                continue
+            got = derive_all(g, rules)
+            assert got == expected
+            # Siblings, the results of one step on one host, share one universe object.
+            siblings = {}
+            for t in got:
+                for parent, child in zip(t.graphs, t.graphs[1:]):
+                    siblings.setdefault(id(parent), (parent, {}))[1][id(child)] = child
+            for parent, children in siblings.values():
+                assert len({id(child.universe) for child in children.values()}) == 1
+                grew = len(next(iter(children.values())).universe) > len(parent.universe)
+                tally["shared"] += grew and len(children) > 1
+            tally["traces"] += len(got)
+            tally["grown"] += sum(len(t.result.universe) > len(g.universe) for t in got)
+            tally["shrunk"] += sum(t.result.nodes.count() < g.nodes.count() for t in got)
+            tally["bumped"] += sum(
+                label.rpartition("#")[2] != str(k)
+                for t in got
+                for k, (before, after) in enumerate(zip(t.graphs, t.graphs[1:]), start=1)
+                for label in after.universe.labels[len(before.universe):]
+            )
+        assert tally["traces"] > 1000 and tally["grown"] > 500, tally
+        assert tally["shrunk"] > 150 and tally["bumped"] > 100 and tally["shared"] > 100, tally
 
     def test_derive_all_enumerates_traces(self):
         p = rule(U2, "edge", "ab", [("a", "b")], "ab", [("a", "b")])

@@ -18,7 +18,7 @@ from mgg import (
     random_production,
     serialize_grammar,
 )
-from mgg.cli import _load_grammar, build_parser, matrix_str, run, vector_str
+from mgg.cli import _Joined, _load_grammar, _matrix_str, build_parser, matrix_str, run, vector_str
 from mgg.oracle import rows_of, values_of
 
 REPO = Path(__file__).resolve().parent.parent
@@ -627,6 +627,20 @@ class TestRendering:
         u = NodeUniverse(())
         assert (matrix_str(BoolMatrix.zeros(u)), vector_str(BoolVector.zeros(u))) == ("[]", "[]")
 
+    def test_derive_rows_equal_matrix_str(self):
+        # derive joins each distinct row once per report; one memo serves every
+        # width, as when a rule adds a node mid-report.
+        rng = random.Random(72)
+        widths = [0, 1, 2, 7, 8, 9, 13, 63, 64, 65, 128]
+        joined = _Joined()
+        for n in widths + widths[::-1]:
+            u = NodeUniverse(tuple(f"v{i}" for i in range(n)))
+            for density in (0, 0.05, 0.5, 1):
+                m = BoolMatrix(u, sum(1 << c for c in range(n * n) if rng.random() < density))
+                v = BoolVector(u, sum(1 << i for i in range(n) if rng.random() < density))
+                assert _matrix_str(m, joined) == matrix_str(m)
+                assert joined[v.cells()] == vector_str(v)
+
 
 class TestRepeatedRuns:
     def test_in_process_runs_match_fresh_processes(self, capsys):
@@ -656,6 +670,24 @@ class TestRepeatedRuns:
                 assert (code, out.getvalue(), capsys.readouterr().err) == expected
         assert [code for code, _, _ in fresh] == [1, 2, 0]
         assert build_parser() is build_parser()
+
+    def test_no_state_outlives_a_derive_report(self):
+        # Each derive report prints what it prints alone, after any other report.
+        import subprocess
+
+        argvs = [
+            ["derive", WIDE, "--host", "field", "--sequence", "trek", "--select", "first"],
+            ["derive", DEMO, "--host", "start", "--sequence", "handover", "--select", "all"],
+        ]
+        alone = [
+            subprocess.run(
+                [sys.executable, "-m", "mgg", *argv], cwd=REPO / "src", capture_output=True, text=True
+            ).stdout
+            for argv in argvs
+        ]
+        for order in (argvs, argvs[::-1]):
+            for argv in order:
+                assert cli(*argv) == (0, alone[argvs.index(argv)])
 
 
 class TestModuleEntryPoint:

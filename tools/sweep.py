@@ -15,16 +15,22 @@ name a file, not a temporary path):
 * ``analyze --check`` with every check (congruence in both modes);
 * ``encode`` of the host and of each rule's lhs;
 * ``derive --select first``, ``0`` and ``2``, plus ``all`` on universes of
-  10 nodes or fewer.
+  10 nodes or fewer and on the tree grammars below.
 
 Universes run from 1 to 128 nodes, hosts from no present node to every
 node, and the rules (1 to 3 per sequence, of 1 to 4 nodes each, completed to the universe) grow,
 shrink and rewire.  After those, long grammars hold sequences of 8 to 32
 such rules over 4 to 16 nodes; ``derive --select all`` runs only on
 sequences of up to 3 rules, since its trace count is the product of the
-per-step match counts.  Last come wide grammars: sequences of 4 to 8 rules
+per-step match counts.  Then come wide grammars: sequences of 4 to 8 rules
 over 65 to 128 nodes, then hosts of 200 to 300 nodes, on which only
 ``derive`` runs (universes above 128 nodes are not analyzed or encoded).
+Tree grammars come last: 1 or 2 rules on hosts of 11 to 13 nodes, on which
+``derive --select all`` runs too.  Their sequence applies the first rule
+again at the end, so a node it adds comes back under a later step's fresh
+label beside the earlier one; an added node's rule label also names a
+host node.  A tree grammar is drawn again until its sequence would have
+1 to TREE_TRACES traces if no lhs edge pruned a match.
 The sweep prints the exit-code counts of each tree and every command whose
 exit code or stdout sha256 differs, and exits 1 if any does.
 
@@ -39,6 +45,7 @@ at a commit whose reports are known good and checked in
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -53,6 +60,9 @@ GRAMMARS = 300
 LONG_GRAMMARS = 24
 # Wide grammars, drawn after the long ones: (count, universe sizes, rules per sequence).
 WIDE_GRAMMARS = ((6, (65, 128), (4, 8)), (6, (200, 300), (1, 3)))
+# Tree grammars, drawn last: hosts of 11 to 13 nodes that also run derive --select all.
+TREE_GRAMMARS = 24
+TREE_TRACES = 3000
 # Universe sizes, cycled through by grammar number.
 SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16, 24, 32, 48, 64, 96, 128)
 ALL_LIMIT = 10
@@ -79,18 +89,15 @@ json.dump(results, sys.stdout)
 """
 
 
-def write_grammars(parent: Path, directory: Path) -> list[tuple[str, int, list[str]]]:
-    """(file name, universe size, rule names) of each seeded grammar written into ``directory``."""
+def write_grammars(parent: Path, directory: Path) -> list[tuple[str, int, list[str], bool]]:
+    """(file name, universe size, rule names, runs ``all``) of each grammar written to ``directory``."""
     sys.path.insert(0, str(parent / "src"))
     from mgg import GrammarFile, NodeUniverse, Production, complete_to, serialize_grammar
     from mgg.oracle import random_digraph, random_production
 
     rng = random.Random(SEED)
-    shapes = [(SIZES[k % len(SIZES)], (1, 3)) for k in range(GRAMMARS)]
-    shapes += [((4, 16), (8, 32))] * LONG_GRAMMARS
-    shapes += [(sizes, rules) for count, sizes, rules in WIDE_GRAMMARS for _ in range(count)]
-    written = []
-    for k, (size, rules_range) in enumerate(shapes):
+
+    def draw(size, rules_range):
         n = size if isinstance(size, int) else rng.randint(*size)
         rule_count = rng.randint(*rules_range)
         u = NodeUniverse(tuple(f"v{i}" for i in range(n)))
@@ -108,17 +115,44 @@ def write_grammars(parent: Path, directory: Path) -> list[tuple[str, int, list[s
         host = random_digraph(
             rng, u, rng.choice([0.0, 0.5, 0.9, 1.0]), min(0.6, rng.choice([1, 3, 8]) / n)
         )
-        gf = GrammarFile(u, rules, {"s": tuple(rules)}, {"h": host})
+        return u, rules, tuple(rules), host
+
+    def traces_bound(rules, sequence, host):
+        """The trace count of ``derive --select all`` if no lhs edge pruned a match."""
+        present, bound = host.nodes.count(), 1
+        for name in sequence:
+            p = rules[name]
+            bound *= math.perm(present, p.lhs.nodes.count())
+            if not bound:
+                return 0
+            present += p.added_nodes.count() - p.deleted_nodes.count()
+        return bound
+
+    shapes = [(SIZES[k % len(SIZES)], (1, 3)) for k in range(GRAMMARS)]
+    shapes += [((4, 16), (8, 32))] * LONG_GRAMMARS
+    shapes += [(sizes, rules) for count, sizes, rules in WIDE_GRAMMARS for _ in range(count)]
+    drawn = [draw(*shape) for shape in shapes]
+    for _ in range(TREE_GRAMMARS):
+        while True:
+            u, rules, sequence, host = draw((11, 13), (1, 2))
+            sequence += sequence[:1]
+            if 0 < traces_bound(rules, sequence, host) <= TREE_TRACES:
+                break
+        drawn.append((u, rules, sequence, host))
+    written = []
+    for k, (u, rules, sequence, host) in enumerate(drawn):
+        gf = GrammarFile(u, rules, {"s": sequence}, {"h": host})
         name = f"sweep-{k:03d}.mgg"
         (directory / name).write_text(serialize_grammar(gf), encoding="utf-8")
-        written.append((name, n, list(rules)))
+        every = len(u) <= ALL_LIMIT and len(sequence) <= ALL_RULES_LIMIT or k >= len(shapes)
+        written.append((name, len(u), list(rules), every))
     sys.path.pop(0)
     return written
 
 
 def commands(grammars) -> list[list[str]]:
     argvs = []
-    for path, n, rules in grammars:
+    for path, n, rules, every in grammars:
         if n <= ANALYZE_LIMIT:
             argvs += [["analyze", path, "--sequence", "s", "--check", c] for c in CHECKS]
             argvs += [
@@ -127,7 +161,6 @@ def commands(grammars) -> list[list[str]]:
             ]
             argvs.append(["encode", path, "--graph", "h"])
             argvs += [["encode", path, "--production", r] for r in rules]
-        every = n <= ALL_LIMIT and len(rules) <= ALL_RULES_LIMIT
         selects = ["first", "0", "2"] + (["all"] if every else [])
         argvs += [
             ["derive", path, "--host", "h", "--sequence", "s", "--select", s] for s in selects
@@ -159,7 +192,7 @@ def sweep(trees: list[Path]) -> dict[str, list[list]]:
 def report(labels: tuple[str, str], pairs: dict[str, list[list]]) -> int:
     """Print the exit-code counts per side and every differing command; 1 if any differs."""
     differ = [key for key, (a, b) in pairs.items() if a != b]
-    grammars = GRAMMARS + LONG_GRAMMARS + sum(count for count, _, _ in WIDE_GRAMMARS)
+    grammars = GRAMMARS + LONG_GRAMMARS + sum(c for c, _, _ in WIDE_GRAMMARS) + TREE_GRAMMARS
     print(f"grammars {grammars}, commands {len(pairs)}")
     for side, label in enumerate(labels):
         counts = Counter(str(pair[side][0]) for pair in pairs.values() if pair[side])
