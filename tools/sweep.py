@@ -25,12 +25,19 @@ sequences of up to 3 rules, since its trace count is the product of the
 per-step match counts.  Then come wide grammars: sequences of 4 to 8 rules
 over 65 to 128 nodes, then hosts of 200 to 300 nodes, on which only
 ``derive`` runs (universes above 128 nodes are not analyzed or encoded).
-Tree grammars come last: 1 or 2 rules on hosts of 11 to 13 nodes, on which
+Tree grammars follow: 1 or 2 rules on hosts of 11 to 13 nodes, on which
 ``derive --select all`` runs too.  Their sequence applies the first rule
 again at the end, so a node it adds comes back under a later step's fresh
 label beside the earlier one; an added node's rule label also names a
 host node.  A tree grammar is drawn again until its sequence would have
 1 to TREE_TRACES traces if no lhs edge pruned a match.
+Dense grammars come last: ``oracle.random_sequence`` sequences of 4 to 8
+rules over 64 to 128 nodes, incoherent, that are analyzed and encoded but
+not derived.  Their rules span the universe, so their files name about
+0.4 n² edge tokens per rule and their reports up to ~10 n² witnesses; the
+shapes put files on both sides of the parser's 2n² edge-token gate and
+congruence reports on both sides of the report's witness-count gate (see
+``grammar`` and ``cli``).
 The sweep prints the exit-code counts of each tree and every command whose
 exit code or stdout sha256 differs, and exits 1 if any does.
 
@@ -63,6 +70,8 @@ WIDE_GRAMMARS = ((6, (65, 128), (4, 8)), (6, (200, 300), (1, 3)))
 # Tree grammars, drawn last: hosts of 11 to 13 nodes that also run derive --select all.
 TREE_GRAMMARS = 24
 TREE_TRACES = 3000
+# Dense grammars, drawn last: (universe size, rules per sequence) of each.
+DENSE_GRAMMARS = ((64, 4), (64, 5), (96, 4), (96, 6), (128, 4), (128, 8))
 # Universe sizes, cycled through by grammar number.
 SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16, 24, 32, 48, 64, 96, 128)
 ALL_LIMIT = 10
@@ -90,10 +99,10 @@ json.dump(results, sys.stdout)
 
 
 def write_grammars(parent: Path, directory: Path) -> list[tuple[str, int, list[str], bool]]:
-    """(file name, universe size, rule names, runs ``all``) of each grammar written to ``directory``."""
+    """(file name, universe size, rule names, derive selects) of each grammar written to ``directory``."""
     sys.path.insert(0, str(parent / "src"))
     from mgg import GrammarFile, NodeUniverse, Production, complete_to, serialize_grammar
-    from mgg.oracle import random_digraph, random_production
+    from mgg.oracle import random_digraph, random_production, random_sequence
 
     rng = random.Random(SEED)
 
@@ -139,20 +148,30 @@ def write_grammars(parent: Path, directory: Path) -> list[tuple[str, int, list[s
             if 0 < traces_bound(rules, sequence, host) <= TREE_TRACES:
                 break
         drawn.append((u, rules, sequence, host))
+    trees = len(drawn)
+    for n, length in DENSE_GRAMMARS:
+        u = NodeUniverse(tuple(f"v{i}" for i in range(n)))
+        rules = {p.name: p for p in random_sequence(rng, u, length, name="r").rules}
+        drawn.append((u, rules, tuple(rules), random_digraph(rng, u, 0.7, 0.3)))
     written = []
     for k, (u, rules, sequence, host) in enumerate(drawn):
         gf = GrammarFile(u, rules, {"s": sequence}, {"h": host})
         name = f"sweep-{k:03d}.mgg"
         (directory / name).write_text(serialize_grammar(gf), encoding="utf-8")
-        every = len(u) <= ALL_LIMIT and len(sequence) <= ALL_RULES_LIMIT or k >= len(shapes)
-        written.append((name, len(u), list(rules), every))
+        if k >= trees:
+            selects = []
+        elif len(u) <= ALL_LIMIT and len(sequence) <= ALL_RULES_LIMIT or k >= len(shapes):
+            selects = ["first", "0", "2", "all"]
+        else:
+            selects = ["first", "0", "2"]
+        written.append((name, len(u), list(rules), selects))
     sys.path.pop(0)
     return written
 
 
 def commands(grammars) -> list[list[str]]:
     argvs = []
-    for path, n, rules, every in grammars:
+    for path, n, rules, selects in grammars:
         if n <= ANALYZE_LIMIT:
             argvs += [["analyze", path, "--sequence", "s", "--check", c] for c in CHECKS]
             argvs += [
@@ -161,7 +180,6 @@ def commands(grammars) -> list[list[str]]:
             ]
             argvs.append(["encode", path, "--graph", "h"])
             argvs += [["encode", path, "--production", r] for r in rules]
-        selects = ["first", "0", "2"] + (["all"] if every else [])
         argvs += [
             ["derive", path, "--host", "h", "--sequence", "s", "--select", s] for s in selects
         ]
@@ -193,6 +211,7 @@ def report(labels: tuple[str, str], pairs: dict[str, list[list]]) -> int:
     """Print the exit-code counts per side and every differing command; 1 if any differs."""
     differ = [key for key, (a, b) in pairs.items() if a != b]
     grammars = GRAMMARS + LONG_GRAMMARS + sum(c for c, _, _ in WIDE_GRAMMARS) + TREE_GRAMMARS
+    grammars += len(DENSE_GRAMMARS)
     print(f"grammars {grammars}, commands {len(pairs)}")
     for side, label in enumerate(labels):
         counts = Counter(str(pair[side][0]) for pair in pairs.values() if pair[side])
