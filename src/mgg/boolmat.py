@@ -12,10 +12,12 @@ is bit ``i * n + j``, ``NodeUniverse.cell``), vectors into an int with bit
 packs by density: fewer than 2n + 16 cells (384 at most) are ORed in one
 at a time, since each OR costs the width of the int; more go through one
 buffer of n² digits and one ``int(digits, 2)``, a fixed cost of O(n²).
-The one matrix built from a node vector is the all-ones block over a node
-set, ``bounded_one``, whose bits ``block_bits`` gives to modules that
-compute on ints; the per-cell builders and readers the tests use live in
-``oracle``.
+Edge tokens ``src->dst`` are listed in one place: ``cell_names`` gives all
+n² of them in cell order, for callers that name many cells at once (the
+grammar reader's token memo, witness lines in reports).  The one matrix
+built from a node vector is the all-ones block over a node set,
+``bounded_one``, whose bits ``block_bits`` gives to modules that compute on
+ints; the per-cell builders and readers the tests use live in ``oracle``.
 
 A universe carries its size and its all-ones vector and matrix masks,
 computed once; every vector and matrix construction, ``~`` and ``ones``
@@ -85,6 +87,17 @@ class NodeUniverse:
     def extended(self, new_labels: Iterable[str]) -> "NodeUniverse":
         """New universe with extra labels appended after the existing ones."""
         return NodeUniverse(self.labels + tuple(new_labels))
+
+
+def cell_names(universe: NodeUniverse) -> list[str]:
+    """Every edge token ``src->dst`` in cell order: entry ``cell(src, dst)`` names that cell.
+
+    One step per row; each row's n tokens are joined at C speed.
+    """
+    labels, names = universe.labels, []
+    for src in labels:
+        names += map(f"{src}->".__add__, labels)
+    return names
 
 
 def set_bits(bits: int) -> Iterator[int]:

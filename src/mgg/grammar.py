@@ -22,11 +22,17 @@ and no line may list a label or an edge twice.  Example::
       edges a->a a->b b->b c->a c->b
 
 Every label must be declared in the universe; rules and hosts are completed
-to it at parse time.  Each line is lexed once, each distinct edge token is
-split and looked up once per file, and every error is a ``GrammarError``
-carrying the offending line (0 for a file with no ``nodes`` line).  Parsing
-and serialization are mutually inverse on the model (serialization
-canonicalizes label order).
+to it at parse time.  Each line is lexed once, and every error is a
+``GrammarError`` carrying the offending line (0 for a file with no ``nodes``
+line).  Edge tokens go to cells through a memo that lives for one parse.  In
+most files each distinct token is split and looked up once, when first read;
+a token-dense file (at least 2n² ``->`` in its text, n nodes) instead fills
+the memo with all n² tokens from ``boolmat.cell_names`` before its first
+edge line and reads each line with one C-level ``map``.  A token missing
+from a full memo is malformed or names an unknown label, and is worded as
+when a lookup fails, so both routes give the same errors in the same
+order.  Parsing and serialization are mutually inverse on the model
+(serialization canonicalizes label order).
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .boolmat import BoolMatrix, BoolVector, Digraph, NodeUniverse, is_compatible
+from .boolmat import BoolMatrix, BoolVector, Digraph, NodeUniverse, cell_names, is_compatible
 from .production import Production
 
 
@@ -52,6 +58,16 @@ class GrammarFile:
     productions: dict[str, Production]
     sequences: dict[str, tuple[str, ...]]
     hosts: dict[str, Digraph]
+
+
+# A file fills its token memo from ``cell_names`` when its text holds at least
+# this many ``->`` per universe cell: above where the table paid on every
+# generated 64-node file measured (parse times, best of 5), which was from
+# ~0.6 n² tokens for random rules but only from ~1.5 n² for coherent ones, as
+# they repeat more tokens.  The table costs ~1 ms at 64 nodes and
+# ``text.count`` ~0.1 ms on a 61 kB file; the 3.4 n²-token benchmark files
+# went from ~10 to ~7 ms.
+_TABLE_TOKENS = 2
 
 
 def _lex(text: str) -> Iterator[tuple[int, bool, list[str]]]:
@@ -104,6 +120,7 @@ class _Parser:
     """Takes each lexed line from ``_lex`` only when it has to look at it."""
 
     def __init__(self, text: str):
+        self.text = text
         self.lines = _lex(text)
         self.universe: NodeUniverse | None = None
         self.cells: dict[str, int] = {}  # each well-formed edge token read so far -> its cell
@@ -143,14 +160,18 @@ class _Parser:
         edge_key = f"{prefix} edges" if prefix else "edges"
         node_line, nodes = fields.pop(node_key, (block_line, []))
         edge_line, edges = fields.pop(edge_key, (block_line, []))
-        memo, cell, cells = self.cells, u.cell, []
+        memo, cell = self.cells, u.cell
         try:
-            for token in edges:
-                at = memo.get(token)
-                if at is None:
-                    src, _, dst = token.partition("->")
-                    at = memo[token] = cell(src, dst)
-                cells.append(at)
+            if len(memo) == u.size * u.size:  # every well-formed token: a miss is an error
+                cells = list(map(memo.__getitem__, edges))
+            else:
+                cells = []
+                for token in edges:
+                    at = memo.get(token)
+                    if at is None:
+                        src, _, dst = token.partition("->")
+                        at = memo[token] = cell(src, dst)
+                    cells.append(at)
             g = Digraph(BoolMatrix.from_cells(u, cells), BoolVector.from_labels(u, nodes))
         except KeyError:
             raise _bad_token(u, nodes, node_line, edges, edge_line) from None
@@ -192,9 +213,12 @@ class _Parser:
                 if "->" in label:
                     raise GrammarError(number, f"node label {label!r} contains '->'")
             try:
-                self.universe = NodeUniverse(tuple(rest))
+                self.universe = u = NodeUniverse(tuple(rest))
             except ValueError as exc:
                 raise GrammarError(number, str(exc)) from None
+            cells = u.size * u.size
+            if self.text.count("->") >= _TABLE_TOKENS * cells:
+                self.cells = dict(zip(cell_names(u), range(cells)))
         elif keyword == "sequence":
             if len(rest) < 2:
                 raise GrammarError(number, "expected: sequence <name> <rule> [<rule> ...]")

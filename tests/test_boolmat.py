@@ -20,7 +20,7 @@ from mgg import (
     is_compatible,
 )
 from mgg import oracle
-from mgg.boolmat import _digits_from, block_bits
+from mgg.boolmat import _digits_from, block_bits, cell_names
 from mgg.oracle import matrix_of, rows_of, values_of, vector_of
 
 U2 = NodeUniverse.of("a", "b")
@@ -293,6 +293,18 @@ class TestCellReads:
         assert v.labels() == tuple(l for i, l in enumerate(u.labels) if v[i])
         assert m.cells() == "".join(str(m[i, j]) for i, j in cells)
         assert v.cells() == "".join(str(v[i]) for i in range(n))
+
+
+class TestCellNames:
+    @pytest.mark.parametrize("n", (0, 1, 2, 7, 8, 9, 64, 65))
+    def test_each_entry_names_its_cell(self, n):
+        # '-' and '>' next to the arrow: a token is read back by its first "->".
+        u = NodeUniverse(tuple(("v{}", "v{}-", ">v{}")[i % 3].format(i) for i in range(n)))
+        names = cell_names(u)
+        assert len(names) == n * n
+        for a in u.labels:
+            for b in u.labels:
+                assert names[u.cell(a, b)] == f"{a}->{b}"
 
 
 class TestPackers:

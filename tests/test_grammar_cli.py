@@ -8,17 +8,33 @@ from pathlib import Path
 import pytest
 
 from mgg import (
+    AnalysisReport,
     BoolMatrix,
     BoolVector,
+    ComplexTerm,
     GrammarError,
     GrammarFile,
     NodeUniverse,
     parse_grammar,
     random_digraph,
     random_production,
+    random_sequence,
     serialize_grammar,
 )
-from mgg.cli import _Joined, _load_grammar, _matrix_str, build_parser, matrix_str, run, vector_str
+from mgg import grammar
+from mgg.boolmat import cell_names
+from mgg.cli import (
+    _TABLE_WITNESSES,
+    Report,
+    _add_analysis,
+    _Joined,
+    _load_grammar,
+    _matrix_str,
+    build_parser,
+    matrix_str,
+    run,
+    vector_str,
+)
 from mgg.oracle import rows_of, values_of
 
 REPO = Path(__file__).resolve().parent.parent
@@ -383,6 +399,81 @@ class TestRoundTripAtScale:
             assert list(back.hosts) == list(gf.hosts)
 
 
+def dense_grammar(rng: random.Random, labels, rules: int) -> GrammarFile:
+    """Incoherent rules over the whole universe: ~0.4 n² edge tokens each, and a host."""
+    u = NodeUniverse(tuple(labels))
+    productions = {p.name: p for p in random_sequence(rng, u, rules, name="r").rules}
+    return GrammarFile(
+        u, productions, {"s": tuple(productions)}, {"h": random_digraph(rng, u, 0.7, 0.3)}
+    )
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """The universes the grammar reader builds a token table for, in order."""
+    built = []
+    monkeypatch.setattr(grammar, "cell_names", lambda u: built.append(u) or cell_names(u))
+    return built
+
+
+class TestTokenDenseFiles:
+    """Files naming 2n² edge tokens or more read them through a table of all n² tokens."""
+
+    def test_random_sequences_parse_to_the_plain_memo_model(self, tables, monkeypatch):
+        rng = random.Random(98)
+        texts, models = [], []
+        for n, rules in ((1, 8), (2, 8), (8, 6), (17, 6), (64, 6)):
+            # '-' and '>' next to the arrow: a token is read back by its first "->".
+            labels = [("v{}", "v{}-", ">v{}")[i % 3].format(i) for i in range(n)]
+            gf = dense_grammar(rng, labels, rules)
+            texts.append(serialize_grammar(gf))
+            assert texts[-1].count("->") >= 2 * n * n
+            models.append(parse_grammar(texts[-1]))
+            assert models[-1] == gf, n
+        assert [len(u) for u in tables] == [1, 2, 8, 17, 64]
+        # The same texts read token by token through the memo alone.
+        monkeypatch.setattr(grammar, "_TABLE_TOKENS", float("inf"))
+        assert [parse_grammar(text) for text in texts] == models
+        assert len(tables) == 5
+
+    @pytest.mark.parametrize("where", ["lhs", "host"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("a->", "malformed edge 'a->'; expected src->dst"),
+            ("->b", "malformed edge '->b'; expected src->dst"),
+            ("a->b->c", "malformed edge 'a->b->c'; expected src->dst"),
+            ("ab", "malformed edge 'ab'; expected src->dst"),
+            ("a-->b", "unknown node label 'a-'"),
+            ("a->z", "unknown node label 'z'"),
+            ("repeat", "duplicate edge '{first}'"),
+            ("dangling", "{where} has an edge touching an absent node"),
+        ],
+    )
+    def test_bad_tokens_are_worded_at_their_line(self, tables, where, edit, message):
+        # The edit follows the first token of the first lhs edge line or of the
+        # host's edge line, both read after the table is built.
+        gf = dense_grammar(random.Random(99), "abcdefgh", 4)
+        if edit == "dangling":  # a node absent from that digraph
+            g = gf.productions["r1"].lhs if where == "lhs" else gf.hosts["h"]
+            absent = next(l for l in gf.universe.labels if l not in g.nodes.labels())
+            edit = f"{absent}->{absent}"
+        lines = serialize_grammar(gf).splitlines()
+        at = next(
+            k for k, line in enumerate(lines)
+            if line.startswith("  lhs edges " if where == "lhs" else "  edges ")
+        )
+        first = lines[at].split()[2 if where == "lhs" else 1]
+        edit = first if edit == "repeat" else edit
+        head, _, rest = lines[at].partition(first)
+        lines[at] = f"{head}{first} {edit}{rest}"
+        with pytest.raises(GrammarError) as caught:
+            parse_grammar("\n".join(lines) + "\n")
+        expected = f"line {at + 1}: " + message.format(first=first, where=where)
+        assert str(caught.value) == expected
+        assert [len(u) for u in tables] == [8]
+
+
 class TestAnalyzeCommand:
     def test_coherence_failure_reports_defects(self):
         code, text = cli("analyze", DEMO, "--sequence", "clash", "--check", "coherence")
@@ -515,6 +606,26 @@ class TestDeriveCommand:
         assert code == 0
         assert any(l.startswith("traces ") for l in text.splitlines())
 
+    def test_select_all_renders_each_step_once(self, monkeypatch, tmp_path):
+        # Traces share the steps of a common prefix: 3 first steps and 9 second
+        # ones make 9 traces of 2 steps, and each match is rendered once.
+        from mgg.derivation import Match
+
+        path = tmp_path / "touch.mgg"
+        path.write_text(
+            "nodes a b c\n\nproduction touch\n  lhs nodes a\n  rhs nodes a\n\n"
+            "sequence twice touch touch\n\nhost trio\n  nodes a b c\n",
+            encoding="utf-8",
+        )
+        rendered = []
+        render = Match.render
+        monkeypatch.setattr(Match, "render", lambda m: rendered.append(m) or render(m))
+        code, text = cli(
+            "derive", str(path), "--host", "trio", "--sequence", "twice", "--select", "all"
+        )
+        assert (code, text.count(" step "), len(rendered)) == (0, 18, 12)
+        assert "trace 8 step touch match a->c\ntrace 8 step touch match a->c\n" in text
+
     def test_select_index(self):
         code, text = cli(
             "derive", DEMO, "--host", "start", "--sequence", "handover",
@@ -640,6 +751,38 @@ class TestRendering:
                 v = BoolVector(u, sum(1 << i for i in range(n) if rng.random() < density))
                 assert _matrix_str(m, joined) == matrix_str(m)
                 assert joined[v.cells()] == vector_str(v)
+
+
+    def test_witness_lines_name_each_cell(self):
+        # A report names its edge witnesses from a table of every cell name or
+        # cell by cell, chosen by their count; both give the per-cell lines.
+        rng = random.Random(73)
+        sides = set()
+        for n in (0, 1, 8, 63, 64, 65, 128):
+            u = NodeUniverse(tuple(f"v{i}" for i in range(n)))
+            for density in (0, 0.05, 0.5, 1):
+                def mask(kind, width):
+                    return kind(u, sum(1 << c for c in range(width) if rng.random() < density))
+
+                witnesses = (
+                    ("+", 1, mask(BoolMatrix, n * n)),
+                    ("-", 1, mask(BoolMatrix, n * n)),
+                    ("+", 2, mask(BoolVector, n)),
+                )
+                report = Report("analyze")
+                _add_analysis(report, AnalysisReport(False, ComplexTerm.zero(u), witnesses))
+                expected = ["report analyze", "ok no"]
+                for part, position, cells in witnesses:
+                    if isinstance(cells, BoolVector):
+                        expected += [f"witness {part} {position} node {l}" for l in cells.labels()]
+                    else:
+                        expected += [
+                            f"witness {part} {position} {a}->{b}" for a, b in cells.edges()
+                        ]
+                assert report.lines == expected, (n, density)
+                edges = witnesses[0][2].count() + witnesses[1][2].count()
+                sides.add((n, _TABLE_WITNESSES * edges >= n * n))
+        assert sides >= {(n, table) for n in (1, 8, 63, 64, 65, 128) for table in (False, True)}
 
 
 class TestRepeatedRuns:

@@ -261,3 +261,33 @@ class TestAlignTerms:
         z = term(U2, 0b1000, 0)
         a2, b2 = align_terms(z, z)
         assert a2 is z and b2 is z
+
+    def test_algebra_on_aligned_terms_keeps_ambients_apart(self):
+        # After alignment each term keeps its own node set as its ambient.  The
+        # sum and the product live in the union of the two, and a conjugate
+        # complements inside its term's ambient only.
+        u1, u2 = NodeUniverse.of("a", "c"), NodeUniverse.of("c", "b")
+        z1 = ComplexTerm.of(
+            BoolMatrix.from_edges(u1, [("a", "c")]), BoolMatrix.from_edges(u1, [("c", "a")])
+        )
+        z2 = ComplexTerm.of(
+            BoolMatrix.from_edges(u2, [("b", "c")]), BoolMatrix.from_edges(u2, [("c", "c")])
+        )
+        a2, b2 = align_terms(z1, z2)
+        assert (a2.ambient.labels(), b2.ambient.labels()) == (("a", "c"), ("c", "b"))
+        for combined in (cadd(a2, b2), cmul(a2, b2), dot(a2, b2)):
+            assert combined.ambient.labels() == ("a", "c", "b")
+        c = conj(a2)
+        assert c.ambient == a2.ambient
+        assert c.cert_edges.edges() == (("a", "a"), ("a", "c"), ("c", "c"))
+        assert c.nihil_edges.edges() == (("a", "a"), ("c", "a"), ("c", "c"))
+        assert c.cert_nodes.labels() == c.nihil_nodes.labels() == ("a", "c")
+        # The conjugate of the sum complements inside the union: cells between
+        # a and b lie in neither ambient, yet in the sum's.
+        s = conj(cadd(a2, b2))
+        assert s.cert_edges.edges() == tuple(
+            (x, y) for x in "acb" for y in "acb" if (x, y) not in (("c", "a"), ("c", "c"))
+        )
+        assert s.nihil_edges.edges() == tuple(
+            (x, y) for x in "acb" for y in "acb" if (x, y) not in (("a", "c"), ("b", "c"))
+        )

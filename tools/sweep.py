@@ -99,7 +99,7 @@ json.dump(results, sys.stdout)
 
 
 def write_grammars(parent: Path, directory: Path) -> list[tuple[str, int, list[str], bool]]:
-    """(file name, universe size, rule names, derive selects) of each grammar written to ``directory``."""
+    """(file name, universe size, rule names, derive selects) of each grammar in ``directory``."""
     sys.path.insert(0, str(parent / "src"))
     from mgg import GrammarFile, NodeUniverse, Production, complete_to, serialize_grammar
     from mgg.oracle import random_digraph, random_production, random_sequence
