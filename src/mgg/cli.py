@@ -25,6 +25,7 @@ import functools
 import re
 import sys
 import warnings
+from collections.abc import Iterator
 from itertools import compress
 from pathlib import Path
 
@@ -91,6 +92,11 @@ def _matrix_str(m: BoolMatrix, joined: _Joined) -> str:
     return "[" + ",".join([joined[cells[i * n : i * n + n]] for i in range(n)]) + "]"
 
 
+def _picked(names, mask: BoolMatrix | BoolVector) -> Iterator[str]:
+    """The entries of ``names``, one per cell in cell order, at the set cells of ``mask``."""
+    return compress(names, mask.cells().encode().translate(_SELECTORS))
+
+
 def _bool_str(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -143,15 +149,13 @@ def _add_analysis(report: Report, analysis: AnalysisReport) -> None:
     edges = sum(c.count() for _, _, c in analysis.witnesses if isinstance(c, BoolMatrix))
     names = cell_names(u) if _TABLE_WITNESSES * edges >= u.size * u.size else None
     for part, position, cells in analysis.witnesses:
+        key = f"witness {part} {position}"
         if isinstance(cells, BoolVector):
-            key = f"witness {part} {position} node"
-            flagged = compress(u.labels, cells.cells().encode().translate(_SELECTORS))
+            key, flagged = f"{key} node", _picked(u.labels, cells)
+        elif names is None:
+            flagged = [f"{source}->{target}" for source, target in cells.edges()]
         else:
-            key = f"witness {part} {position}"
-            if names is None:
-                flagged = [f"{source}->{target}" for source, target in cells.edges()]
-            else:
-                flagged = compress(names, cells.cells().encode().translate(_SELECTORS))
+            flagged = _picked(names, cells)
         report.add_all(key, flagged)
 
 
