@@ -26,9 +26,11 @@ to it at parse time.  Each line is lexed once, and every error is a
 ``GrammarError`` carrying the offending line (0 for a file with no ``nodes``
 line).  Edge tokens go to cells through a memo that lives for one parse.  In
 most files each distinct token is split and looked up once, when first read;
-a token-dense file (at least 2n² ``->`` in its text, n nodes) instead fills
-the memo with all n² tokens from ``boolmat.cell_names`` before its first
-edge line and reads each line with one C-level ``map``.  A token missing
+a token-dense file (at least 2n² ``->`` in its text, n nodes, counted only
+when the text is long enough to hold that many tokens at the labels' mean
+length) instead fills the memo with all n² tokens from
+``boolmat.cell_names`` before its first edge line and reads each line with
+one C-level ``map``.  A token missing
 from a full memo is malformed or names an unknown label, and is worded as
 when a lookup fails, so both routes give the same errors in the same
 order.  Parsing and serialization are mutually inverse on the model
@@ -64,9 +66,10 @@ class GrammarFile:
 # this many ``->`` per universe cell: above where the table paid on every
 # generated 64-node file measured (parse times, best of 5), which was from
 # ~0.6 n² tokens for random rules but only from ~1.5 n² for coherent ones, as
-# they repeat more tokens.  The table costs ~1 ms at 64 nodes and
-# ``text.count`` ~0.1 ms on a 61 kB file; the 3.4 n²-token benchmark files
-# went from ~10 to ~7 ms.
+# they repeat more tokens.  The table costs ~1 ms at 64 nodes; the 3.4
+# n²-token benchmark files went from ~10 to ~7 ms.  Counting is ~0.1 ms on a
+# 61 kB file, ~2 % of its parse, so a file is counted only if it is long
+# enough to hold that many tokens.
 _TABLE_TOKENS = 2
 
 
@@ -216,9 +219,13 @@ class _Parser:
                 self.universe = u = NodeUniverse(tuple(rest))
             except ValueError as exc:
                 raise GrammarError(number, str(exc)) from None
-            cells = u.size * u.size
-            if self.text.count("->") >= _TABLE_TOKENS * cells:
-                self.cells = dict(zip(cell_names(u), range(cells)))
+            n, cells = u.size, u.size * u.size
+            dense = _TABLE_TOKENS * cells
+            # A token is two labels, the arrow and a separator: a text too short
+            # for ``dense`` tokens at the labels' mean length is not counted.
+            if len(self.text) * n >= dense * (2 * sum(map(len, rest)) + 3 * n):
+                if self.text.count("->") >= dense:
+                    self.cells = dict(zip(cell_names(u), range(cells)))
         elif keyword == "sequence":
             if len(rest) < 2:
                 raise GrammarError(number, "expected: sequence <name> <rule> [<rule> ...]")
