@@ -25,15 +25,14 @@ Every label must be declared in the universe; rules and hosts are completed
 to it at parse time.  Each line is lexed once, and every error is a
 ``GrammarError`` carrying the offending line (0 for a file with no ``nodes``
 line).  Edge tokens go to cells through a memo that lives for one parse.  In
-most files each distinct token is split and looked up once, when first read;
-a token-dense file (at least 2n² ``->`` in its text, n nodes, counted only
+most files each distinct token is split and looked up once, when first read.
+A token-dense file (at least 2n² ``->`` in its text, n nodes, counted only
 when the text is long enough to hold that many tokens at the labels' mean
-length) instead fills the memo with all n² tokens from
-``boolmat.cell_names`` before its first edge line and reads each line with
-one C-level ``map``.  A token missing
-from a full memo is malformed or names an unknown label, and is worded as
-when a lookup fails, so both routes give the same errors in the same
-order.  Parsing and serialization are mutually inverse on the model
+length) instead fills the memo with all n² tokens from ``boolmat.cell_names``
+before its first edge line, and reads each line with one C-level ``map``.  A
+token missing from a full memo is malformed or names an unknown label, and
+is worded as when a lookup fails, so both routes give the same errors in the
+same order.  Parsing and serialization are mutually inverse on the model
 (serialization canonicalizes label order).
 """
 

@@ -34,10 +34,10 @@ host node.  A tree grammar is drawn again until its sequence would have
 Dense grammars come last: ``oracle.random_sequence`` sequences of 4 to 8
 rules over 64 to 128 nodes, incoherent, that are analyzed and encoded but
 not derived.  Their rules span the universe, so their files name about
-0.4 n² edge tokens per rule and their reports up to ~10 n² witnesses; the
+0.4 n² edge tokens per rule and their reports up to ~3 n² witnesses; the
 shapes put files on both sides of the parser's 2n² edge-token gate and
-congruence reports on both sides of the report's witness-count gate (see
-``grammar`` and ``cli``).
+compatibility and congruence reports on both sides of the report's
+n²/4 witness gate (see ``grammar`` and ``cli``).
 The sweep prints the exit-code counts of each tree and every command whose
 exit code or stdout sha256 differs, and exits 1 if any does.
 
