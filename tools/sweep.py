@@ -31,13 +31,16 @@ again at the end, so a node it adds comes back under a later step's fresh
 label beside the earlier one; an added node's rule label also names a
 host node.  A tree grammar is drawn again until its sequence would have
 1 to TREE_TRACES traces if no lhs edge pruned a match.
-Dense grammars come last: ``oracle.random_sequence`` sequences of 4 to 8
+Dense grammars follow: ``oracle.random_sequence`` sequences of 4 to 8
 rules over 64 to 128 nodes, incoherent, that are analyzed and encoded but
 not derived.  Their rules span the universe, so their files name about
 0.4 n² edge tokens per rule and their reports up to ~3 n² witnesses; the
 shapes put files on both sides of the parser's 2n² edge-token gate and
 compatibility and congruence reports on both sides of the report's
 n²/4 witness gate (see ``grammar`` and ``cli``).
+Long walks come last: sequences of 12 to 24 rules on hosts of 64 to 256
+nodes, on which only ``derive`` runs, so each host a step builds is
+searched by the next step.
 The sweep prints the exit-code counts of each tree and every command whose
 exit code or stdout sha256 differs, and exits 1 if any does.
 
@@ -67,11 +70,13 @@ GRAMMARS = 300
 LONG_GRAMMARS = 24
 # Wide grammars, drawn after the long ones: (count, universe sizes, rules per sequence).
 WIDE_GRAMMARS = ((6, (65, 128), (4, 8)), (6, (200, 300), (1, 3)))
-# Tree grammars, drawn last: hosts of 11 to 13 nodes that also run derive --select all.
+# Tree grammars, drawn after the wide ones: hosts of 11 to 13 nodes that also run derive --select all.
 TREE_GRAMMARS = 24
 TREE_TRACES = 3000
-# Dense grammars, drawn last: (universe size, rules per sequence) of each.
+# Dense grammars, drawn after the tree ones: (universe size, rules per sequence) of each.
 DENSE_GRAMMARS = ((64, 4), (64, 5), (96, 4), (96, 6), (128, 4), (128, 8))
+# Long walks on wide hosts, drawn last: (count, universe sizes, rules per sequence).
+WALK_GRAMMARS = (6, (64, 256), (12, 24))
 # Universe sizes, cycled through by grammar number.
 SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16, 24, 32, 48, 64, 96, 128)
 ALL_LIMIT = 10
@@ -98,8 +103,8 @@ json.dump(results, sys.stdout)
 """
 
 
-def write_grammars(parent: Path, directory: Path) -> list[tuple[str, int, list[str], bool]]:
-    """(file name, universe size, rule names, derive selects) of each grammar in ``directory``."""
+def write_grammars(parent: Path, directory: Path) -> list[tuple[str, bool, list[str], list[str]]]:
+    """(file name, analyzed, rule names, derive selects) of each grammar in ``directory``."""
     sys.path.insert(0, str(parent / "src"))
     from mgg import GrammarFile, NodeUniverse, Production, complete_to, serialize_grammar
     from mgg.oracle import random_digraph, random_production, random_sequence
@@ -153,26 +158,31 @@ def write_grammars(parent: Path, directory: Path) -> list[tuple[str, int, list[s
         u = NodeUniverse(tuple(f"v{i}" for i in range(n)))
         rules = {p.name: p for p in random_sequence(rng, u, length, name="r").rules}
         drawn.append((u, rules, tuple(rules), random_digraph(rng, u, 0.7, 0.3)))
+    dense = len(drawn)
+    count, sizes, rules_range = WALK_GRAMMARS
+    drawn += [draw(sizes, rules_range) for _ in range(count)]
     written = []
     for k, (u, rules, sequence, host) in enumerate(drawn):
         gf = GrammarFile(u, rules, {"s": sequence}, {"h": host})
         name = f"sweep-{k:03d}.mgg"
         (directory / name).write_text(serialize_grammar(gf), encoding="utf-8")
-        if k >= trees:
+        if k >= dense:
+            selects = ["first", "0", "2"]
+        elif k >= trees:
             selects = []
         elif len(u) <= ALL_LIMIT and len(sequence) <= ALL_RULES_LIMIT or k >= len(shapes):
             selects = ["first", "0", "2", "all"]
         else:
             selects = ["first", "0", "2"]
-        written.append((name, len(u), list(rules), selects))
+        written.append((name, len(u) <= ANALYZE_LIMIT and k < dense, list(rules), selects))
     sys.path.pop(0)
     return written
 
 
 def commands(grammars) -> list[list[str]]:
     argvs = []
-    for path, n, rules, selects in grammars:
-        if n <= ANALYZE_LIMIT:
+    for path, analyzed, rules, selects in grammars:
+        if analyzed:
             argvs += [["analyze", path, "--sequence", "s", "--check", c] for c in CHECKS]
             argvs += [
                 ["analyze", path, "--sequence", "s", "--check", "congruence", "--mode", mode]
@@ -211,7 +221,7 @@ def report(labels: tuple[str, str], pairs: dict[str, list[list]]) -> int:
     """Print the exit-code counts per side and every differing command; 1 if any differs."""
     differ = [key for key, (a, b) in pairs.items() if a != b]
     grammars = GRAMMARS + LONG_GRAMMARS + sum(c for c, _, _ in WIDE_GRAMMARS) + TREE_GRAMMARS
-    grammars += len(DENSE_GRAMMARS)
+    grammars += len(DENSE_GRAMMARS) + WALK_GRAMMARS[0]
     print(f"grammars {grammars}, commands {len(pairs)}")
     for side, label in enumerate(labels):
         counts = Counter(str(pair[side][0]) for pair in pairs.values() if pair[side])
