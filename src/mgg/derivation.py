@@ -35,13 +35,24 @@ unchecked, fills in the slots: the edge bits lose each deleted node's row
 and column and each deleted edge in one AND-NOT, then gain the added edges
 in one OR.  The wipe keeps derivation steps dangling-free whenever the
 rule is.
+
+The search reads a host's neighbour masks (``_cut``).  A walk cuts them
+from the bits once, for its starting host; every host a later step searches
+gets its parent's masks with the step's edits made at the match's slots: a
+deleted node's row and column are cleared at its neighbours, the cut cells
+cleared, the put cells set, and new nodes get zero masks.  The last hosts
+of a walk get none.  ``find_matches`` cuts the masks of the host it is
+given, and ``apply_at`` that host's rows where the universe widens.  The host check (no edge at an absent node) runs on
+every host cut from its bits, and on a walker-built host only where the
+step's rule adds an edge at a node it deletes, the one way a rewrite of a
+dangling-free host can leave an edge dangling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .boolmat import (
     BoolMatrix,
@@ -91,26 +102,35 @@ def host_complement(g: Digraph) -> BoolMatrix:
     return complement(g.edges, bounded_one(g.nodes))
 
 
+def _cut(g: Digraph) -> tuple[list[int], list[int], int, bool]:
+    """g's neighbour masks, cut from its bits, for a host not yet checked.
+
+    Out-neighbours (row i: bit j for edge i->j), in-neighbours (column j: bit
+    i), self-loops (bit i for edge i->i), and whether the host check is due.
+    """
+    out = g.edges.row_masks()
+    return out, g.edges.column_masks(), sum(row & 1 << i for i, row in enumerate(out)), True
+
+
 def _embeddings(
-    p: Production, g: Digraph, check_nihil: bool = True
+    p: Production, g: Digraph, masks=None, check_nihil: bool = True
 ) -> Iterator[tuple[int, ...]]:
     """The host indices of p's lhs nodes, in rule-universe order, of each match in match order.
 
-    Without ``check_nihil`` forbidden edges are ignored, which gives every
-    embedding of the lhs alone.
+    ``masks`` are g's neighbour masks (see ``_cut``), cut from its bits when
+    not given.  Without ``check_nihil`` forbidden edges are ignored, which
+    gives every embedding of the lhs alone.
     """
-    # Host out-neighbours (rows), in-neighbours (columns) and self-loops, as node masks.
-    out, inn = g.edges.row_masks(), g.edges.column_masks()
+    out, inn, loops, unchecked = masks or _cut(g)
     # An edge touching an absent node sets an absent bit in its row or its column.
     absent = ~g.nodes.bits
-    if any(mask & absent for mask in chain(out, inn)):
+    if unchecked and any(mask & absent for mask in chain(out, inn)):
         raise ValueError("host graph has dangling edges")
     # An lhs edge touching an absent lhs node can never be realized.
     if not is_compatible(p.lhs):
         return
     lhs = list(set_bits(p.lhs.nodes.bits))
     edges, nihil = p.lhs.edges, p.nihilation
-    loops = sum(row & 1 << i for i, row in enumerate(out))
 
     def links(m: BoolMatrix, k: int) -> list[tuple[int, list[int]]]:
         """(j, masks) for each lhs node j < k linked to k in m: k's host is in masks[j's host]."""
@@ -242,17 +262,20 @@ def apply_at(p: Production, g: Digraph, m: Match, step: int = 1) -> Digraph:
     keeping the result dangling-free.
     """
     hosts = _validate_match(p, g, m)
-    return _plan(p, g, step)(hosts)
+    return _plan(p, g, step)(hosts)[0]
 
 
-def _plan(p: Production, g: Digraph, step: int) -> Callable[[tuple[int, ...]], Digraph]:
+def _plan(p: Production, g: Digraph, step: int, masks=None):
     """p's rewrite of g at step ``step``, as a function of a match's lhs host indices.
 
     The indices are the matched host nodes of p's lhs nodes, in rule-universe
     order.  Every match of p in g shares what the match does not change: the
     fresh labels and their universe, the host's edge bits at the new width
     and the rule's edits, each end of an edited cell named by its slot in
-    the lhs nodes followed by the added nodes.
+    the lhs nodes followed by the added nodes.  ``masks`` are g's neighbour
+    masks (see ``_cut``); without them g's rows are cut from its bits where
+    the universe widens.  ``rewrite(hosts, carry)`` returns the new host and,
+    if ``carry``, its neighbour masks, made from ``masks`` by the same edits.
     """
     n, rule = p.universe.size, p.universe.labels
     added = list(set_bits(p.added_nodes.bits))
@@ -265,11 +288,18 @@ def _plan(p: Production, g: Digraph, step: int) -> Callable[[tuple[int, ...]], D
                 raise ValueError(f"unmapped label carries content: edge {rule[i]!r}->{rule[j]!r}")
             listed.append((slot[i], slot[j]))
     deleted = [slot[i] for i in set_bits(p.deleted_nodes.bits)]
+    # The host the walker searches is dangling-free, so a new host can dangle
+    # only where the rule adds an edge at a node it deletes.
+    may_dangle = any(s in deleted or t in deleted for s, t in puts)
     # Labels of distinct rule nodes differ before the last "#", so only host labels clash.
     fresh = [fresh_label(p, rule[i], step, g.universe) for i in added]
     # A rule that adds no node keeps the host's universe and bits; each new node gets a zero row.
     universe = g.universe.extended(fresh) if fresh else g.universe
-    bits = BoolMatrix.from_row_masks(universe, g.edges.row_masks()).bits if fresh else g.edges.bits
+    if fresh:
+        rows = masks[0] if masks else g.edges.row_masks()
+        bits = BoolMatrix.from_row_masks(universe, rows).bits
+    else:
+        bits = g.edges.bits
     w = universe.size
     born_at = tuple(range(g.universe.size, w))
     nodes, born = g.nodes.bits, universe.vector_full ^ g.universe.vector_full
@@ -277,8 +307,9 @@ def _plan(p: Production, g: Digraph, step: int) -> Callable[[tuple[int, ...]], D
     # column = (2^(w·w) - 1) / (2^w - 1) has bit i·w for each row i.
     row = universe.vector_full
     column = universe.matrix_full // row if deleted else 0
+    pad = [0] * len(born_at)
 
-    def rewrite(hosts: tuple[int, ...]) -> Digraph:
+    def rewrite(hosts: tuple[int, ...], carry: bool = False):
         at = hosts + born_at
         gone = cut = put = 0
         for s in deleted:
@@ -289,9 +320,35 @@ def _plan(p: Production, g: Digraph, step: int) -> Callable[[tuple[int, ...]], D
             cut |= 1 << at[s] * w + at[t]
         for s, t in puts:
             put |= 1 << at[s] * w + at[t]
-        return Digraph(
+        child = Digraph(
             BoolMatrix(universe, bits & ~cut | put), BoolVector(universe, nodes & ~gone | born)
         )
+        if not carry:
+            return child, None
+        # The same edits on the masks: a deleted node leaves its neighbours' masks.  Its
+        # self-loop is forbidden unless the rule deletes it, so the cuts clear it.
+        out, inn, loops = masks[0] + pad, masks[1] + pad, masks[2]
+        for s in deleted:
+            h = at[s]
+            keep = ~(1 << h)
+            for j in set_bits(out[h]):
+                inn[j] &= keep
+            for i in set_bits(inn[h]):
+                out[i] &= keep
+            out[h] = inn[h] = 0
+        for s, t in cuts:
+            i, j = at[s], at[t]
+            out[i] &= ~(1 << j)
+            inn[j] &= ~(1 << i)
+            if i == j:
+                loops &= ~(1 << i)
+        for s, t in puts:
+            i, j = at[s], at[t]
+            out[i] |= 1 << j
+            inn[j] |= 1 << i
+            if i == j:
+                loops |= 1 << i
+        return child, (out, inn, loops, may_dangle)
 
     return rewrite
 
@@ -318,12 +375,15 @@ class DerivationTrace:
 _EVERY = object()
 
 
-def _select(p: Production, g: Digraph, selector, step: int) -> tuple[int, ...]:
-    """The host indices of the match that ``selector`` picks, searched no further than needed."""
-    found = _embeddings(p, g)
+def _select(p: Production, g: Digraph, masks, selector, step: int) -> tuple[int, ...]:
+    """The host indices of the match that ``selector`` picks, searched no further than needed.
+
+    ``masks`` are g's neighbour masks (see ``_cut``).
+    """
+    found = _embeddings(p, g, masks)
     first = next(found, None)
     if first is None:
-        if next(_embeddings(p, g, check_nihil=False), None) is not None:
+        if next(_embeddings(p, g, masks, check_nihil=False), None) is not None:
             raise DerivationError(
                 step, p.name, "m_K", "no match: every lhs embedding hits a forbidden edge"
             )
@@ -354,24 +414,30 @@ def _walk(g: Digraph, steps) -> Iterator[DerivationTrace]:
     A selector picks one match (see ``_select``) and ``_EVERY`` each; the
     host is rewritten at the host indices the search found, unchecked.
     The walk is depth first on a stack, so long sequences need no recursion.
+    Each entry carries the neighbour masks of its last graph if a later step
+    searches it: g's are cut from its bits, every other host's are its
+    parent's, edited by the step that built it.
     """
-    stack = [((), (g,))]
+    stack = [((), (g,), None)]
     while stack:
-        trail, graphs = stack.pop()
+        trail, graphs, masks = stack.pop()
         k = len(trail)
         if k == len(steps):
             yield DerivationTrace(trail, graphs)
             continue
         (p, selector), host = steps[k], graphs[-1]
+        masks = masks or _cut(host)
         if selector is _EVERY:
-            found = list(_embeddings(p, host))[::-1]
+            found = list(_embeddings(p, host, masks))[::-1]
         else:
-            found = [_select(p, host, selector, k + 1)]
+            found = [_select(p, host, masks, selector, k + 1)]
         # A host without a match builds no plan, so its rule's errors do not show.
-        rewrite = _plan(p, host, k + 1) if found else None
+        rewrite = _plan(p, host, k + 1, masks) if found else None
+        carry = k + 1 < len(steps)
         for hosts, m in zip(found, _matches(p, host, found)):
             step = DerivationStep(p.name, m, f"g{k}", f"g{k + 1}")
-            stack.append((trail + (step,), graphs + (rewrite(hosts),)))
+            child, child_masks = rewrite(hosts, carry)
+            stack.append((trail + (step,), graphs + (child,), child_masks))
 
 
 def derive(g: Digraph, steps) -> DerivationTrace:

@@ -178,6 +178,16 @@ class TestBoundedOne:
             assert block_bits(n, nodes) == oracle._block_bits(v)
         assert block_bits(n, u.vector_full) == u.matrix_full
 
+    @given(st.data())
+    def test_block_bits_at_every_size_and_popcount(self, data):
+        # Both spread routes from 32 nodes on, from the present or the absent
+        # side; the popcount's ends (empty, one present, one absent, full) come up often.
+        n = data.draw(st.integers(0, 70) | st.just(128))
+        k = data.draw(st.sampled_from(sorted({0, min(1, n), max(n - 1, 0), n})) | st.integers(0, n))
+        order = data.draw(st.permutations(range(n)))
+        nodes = sum(1 << i for i in order[:k])
+        assert block_bits(n, nodes) == oracle._block_bits(BoolVector(universe_of(n), nodes))
+
     def test_complement_is_incident_to_the_node_set(self):
         # ~bounded_one(~d): every edge with an end in d, as the kept-block sites read it
         for d in all_vectors(4):

@@ -105,6 +105,30 @@ class TestFindMatches:
         with pytest.raises(ValueError, match="^host graph has dangling edges$"):
             derive(Digraph.of(U2, "ab"), [(p, "first"), (free, "first")])
 
+    def test_host_left_dangling_after_a_widening_step_is_refused(self):
+        # Step 1 adds a node, so the host widens; step 2 deletes that node and
+        # adds an edge into it; the search of step 3 refuses the dangling edge.
+        grow = rule(U2, "grow", "a", [], "ab", [("b", "a")])
+        bad = Production.from_static(
+            "bad",
+            Digraph.of(U2, "ab", [("a", "b")]),
+            Digraph(BoolMatrix.from_edges(U2, [("b", "a")]), BoolVector.from_labels(U2, "b")),
+        )
+        free = rule(U2, "free", "", [], "", [])
+        assert grow.compatible and not bad.compatible
+        g = Digraph.of(NodeUniverse.of("x", "y"), "xy")
+        left = derive(g, [(grow, "first"), (bad, "first")])
+        assert [s.match.render() for s in left.steps] == ["a->x", "a->grow.b#1 b->x"]
+        assert left.result.edges.edges() == (("x", "grow.b#1"),)
+        assert not is_compatible(left.result)
+        for walk in (
+            lambda: derive(g, [(grow, "first"), (bad, "first"), (free, "first")]),
+            lambda: derive(g, [(grow, 0), (bad, {"a": "grow.b#1", "b": "x"}), (free, "first")]),
+            lambda: derive_all(g, [grow, bad, free]),
+        ):
+            with pytest.raises(ValueError, match="^host graph has dangling edges$"):
+                walk()
+
     def test_dangling_lhs_never_matches(self):
         p = Production.from_static(
             "ill",
@@ -686,3 +710,59 @@ class TestDerive:
         got = [tuple(step.match for step in t.steps) for t in derive_all(g, [p3, p3])]
         assert got == expected
         assert len(got) == 9
+
+
+class TestCarriedMasks:
+    def test_carried_masks_equal_the_built_hosts_masks(self, monkeypatch):
+        # Every rewrite the walker plans also derives the new host's neighbour
+        # masks from its parent's; they must equal the masks cut from its bits,
+        # and a host they leave unchecked must be dangling-free.
+        rng = random.Random(39)
+        plan = derivation._plan
+        tally = dict.fromkeys(("hosts", "deleted", "widened", "loops", "wide", "checked"), 0)
+
+        def checked_plan(p, g, step, masks=None):
+            rewrite = plan(p, g, step, masks)
+
+            def checked(hosts, carry=False):
+                child, carried = rewrite(hosts, True)
+                out, inn, loops, unchecked = carried
+                assert out == child.edges.row_masks()
+                assert inn == child.edges.column_masks()
+                assert loops == sum(row & 1 << i for i, row in enumerate(out))
+                assert unchecked or is_compatible(child)
+                if p.compatible:
+                    assert is_compatible(child)
+                tally["hosts"] += 1
+                tally["deleted"] += not p.deleted_nodes.is_zero()
+                tally["widened"] += len(child.universe) > len(g.universe)
+                tally["loops"] += loops != masks[2]
+                tally["wide"] += len(child.universe) > 64
+                tally["checked"] += unchecked
+                return child, carried if carry else None
+
+            return checked
+
+        monkeypatch.setattr(derivation, "_plan", checked_plan)
+        for case in range(1000):
+            u = NodeUniverse(tuple("abcd"[: rng.randint(1, 4)]))
+            rules = []
+            for i in range(rng.randint(2, 4)):
+                p = random_production(rng, u, f"r{i}", 0.4, node_delete_prob=0.4, node_add_prob=0.6)
+                if case % 5 == 0:  # an API-built rule that may leave an edge dangling
+                    p = Production.from_static(p.name, p.lhs, dangling(rng, p.rhs))
+                rules.append(p)
+            wide = case % 4 == 0  # a host that fresh nodes widen past one 64-bit word
+            n = rng.randint(59, 64) if wide else rng.randint(2, 6)
+            host_u = NodeUniverse(tuple(f"v{i}" for i in range(n)))
+            g = random_digraph(rng, host_u, 0.8, 0.05 if wide else 0.3)
+            walks = [lambda: derive(g, [(p, rng.choice(["first", 0, 1])) for p in rules])]
+            if not wide:
+                walks.append(lambda: derive_all(g, rules[:3]))
+            for walk in walks:
+                try:
+                    walk()
+                except (DerivationError, ValueError):
+                    pass
+        assert tally["hosts"] > 4000 and tally["deleted"] > 1500 and tally["widened"] > 1200, tally
+        assert tally["loops"] > 1500 and tally["wide"] > 30 and tally["checked"] > 100, tally

@@ -70,7 +70,7 @@ GRAMMARS = 300
 LONG_GRAMMARS = 24
 # Wide grammars, drawn after the long ones: (count, universe sizes, rules per sequence).
 WIDE_GRAMMARS = ((6, (65, 128), (4, 8)), (6, (200, 300), (1, 3)))
-# Tree grammars, drawn after the wide ones: hosts of 11 to 13 nodes that also run derive --select all.
+# Tree grammars, drawn after the wide ones: hosts of 11 to 13 nodes, also derived with all.
 TREE_GRAMMARS = 24
 TREE_TRACES = 3000
 # Dense grammars, drawn after the tree ones: (universe size, rules per sequence) of each.
