@@ -327,19 +327,13 @@ def block_bits(n: int, nodes: int) -> int:
     full = (1 << n) - 1
     if nodes == full:
         return (1 << n * n) - 1
-    absent = full ^ nodes
-    few = min(nodes.bit_count(), absent.bit_count())
-    if n < 32 or 4 * few > n:
+    k = nodes.bit_count()
+    if n < 32 or 4 * min(k, n - k) > n:
         spread = int(("0" * (n - 1)).join(bin(nodes)[2:]), 2)
-    elif few == nodes.bit_count():
+    elif k <= n - k:
         spread = sum(1 << i * n for i in set_bits(nodes))
-    else:
-        spread, rows = 1, 1  # bit i·n for every row i, by doubling
-        while rows < n:
-            spread |= spread << rows * n
-            rows *= 2
-        spread &= (1 << n * n) - 1
-        spread -= sum(1 << i * n for i in set_bits(absent))
+    else:  # bit i·n of every row, less the absent nodes' rows
+        spread = ((1 << n * n) - 1) // full - sum(1 << i * n for i in set_bits(full ^ nodes))
     return spread * nodes
 
 
