@@ -327,14 +327,14 @@ def block_bits(n: int, nodes: int) -> int:
     full = (1 << n) - 1
     if nodes == full:
         return (1 << n * n) - 1
-    k = nodes.bit_count()
-    if n < 32 or 4 * min(k, n - k) > n:
-        spread = int(("0" * (n - 1)).join(bin(nodes)[2:]), 2)
-    elif k <= n - k:
-        spread = sum(1 << i * n for i in set_bits(nodes))
-    else:  # bit i·n of every row, less the absent nodes' rows
-        spread = ((1 << n * n) - 1) // full - sum(1 << i * n for i in set_bits(full ^ nodes))
-    return spread * nodes
+    if n >= 32:
+        k = nodes.bit_count()
+        if 4 * k <= n:
+            return sum(1 << i * n for i in set_bits(nodes)) * nodes
+        if 4 * (n - k) <= n:  # bit i·n of every row, less the absent nodes' rows
+            spread = ((1 << n * n) - 1) // full - sum(1 << i * n for i in set_bits(full ^ nodes))
+            return spread * nodes
+    return int(("0" * (n - 1)).join(bin(nodes)[2:]), 2) * nodes
 
 
 def bounded_one(v: BoolVector) -> BoolMatrix:
