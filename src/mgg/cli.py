@@ -4,6 +4,10 @@ Reports are line-oriented documents with a stable key order so they can be
 diffed byte for byte.  Exit codes: 0 when the requested check passes or the
 derivation completes, 1 when it fails, 2 for unknown names or bad input.
 
+Every matrix in a report renders row by row through the report's one row
+memo (``Report.matrix``), and a vector as one entry of it, so a row that the
+graphs of a derivation share is joined once per report.
+
 A failed analysis lists each set cell of its witness masks as a
 ``witness <part> <position> <cell>`` line, and each mask's lines go into the
 report in one ``extend`` with the prefix built once.  A report names its
@@ -65,31 +69,12 @@ _TABLE_WITNESSES = 4
 _SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 
-def matrix_str(m: BoolMatrix) -> str:
-    n, cells = m.universe.size, m.cells()
-    return "[" + ",".join("[" + ",".join(cells[i * n : i * n + n]) + "]" for i in range(n)) + "]"
+class _Rows(dict):
+    """Rendered rows: the cells of a matrix row or a vector (a ``str``) -> ``[c0,c1,...]``."""
 
-
-def vector_str(v: BoolVector) -> str:
-    return "[" + ",".join(v.cells()) + "]"
-
-
-class _Joined(dict):
-    """Report text, each joined when first asked for.
-
-    The cells of a row or a vector (a ``str``) -> ``[c0,c1,...]``; a
-    universe's labels (a ``tuple``) -> ``l0 l1 ...``.
-    """
-
-    def __missing__(self, key: str | tuple[str, ...]) -> str:
-        text = self[key] = " ".join(key) if isinstance(key, tuple) else "[" + ",".join(key) + "]"
+    def __missing__(self, cells: str) -> str:
+        text = self[cells] = "[" + ",".join(cells) + "]"
         return text
-
-
-def _matrix_str(m: BoolMatrix, joined: _Joined) -> str:
-    """``matrix_str(m)``, each row read from ``joined``."""
-    n, cells = m.universe.size, m.cells()
-    return "[" + ",".join([joined[cells[i * n : i * n + n]] for i in range(n)]) + "]"
 
 
 def _picked(names, mask: BoolMatrix | BoolVector) -> Iterator[str]:
@@ -104,6 +89,14 @@ def _bool_str(flag: bool) -> str:
 class Report:
     def __init__(self, command: str):
         self.lines = [f"report {command}"]
+        # Rows repeat within a report (the graphs of a derivation share most of
+        # theirs): each distinct one is joined once.
+        self.rows = _Rows()
+
+    def matrix(self, m: BoolMatrix) -> str:
+        """``[[c00,c01,...],[c10,...],...]``, row by row, each row read from ``rows``."""
+        n, cells, rows = m.universe.size, m.cells(), self.rows
+        return "[" + ",".join([rows[cells[i * n : i * n + n]] for i in range(n)]) + "]"
 
     def add(self, key: str, value: str = "") -> None:
         self.lines.append(f"{key} {value}".rstrip())
@@ -134,9 +127,9 @@ def _sequence_of(gf: GrammarFile, name: str) -> RuleSequence:
 
 
 def _add_term(report: Report, prefix: str, term: ComplexTerm) -> None:
-    report.add(f"{prefix}_cert_edges", matrix_str(term.cert_edges))
-    report.add(f"{prefix}_cert_nodes", vector_str(term.cert_nodes))
-    report.add(f"{prefix}_nihil_edges", matrix_str(term.nihil_edges))
+    report.add(f"{prefix}_cert_edges", report.matrix(term.cert_edges))
+    report.add(f"{prefix}_cert_nodes", report.rows[term.cert_nodes.cells()])
+    report.add(f"{prefix}_nihil_edges", report.matrix(term.nihil_edges))
 
 
 def _add_analysis(report: Report, analysis: AnalysisReport) -> None:
@@ -144,7 +137,7 @@ def _add_analysis(report: Report, analysis: AnalysisReport) -> None:
     for note in analysis.notes:
         report.add("note", note)
     for key, extra in analysis.extras:
-        report.add(key, matrix_str(extra))
+        report.add(key, report.matrix(extra))
     u = analysis.term.universe
     edges = sum(c.count() for _, _, c in analysis.witnesses if isinstance(c, BoolMatrix))
     names = cell_names(u) if _TABLE_WITNESSES * edges >= u.size * u.size else None
@@ -173,8 +166,8 @@ def cmd_analyze(args, out) -> int:
     ok = True
     if args.check == "coherence":
         analysis = coherence(s)
-        report.add("c_plus", matrix_str(analysis.term.cert_edges))
-        report.add("c_minus", matrix_str(analysis.term.nihil_edges))
+        report.add("c_plus", report.matrix(analysis.term.cert_edges))
+        report.add("c_minus", report.matrix(analysis.term.nihil_edges))
         _add_analysis(report, analysis)
         ok = analysis.ok
     elif args.check == "initial":
@@ -190,7 +183,7 @@ def cmd_analyze(args, out) -> int:
         report.add("ok", _bool_str(True))
     elif args.check == "compatibility":
         analysis = sequence_compatibility(s)
-        report.add("violations", matrix_str(analysis.term.cert_edges))
+        report.add("violations", report.matrix(analysis.term.cert_edges))
         _add_analysis(report, analysis)
         ok = analysis.ok
     elif args.check == "congruence":
@@ -198,18 +191,18 @@ def cmd_analyze(args, out) -> int:
             raise LookupError("congruence needs a sequence of at least two rules")
         analysis = g_congruence(s, args.mode)
         report.add("mode", args.mode)
-        report.add("f_plus", matrix_str(analysis.term.cert_edges))
-        report.add("f_minus", matrix_str(analysis.term.nihil_edges))
+        report.add("f_plus", report.matrix(analysis.term.cert_edges))
+        report.add("f_minus", report.matrix(analysis.term.nihil_edges))
         _add_analysis(report, analysis)
         ok = analysis.ok
     report.emit(out)
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _add_graph(report: Report, gid: str, g: Digraph, joined: _Joined) -> None:
-    report.add(f"graph {gid} universe", joined[g.universe.labels])
-    report.add(f"graph {gid} nodes", joined[g.nodes.cells()])
-    report.add(f"graph {gid} edges", _matrix_str(g.edges, joined))
+def _add_graph(report: Report, gid: str, g: Digraph) -> None:
+    report.add(f"graph {gid} universe", " ".join(g.universe.labels))
+    report.add(f"graph {gid} nodes", report.rows[g.nodes.cells()])
+    report.add(f"graph {gid} edges", report.matrix(g.edges))
 
 
 def cmd_derive(args, out) -> int:
@@ -225,22 +218,14 @@ def cmd_derive(args, out) -> int:
     report.add("host", args.host)
     report.add("sequence", args.sequence)
     report.add("select", args.select)
-    # Graphs of one report share most rows and universes: each distinct one is
-    # joined once per report.
-    joined = _Joined()
 
     if args.select == "all":
         traces = derive_all(host, rules)
         report.add("traces", str(len(traces)))
-        # Traces share the steps of a common prefix: each step is rendered once,
-        # keyed by identity (``traces`` keeps every step alive as long as ``steps``).
-        steps: dict[int, str] = {}
         for t, trace in enumerate(traces):
-            for step in trace.steps:
-                if id(step) not in steps:
-                    steps[id(step)] = f"{step.production} match {step.match.render()}"
-            report.add_all(f"trace {t} step", [steps[id(step)] for step in trace.steps])
-            _add_graph(report, f"trace-{t}-result", trace.result, joined)
+            steps = [f"{step.production} match {step.match.render()}" for step in trace.steps]
+            report.add_all(f"trace {t} step", steps)
+            _add_graph(report, f"trace-{t}-result", trace.result)
         report.add("ok", _bool_str(bool(traces)))
         report.emit(out)
         return EXIT_OK if traces else EXIT_FAIL
@@ -256,14 +241,14 @@ def cmd_derive(args, out) -> int:
         report.add("error", str(exc))
         report.emit(out)
         return EXIT_FAIL
-    _add_graph(report, "g0", host, joined)
+    _add_graph(report, "g0", host)
     for step in trace.steps:
         report.add(
             "step",
             f"{step.input_id} {step.production} match {step.match.render()} -> {step.output_id}",
         )
     for k, g in enumerate(trace.graphs[1:], start=1):
-        _add_graph(report, f"g{k}", g, joined)
+        _add_graph(report, f"g{k}", g)
     report.add("result", f"g{len(trace.steps)}")
     report.add("ok", "yes")
     report.emit(out)
@@ -300,7 +285,7 @@ def cmd_census(args, out) -> int:
     report.add("swaps", str(table.swap_count()))
     report.add("histogram", "[" + ",".join(str(c) for c in table.histogram) + "]")
     for swap, size in table.class_sizes:
-        report.add("class", f"nihil {matrix_str(swap.nihil_edges)} size {size}")
+        report.add("class", f"nihil {report.matrix(swap.nihil_edges)} size {size}")
     report.emit(out)
     return EXIT_OK
 

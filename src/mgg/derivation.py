@@ -16,7 +16,8 @@ the nodes placed before it.  A look-ahead narrows the mask further, all on
 AND / OR: for each later lhs neighbour whose candidates the placed nodes
 already narrow, the node must be adjacent to one of them.  It removes only
 hosts no match can use, and it stands in for the pruning a degree-ordered
-search would give on path-shaped rules.
+search would give on path-shaped rules.  An lhs node that no present host
+node can take, by its self-loop alone, ends the search before any placement.
 
 The search is a generator, so ``derive`` stops as soon as the selector has
 its match: "first" takes one match and index K takes K + 1 (an index out
@@ -42,10 +43,11 @@ gets its parent's masks with the step's edits made at the match's slots: a
 deleted node's row and column are cleared at its neighbours, the cut cells
 cleared, the put cells set, and new nodes get zero masks.  The last hosts
 of a walk get none.  ``find_matches`` cuts the masks of the host it is
-given, and ``apply_at`` that host's rows where the universe widens.  The host check (no edge at an absent node) runs on
-every host cut from its bits, and on a walker-built host only where the
-step's rule adds an edge at a node it deletes, the one way a rewrite of a
-dangling-free host can leave an edge dangling.
+given, and ``apply_at`` that host's rows where the universe widens.  The
+host check (no edge at an absent node) runs on every host cut from its
+bits, and on a walker-built host only where the step's rule adds an edge at
+a node it deletes, the one way a rewrite of a dangling-free host can leave
+an edge dangling.
 """
 
 from __future__ import annotations
@@ -146,6 +148,9 @@ def _embeddings(
             free &= loops
         if check_nihil and nihil[u, u]:
             free &= ~loops
+        if not free:
+            # No host node can take u (say, an lhs self-loop on a loop-free host).
+            return
         room.append(free)
         must.append(links(edges, k))
         mustnt.append(links(nihil, k) if check_nihil else [])

@@ -1,6 +1,7 @@
 """Matching, direct derivations and multi-step traces."""
 
 import random
+import sys
 
 import pytest
 
@@ -492,6 +493,40 @@ class TestDerive:
         with pytest.raises(DerivationError) as err:
             derive(full, [(nihil_fail, "first")])
         assert err.value.failed == "m_K"
+
+    def test_a_node_without_room_ends_the_search_before_any_placement(self):
+        # A later lhs node that no host node can take (a self-loop on a loop-free
+        # host, a forbidden self-loop on a fully looped one) ends the search before
+        # any candidates are drawn for the nodes before it; the verdict is unchanged.
+        u = NodeUniverse(tuple("abcdefgh"))
+        labels = u.labels
+        loop_free = Digraph.of(u, labels, [(x, y) for x in labels for y in labels if x != y])
+        looped = Digraph.of(u, labels, [(x, y) for x in labels for y in labels])
+        loop = rule(u, "loop", "abc", [("a", "b"), ("c", "c")], "abc", [("a", "b"), ("c", "c")])
+        tie = rule(u, "tie", "abc", [("a", "b")], "abc", [("a", "b"), ("c", "c")])
+
+        def first_with_calls(search):
+            """The search's first match (or None) and the calls to ``candidates`` it made."""
+            calls = []
+
+            def profile(frame, event, arg):
+                if event == "call" and frame.f_code.co_name == "candidates":
+                    calls.append(frame.f_globals["__name__"])
+
+            sys.setprofile(profile)
+            try:
+                return next(search, None), calls
+            finally:
+                sys.setprofile(None)
+
+        for p, g, failed in ((loop, loop_free, "m_L"), (tie, looped, "m_K")):
+            assert first_with_calls(derivation._embeddings(p, g)) == (None, [])
+            with pytest.raises(DerivationError) as err:
+                derive(g, [(p, "first")])
+            assert err.value.failed == failed
+        # Without the forbidden loop the same search draws candidates and matches.
+        found, calls = first_with_calls(derivation._embeddings(tie, looped, check_nihil=False))
+        assert found == (0, 1, 2) and calls and set(calls) == {"mgg.derivation"}
 
     def test_failure_messages(self):
         p = rule(U2, "add", "ab", [], "ab", [("a", "b")])
