@@ -12,16 +12,20 @@ is bit ``i * n + j``, ``NodeUniverse.cell``), vectors into an int with bit
 packs by density: fewer than 2n + 16 cells (384 at most) are ORed in one
 at a time, since each OR costs the width of the int; more go through one
 buffer of n² digits and one ``int(digits, 2)``, a fixed cost of O(n²).
-Edge tokens ``src->dst`` are listed in one place: ``cell_names`` gives all
-n² of them in cell order, for callers that name many cells at once (the
-grammar reader's token memo, witness lines in reports).  The one matrix
-built from a node vector is the all-ones block over a node set,
-``bounded_one``, whose bits ``block_bits`` gives to modules that compute on
-ints; the per-cell builders and readers the tests use live in ``oracle``.
+Edge tokens ``src->dst`` are listed in one place, ``NodeUniverse.cell_names``:
+all n² of them in cell order, for callers that name many cells at once.  The
+table lives with its universe, built on first use, so the grammar reader's
+token memo and the witness lines of the same command's report share one
+list.  The one matrix built from a node vector is the all-ones block over a
+node set, ``bounded_one``, whose bits ``block_bits`` gives to modules that
+compute on ints; the per-cell builders and readers the tests use live in
+``oracle``.
 
 A universe carries its size and its all-ones vector and matrix masks,
 computed once; every vector and matrix construction, ``~`` and ``ones``
 read them, and every construction is still range-checked against them.
+Its edge tokens and its row starts (bit i·n of each row i) are built on
+first use and kept.
 
 Both kinds share one packed type with ``& | ^`` and a bounded ``~``: the
 complement inside the value's universe (every node for a vector, every
@@ -56,6 +60,12 @@ class NodeUniverse:
     size: int = field(init=False, repr=False, compare=False)
     vector_full: int = field(init=False, repr=False, compare=False)
     matrix_full: int = field(init=False, repr=False, compare=False)
+    # The two below are built on first use (``cell_names``, ``row_starts``).  Every
+    # attribute is set in ``__post_init__``, in one order, so that no universe
+    # materializes an instance ``__dict__`` as ``cached_property`` would: an
+    # attribute read on a universe that has one takes ~50 ns against ~30.
+    _cell_names: list[str] | None = field(init=False, repr=False, compare=False)
+    _row_starts: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.labels)
@@ -65,6 +75,8 @@ class NodeUniverse:
         object.__setattr__(self, "size", n)
         object.__setattr__(self, "vector_full", (1 << n) - 1)
         object.__setattr__(self, "matrix_full", (1 << n * n) - 1)
+        object.__setattr__(self, "_cell_names", None)
+        object.__setattr__(self, "_row_starts", None)
 
     @classmethod
     def of(cls, *labels: str) -> "NodeUniverse":
@@ -88,16 +100,33 @@ class NodeUniverse:
         """New universe with extra labels appended after the existing ones."""
         return NodeUniverse(self.labels + tuple(new_labels))
 
+    @property
+    def cell_names(self) -> list[str]:
+        """Every edge token ``src->dst`` in cell order: entry ``cell(src, dst)`` names that cell.
 
-def cell_names(universe: NodeUniverse) -> list[str]:
-    """Every edge token ``src->dst`` in cell order: entry ``cell(src, dst)`` names that cell.
+        Built on first use, in one comprehension, and kept with the universe;
+        every caller gets the same list, to read and never to change.
+        """
+        if self._cell_names is None:
+            labels = self.labels
+            names = [head + dst for head in [f"{src}->" for src in labels] for dst in labels]
+            object.__setattr__(self, "_cell_names", names)
+        return self._cell_names
 
-    One step per row; each row's n tokens are joined at C speed.
-    """
-    labels, names = universe.labels, []
-    for src in labels:
-        names += map(f"{src}->".__add__, labels)
-    return names
+    @property
+    def row_starts(self) -> int:
+        """Bit i·n of each row i: a packed matrix's column 0, which ``<< j`` moves to column j.
+
+        Built on first use by doubling the rows, not by dividing the full
+        matrix mask by the full vector mask: at 512 nodes ~15 us against ~0.36 ms.
+        """
+        if self._row_starts is None:
+            n, bits, rows = self.size, 1, 1
+            while rows < n:
+                bits |= bits << rows * n
+                rows *= 2
+            object.__setattr__(self, "_row_starts", bits & self.matrix_full)
+        return self._row_starts
 
 
 def set_bits(bits: int) -> Iterator[int]:

@@ -12,8 +12,9 @@ A failed analysis lists each set cell of its witness masks as a
 ``witness <part> <position> <cell>`` line, and each mask's lines go into the
 report in one ``extend`` with the prefix built once.  A report names its
 edge cells in one of two ways, chosen once from the total popcount of its
-matrix masks: at n²/4 cells or more, through the report's own table of all
-n² tokens (``boolmat.cell_names``), picked out at C speed by the mask's
+matrix masks: at n²/4 cells or more, through the universe's table of all n²
+tokens (``NodeUniverse.cell_names``, which the grammar reader of a
+token-dense file has already built), picked out at C speed by the mask's
 digit string; below that, cell by cell from the mask's set bits.  Node
 cells are always picked out of the universe's labels.  On the incoherent
 64-node benchmark items (12k-13k coherence witnesses) the table route
@@ -33,7 +34,7 @@ from collections.abc import Iterator
 from itertools import compress
 from pathlib import Path
 
-from .boolmat import BoolMatrix, BoolVector, Digraph, cell_names
+from .boolmat import BoolMatrix, BoolVector, Digraph
 from .derivation import DerivationError, derive, derive_all
 from .encoding import ell_complex, gasket_raster
 from .grammar import GrammarError, GrammarFile, parse_grammar
@@ -59,11 +60,15 @@ _SELECT = re.compile(r"first|all|[0-9]+")
 _INTEGER = re.compile(r"-?[0-9]+")
 
 # A report names its witness edges through ``cell_names`` when this many times
-# their count reaches n².  The table costs ~0.1 us a cell (~0.4 ms at 64 nodes),
-# picking a mask's cells out of it ~12 ns a cell, and naming a set cell from the
-# bits ~0.4 us.  On the 64-node benchmark items the two routes break even near
-# 4 x count = n² (congruence reports with 2 masks: 1.21x the time at 0.85 n²/4
-# witnesses, 0.95x at 1.06 n²/4); coherence reports of ~11 n²/4 take 0.39x.
+# their count reaches n².  The table costs ~65 ns a cell (~0.26 ms at 64 nodes)
+# where it is not built yet, picking a mask's cells out of it ~12 ns a cell, and
+# naming a set cell from the bits ~0.4 us.  On the 64-node benchmark items the
+# two routes break even near 4 x count = n² when the table must be built
+# (congruence reports with 2 masks: 1.21x the time at 0.85 n²/4 witnesses,
+# 0.95x at 1.06 n²/4); coherence reports of ~11 n²/4 take 0.39x.  The gate does
+# not ask whether the grammar reader built the table already: if it has, the
+# table route is the faster one down to ~0.2 n²/4 (0.81x at 0.22 n²/4, 0.54x at
+# 0.56 n²/4, best of 15, two-mask congruence reports of coherent 64-node files).
 _TABLE_WITNESSES = 4
 # A mask's digit string as bytes, read by ``compress`` as one selector per cell.
 _SELECTORS = bytes.maketrans(b"01", b"\0\1")
@@ -140,7 +145,7 @@ def _add_analysis(report: Report, analysis: AnalysisReport) -> None:
         report.add(key, report.matrix(extra))
     u = analysis.term.universe
     edges = sum(c.count() for _, _, c in analysis.witnesses if isinstance(c, BoolMatrix))
-    names = cell_names(u) if _TABLE_WITNESSES * edges >= u.size * u.size else None
+    names = u.cell_names if _TABLE_WITNESSES * edges >= u.size * u.size else None
     for part, position, cells in analysis.witnesses:
         key = f"witness {part} {position}"
         if isinstance(cells, BoolVector):

@@ -309,9 +309,9 @@ def _plan(p: Production, g: Digraph, step: int, masks=None):
     born_at = tuple(range(g.universe.size, w))
     nodes, born = g.nodes.bits, universe.vector_full ^ g.universe.vector_full
     # A deleted node h loses row h (row << h * w) and column h (column << h), where
-    # column = (2^(w·w) - 1) / (2^w - 1) has bit i·w for each row i.
+    # column has bit i·w for each row i, built once per universe.
     row = universe.vector_full
-    column = universe.matrix_full // row if deleted else 0
+    column = universe.row_starts if deleted else 0
     pad = [0] * len(born_at)
 
     def rewrite(hosts: tuple[int, ...], carry: bool = False):

@@ -26,10 +26,12 @@ to it at parse time.  Each line is lexed once, and every error is a
 ``GrammarError`` carrying the offending line (0 for a file with no ``nodes``
 line).  Edge tokens go to cells through a memo that lives for one parse.  In
 most files each distinct token is split and looked up once, when first read.
-A token-dense file (at least 2n² ``->`` in its text, n nodes, counted only
+A token-dense file (at least n² ``->`` in its text, n nodes, counted only
 when the text is long enough to hold that many tokens at the labels' mean
-length) instead fills the memo with all n² tokens from ``boolmat.cell_names``
-before its first edge line, and reads each line with one C-level ``map``.  A
+length) instead fills the memo with all n² tokens of its universe's
+``cell_names`` before its first edge line, and reads each line with one
+C-level ``map``.  The gate is where the table starts to pay on coherent
+files, which repeat more tokens than random ones (see ``_TABLE_TOKENS``).  A
 token missing from a full memo is malformed or names an unknown label, and
 is worded as when a lookup fails, so both routes give the same errors in the
 same order.  Parsing and serialization are mutually inverse on the model
@@ -41,7 +43,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .boolmat import BoolMatrix, BoolVector, Digraph, NodeUniverse, cell_names, is_compatible
+from .boolmat import BoolMatrix, BoolVector, Digraph, NodeUniverse, is_compatible
 from .production import Production
 
 
@@ -61,15 +63,18 @@ class GrammarFile:
     hosts: dict[str, Digraph]
 
 
-# A file fills its token memo from ``cell_names`` when its text holds at least
-# this many ``->`` per universe cell: above where the table paid on every
-# generated 64-node file measured (parse times, best of 5), which was from
-# ~0.6 n² tokens for random rules but only from ~1.5 n² for coherent ones, as
-# they repeat more tokens.  The table costs ~1 ms at 64 nodes; the 3.4
-# n²-token benchmark files went from ~10 to ~7 ms.  Counting is ~0.1 ms on a
-# 61 kB file, ~2 % of its parse, so a file is counted only if it is long
-# enough to hold that many tokens.
-_TABLE_TOKENS = 2
+# A file fills its token memo from its universe's ``cell_names`` when its text
+# holds at least this many ``->`` per universe cell: where the table starts to
+# pay on coherent files.  Parse times, table against memo alone, interleaved
+# best of 5 x 7 on generated files at 16 to 128 nodes: random rules, which
+# repeat few tokens, gain from ~0.5 n² tokens (0.65-0.97x from 0.7 n²);
+# coherent ones, each rule firing on the graph the ones before it leave, break
+# even at 0.9-1.0 n² (0.90-1.03x), lose up to 1.2x below 0.7 n², and gain
+# 0.80-0.94x from 1.4 n² on 32 nodes or more.  The table costs ~0.6 ms at 64
+# nodes, names and memo, and a report that names its witnesses reuses the
+# names.  Counting is ~0.1 ms on a 61 kB file, ~2 % of its parse, so a file is
+# counted only if it is long enough to hold that many tokens.
+_TABLE_TOKENS = 1
 
 
 def _lex(text: str) -> Iterator[tuple[int, bool, list[str]]]:
@@ -224,7 +229,7 @@ class _Parser:
             # for ``dense`` tokens at the labels' mean length is not counted.
             if len(self.text) * n >= dense * (2 * sum(map(len, rest)) + 3 * n):
                 if self.text.count("->") >= dense:
-                    self.cells = dict(zip(cell_names(u), range(cells)))
+                    self.cells = dict(zip(u.cell_names, range(cells)))
         elif keyword == "sequence":
             if len(rest) < 2:
                 raise GrammarError(number, "expected: sequence <name> <rule> [<rule> ...]")

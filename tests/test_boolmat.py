@@ -20,7 +20,7 @@ from mgg import (
     is_compatible,
 )
 from mgg import oracle
-from mgg.boolmat import _digits_from, block_bits, cell_names
+from mgg.boolmat import _digits_from, block_bits
 from mgg.oracle import matrix_of, rows_of, values_of, vector_of
 
 U2 = NodeUniverse.of("a", "b")
@@ -310,11 +310,18 @@ class TestCellNames:
     def test_each_entry_names_its_cell(self, n):
         # '-' and '>' next to the arrow: a token is read back by its first "->".
         u = NodeUniverse(tuple(("v{}", "v{}-", ">v{}")[i % 3].format(i) for i in range(n)))
-        names = cell_names(u)
+        names = u.cell_names
         assert len(names) == n * n
         for a in u.labels:
             for b in u.labels:
                 assert names[u.cell(a, b)] == f"{a}->{b}"
+        assert u.cell_names is names  # built once, kept with the universe
+
+    @pytest.mark.parametrize("n", (0, 1, 2, 3, 7, 8, 9, 64, 65, 129))
+    def test_row_starts_are_column_zero(self, n):
+        u = universe_of(n)
+        assert u.row_starts == sum(1 << i * n for i in range(n))
+        assert u.row_starts is u.row_starts
 
 
 class TestPackers:

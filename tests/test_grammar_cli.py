@@ -12,9 +12,13 @@ from mgg import (
     BoolMatrix,
     BoolVector,
     ComplexTerm,
+    Digraph,
     GrammarError,
     GrammarFile,
     NodeUniverse,
+    Production,
+    RuleSequence,
+    coherence,
     parse_grammar,
     random_digraph,
     random_production,
@@ -22,7 +26,6 @@ from mgg import (
     serialize_grammar,
 )
 from mgg import grammar
-from mgg.boolmat import cell_names
 from mgg.cli import (
     _TABLE_WITNESSES,
     Report,
@@ -404,16 +407,62 @@ def dense_grammar(rng: random.Random, labels, rules: int) -> GrammarFile:
     )
 
 
+def coherent_grammar(rng: random.Random, labels, rules: int) -> GrammarFile:
+    """A coherent sequence: each rule fires at the identity on the graph the ones before leave.
+
+    Each rule reads most of the edges among ~80 % of the nodes and keeps most
+    of them, so the file repeats its tokens: ~0.4 n² for the host and ~0.35 n²
+    per rule.
+    """
+    u = NodeUniverse(tuple(labels))
+    g = host = random_digraph(rng, u, 0.9, 0.5)
+    productions = {}
+    for k in range(rules):
+        nodes = [a for a in g.nodes.labels() if rng.random() < 0.8]
+        inside = {(a, b) for a, b in g.edges.edges() if a in nodes and b in nodes}
+        lhs = [e for e in sorted(inside) if rng.random() < 0.8]
+        rhs = [e for e in lhs if rng.random() < 0.8]
+        rhs += [
+            (a, b) for a in nodes for b in nodes if (a, b) not in inside and rng.random() < 0.05
+        ]
+        p = Production.from_static(
+            f"r{k + 1}", Digraph.of(u, nodes, lhs), Digraph.of(u, nodes, rhs)
+        )
+        productions[p.name] = p
+        edges = g.edges.bits & ~p.deleted_edges.bits | p.added_edges.bits
+        g = Digraph(BoolMatrix(u, edges), g.nodes)
+    return GrammarFile(u, productions, {"s": tuple(productions)}, {"h": host})
+
+
 @pytest.fixture
 def tables(monkeypatch):
-    """The universes the grammar reader builds a token table for, in order."""
-    built = []
-    monkeypatch.setattr(grammar, "cell_names", lambda u: built.append(u) or cell_names(u))
+    """The universes that build their table of edge tokens (``cell_names``), in order."""
+    built, read = [], NodeUniverse.cell_names.fget
+
+    def counted(u: NodeUniverse) -> list[str]:
+        if u._cell_names is None:
+            built.append(u)
+        return read(u)
+
+    monkeypatch.setattr(NodeUniverse, "cell_names", property(counted))
     return built
 
 
+# A bad token after a good one on an edge line, and the error it gives.
+BAD_TOKENS = [
+    ("a->", "malformed edge 'a->'; expected src->dst"),
+    ("->b", "malformed edge '->b'; expected src->dst"),
+    ("a->b->c", "malformed edge 'a->b->c'; expected src->dst"),
+    ("ab", "malformed edge 'ab'; expected src->dst"),
+    ("a-->b", "unknown node label 'a-'"),
+    ("a->z", "unknown node label 'z'"),
+    ("repeat", "duplicate edge '{first}'"),
+    ("dangling", "{where} has an edge touching an absent node"),
+]
+
+
 class TestTokenDenseFiles:
-    """Files naming 2n² edge tokens or more read them through a table of all n² tokens."""
+    """Files naming n² edge tokens or more read them through a table of all n² tokens."""
 
     def test_random_sequences_parse_to_the_plain_memo_model(self, tables, monkeypatch):
         rng = random.Random(98)
@@ -432,42 +481,83 @@ class TestTokenDenseFiles:
         assert [parse_grammar(text) for text in texts] == models
         assert len(tables) == 5
 
+    def test_coherent_sequences_between_n2_and_2n2_tokens_read_through_the_table(
+        self, tables, monkeypatch
+    ):
+        rng = random.Random(96)
+        texts, models = [], []
+        for n, rules in ((8, 2), (17, 3), (40, 2), (64, 3)):
+            labels = [("v{}", "v{}-", ">v{}")[i % 3].format(i) for i in range(n)]
+            gf = coherent_grammar(rng, labels, rules)
+            assert coherence(RuleSequence(tuple(gf.productions.values()))).ok
+            texts.append(serialize_grammar(gf))
+            assert n * n <= texts[-1].count("->") < 2 * n * n, n
+            models.append(parse_grammar(texts[-1]))
+            assert models[-1] == gf, n
+        assert [len(u) for u in tables] == [8, 17, 40, 64]
+        monkeypatch.setattr(grammar, "_TABLE_TOKENS", float("inf"))
+        assert [parse_grammar(text) for text in texts] == models
+        assert len(tables) == 4
+
     @pytest.mark.parametrize("where", ["lhs", "host"])
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            ("a->", "malformed edge 'a->'; expected src->dst"),
-            ("->b", "malformed edge '->b'; expected src->dst"),
-            ("a->b->c", "malformed edge 'a->b->c'; expected src->dst"),
-            ("ab", "malformed edge 'ab'; expected src->dst"),
-            ("a-->b", "unknown node label 'a-'"),
-            ("a->z", "unknown node label 'z'"),
-            ("repeat", "duplicate edge '{first}'"),
-            ("dangling", "{where} has an edge touching an absent node"),
-        ],
-    )
+    @pytest.mark.parametrize("edit, message", BAD_TOKENS)
     def test_bad_tokens_are_worded_at_their_line(self, tables, where, edit, message):
-        # The edit follows the first token of the first lhs edge line or of the
-        # host's edge line, both read after the table is built.
         gf = dense_grammar(random.Random(99), "abcdefgh", 4)
-        if edit == "dangling":  # a node absent from that digraph
-            g = gf.productions["r1"].lhs if where == "lhs" else gf.hosts["h"]
-            absent = next(l for l in gf.universe.labels if l not in g.nodes.labels())
-            edit = f"{absent}->{absent}"
-        lines = serialize_grammar(gf).splitlines()
-        at = next(
-            k for k, line in enumerate(lines)
-            if line.startswith("  lhs edges " if where == "lhs" else "  edges ")
-        )
-        first = lines[at].split()[2 if where == "lhs" else 1]
-        edit = first if edit == "repeat" else edit
-        head, _, rest = lines[at].partition(first)
-        lines[at] = f"{head}{first} {edit}{rest}"
-        with pytest.raises(GrammarError) as caught:
-            parse_grammar("\n".join(lines) + "\n")
-        expected = f"line {at + 1}: " + message.format(first=first, where=where)
-        assert str(caught.value) == expected
+        assert_worded_at_their_line(gf, where, edit, message)
         assert [len(u) for u in tables] == [8]
+
+    @pytest.mark.parametrize("where", ["lhs", "host"])
+    @pytest.mark.parametrize("edit, message", BAD_TOKENS)
+    def test_bad_tokens_in_a_coherent_file(self, tables, where, edit, message):
+        gf = coherent_grammar(random.Random(96), "abcdefgh", 2)
+        text = serialize_grammar(gf)
+        assert 64 <= text.count("->") < 128
+        assert_worded_at_their_line(gf, where, edit, message)
+        assert [len(u) for u in tables] == [8]
+
+    def test_parser_and_report_of_one_command_share_the_table(self, tables, tmp_path):
+        gf = dense_grammar(random.Random(97), [f"v{i}" for i in range(64)], 6)
+        path = tmp_path / "dense.mgg"
+        path.write_text(serialize_grammar(gf), encoding="utf-8")
+        code, text = cli("analyze", str(path), "--sequence", "s", "--check", "coherence")
+        named = [line for line in text.splitlines() if line.startswith("witness ") and "->" in line]
+        assert code == 1 and _TABLE_WITNESSES * len(named) >= 64 * 64  # the report's table route
+        assert [len(u) for u in tables] == [64]
+
+    def test_derive_on_a_sparse_host_builds_no_table(self, tables, tmp_path):
+        labels = " ".join(f"v{i}" for i in range(64))
+        path = tmp_path / "sparse.mgg"
+        path.write_text(
+            f"nodes {labels}\n\nproduction turn\n  lhs nodes v0 v1\n  lhs edges v0->v1\n"
+            "  rhs nodes v0 v1\n  rhs edges v1->v0\n\nsequence s turn turn\n\n"
+            f"host h\n  nodes {labels}\n  edges " + " ".join(f"v{i}->v{i + 1}" for i in range(63)),
+            encoding="utf-8",
+        )
+        code, text = cli("derive", str(path), "--host", "h", "--sequence", "s", "--select", "first")
+        assert code == 0 and "ok yes" in text.splitlines()
+        assert tables == []
+
+
+def assert_worded_at_their_line(gf: GrammarFile, where: str, edit: str, message: str) -> None:
+    """The file of ``gf`` with ``edit`` after the first token of the first lhs edge line or of
+    the host's edge line, both read after the table is built, fails with ``message``."""
+    if edit == "dangling":  # a node absent from that digraph
+        g = gf.productions["r1"].lhs if where == "lhs" else gf.hosts["h"]
+        absent = next(l for l in gf.universe.labels if l not in g.nodes.labels())
+        edit = f"{absent}->{absent}"
+    lines = serialize_grammar(gf).splitlines()
+    at = next(
+        k for k, line in enumerate(lines)
+        if line.startswith("  lhs edges " if where == "lhs" else "  edges ")
+    )
+    first = lines[at].split()[2 if where == "lhs" else 1]
+    edit = first if edit == "repeat" else edit
+    head, _, rest = lines[at].partition(first)
+    lines[at] = f"{head}{first} {edit}{rest}"
+    with pytest.raises(GrammarError) as caught:
+        parse_grammar("\n".join(lines) + "\n")
+    expected = f"line {at + 1}: " + message.format(first=first, where=where)
+    assert str(caught.value) == expected
 
 
 class TestAnalyzeCommand:

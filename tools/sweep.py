@@ -34,13 +34,19 @@ host node.  A tree grammar is drawn again until its sequence would have
 Dense grammars follow: ``oracle.random_sequence`` sequences of 4 to 8
 rules over 64 to 128 nodes, incoherent, that are analyzed and encoded but
 not derived.  Their rules span the universe, so their files name about
-0.4 n² edge tokens per rule and their reports up to ~3 n² witnesses; the
-shapes put files on both sides of the parser's 2n² edge-token gate and
-compatibility and congruence reports on both sides of the report's
-n²/4 witness gate (see ``grammar`` and ``cli``).
-Long walks come last: sequences of 12 to 24 rules on hosts of 64 to 256
+0.4 n² edge tokens per rule and their reports up to ~3 n² witnesses.
+With the coherent wide grammars below, the shapes put files on both sides
+of the parser's edge-token gate and compatibility and congruence reports
+on both sides of the report's n²/4 witness gate (see ``grammar`` and
+``cli``).
+Long walks follow: sequences of 12 to 24 rules on hosts of 64 to 256
 nodes, on which only ``derive`` runs, so each host a step builds is
 searched by the next step.
+Coherent wide grammars come last: sequences of 4 to 8 rules over 32 to 96
+nodes, each rule firing at the identity on the graph the rules before it
+leave, as the benchmark's coherent items do; they are analyzed and encoded
+but not derived.  Their rules repeat the host's edges, so their files name
+about 0.8 to 1.9 n² edge tokens, 0.25 to 0.42 n² of them distinct.
 The sweep prints the exit-code counts of each tree and every command whose
 exit code or stdout sha256 differs, and exits 1 if any does.
 
@@ -75,8 +81,11 @@ TREE_GRAMMARS = 24
 TREE_TRACES = 3000
 # Dense grammars, drawn after the tree ones: (universe size, rules per sequence) of each.
 DENSE_GRAMMARS = ((64, 4), (64, 5), (96, 4), (96, 6), (128, 4), (128, 8))
-# Long walks on wide hosts, drawn last: (count, universe sizes, rules per sequence).
+# Long walks on wide hosts, drawn after the dense grammars: (count, universe sizes,
+# rules per sequence).
 WALK_GRAMMARS = (6, (64, 256), (12, 24))
+# Coherent wide grammars, drawn last: (count, universe sizes, rules per sequence).
+COHERENT_GRAMMARS = (8, (32, 96), (4, 8))
 # Universe sizes, cycled through by grammar number.
 SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16, 24, 32, 48, 64, 96, 128)
 ALL_LIMIT = 10
@@ -106,7 +115,10 @@ json.dump(results, sys.stdout)
 def write_grammars(parent: Path, directory: Path) -> list[tuple[str, bool, list[str], list[str]]]:
     """(file name, analyzed, rule names, derive selects) of each grammar in ``directory``."""
     sys.path.insert(0, str(parent / "src"))
-    from mgg import GrammarFile, NodeUniverse, Production, complete_to, serialize_grammar
+    from mgg import (
+        BoolMatrix, BoolVector, Digraph, GrammarFile, NodeUniverse, Production, complete_to,
+        serialize_grammar,
+    )
     from mgg.oracle import random_digraph, random_production, random_sequence
 
     rng = random.Random(SEED)
@@ -129,6 +141,47 @@ def write_grammars(parent: Path, directory: Path) -> list[tuple[str, bool, list[
         host = random_digraph(
             rng, u, rng.choice([0.0, 0.5, 0.9, 1.0]), min(0.6, rng.choice([1, 3, 8]) / n)
         )
+        return u, rules, tuple(rules), host
+
+    def fired(size, rules_range):
+        """A coherent sequence: each rule fires at the identity on what the ones before leave."""
+        n, rule_count = rng.randint(*size), rng.randint(*rules_range)
+        u = NodeUniverse(tuple(f"v{i}" for i in range(n)))
+        g = host = random_digraph(rng, u, 0.8, rng.choice([0.3, 0.45, 0.6]))
+        rules = {}
+        for r in range(rule_count):
+            nodes, edges = g.nodes.labels(), g.edges.edges()
+            present = set(edges)
+            lhs = {a for a in nodes if rng.random() < 0.7}
+            # A deleted node takes its every edge, so each must be in the lhs.
+            gone = {
+                a for a in nodes
+                if a in lhs and rng.random() < 0.1
+                and all(x in lhs and y in lhs for x, y in edges if a in (x, y))
+            }
+            lhs_edges = [
+                (a, b) for a, b in edges
+                if a in lhs and b in lhs and (a in gone or b in gone or rng.random() < 0.8)
+            ]
+            rhs = [
+                a for a in u.labels
+                if a in lhs and a not in gone or a not in nodes and rng.random() < 0.3
+            ]
+            rhs_edges = [
+                (a, b) for a, b in lhs_edges
+                if a not in gone and b not in gone and rng.random() < 0.8
+            ]
+            rhs_edges += [
+                (a, b) for a in rhs for b in rhs if (a, b) not in present and rng.random() < 0.05
+            ]
+            name = f"r{r + 1}"
+            rules[name] = p = Production.from_static(
+                name, Digraph.of(u, lhs, lhs_edges), Digraph.of(u, rhs, rhs_edges)
+            )
+            g = Digraph(
+                BoolMatrix(u, g.edges.bits & ~p.deleted_edges.bits | p.added_edges.bits),
+                BoolVector(u, g.nodes.bits & ~p.deleted_nodes.bits | p.added_nodes.bits),
+            )
         return u, rules, tuple(rules), host
 
     def traces_bound(rules, sequence, host):
@@ -161,20 +214,24 @@ def write_grammars(parent: Path, directory: Path) -> list[tuple[str, bool, list[
     dense = len(drawn)
     count, sizes, rules_range = WALK_GRAMMARS
     drawn += [draw(sizes, rules_range) for _ in range(count)]
+    walks = len(drawn)
+    count, sizes, rules_range = COHERENT_GRAMMARS
+    drawn += [fired(sizes, rules_range) for _ in range(count)]
     written = []
     for k, (u, rules, sequence, host) in enumerate(drawn):
         gf = GrammarFile(u, rules, {"s": sequence}, {"h": host})
         name = f"sweep-{k:03d}.mgg"
         (directory / name).write_text(serialize_grammar(gf), encoding="utf-8")
-        if k >= dense:
-            selects = ["first", "0", "2"]
-        elif k >= trees:
+        if k >= walks or trees <= k < dense:
             selects = []
+        elif k >= dense:
+            selects = ["first", "0", "2"]
         elif len(u) <= ALL_LIMIT and len(sequence) <= ALL_RULES_LIMIT or k >= len(shapes):
             selects = ["first", "0", "2", "all"]
         else:
             selects = ["first", "0", "2"]
-        written.append((name, len(u) <= ANALYZE_LIMIT and k < dense, list(rules), selects))
+        analyzed = len(u) <= ANALYZE_LIMIT and not dense <= k < walks
+        written.append((name, analyzed, list(rules), selects))
     sys.path.pop(0)
     return written
 
@@ -221,7 +278,7 @@ def report(labels: tuple[str, str], pairs: dict[str, list[list]]) -> int:
     """Print the exit-code counts per side and every differing command; 1 if any differs."""
     differ = [key for key, (a, b) in pairs.items() if a != b]
     grammars = GRAMMARS + LONG_GRAMMARS + sum(c for c, _, _ in WIDE_GRAMMARS) + TREE_GRAMMARS
-    grammars += len(DENSE_GRAMMARS) + WALK_GRAMMARS[0]
+    grammars += len(DENSE_GRAMMARS) + WALK_GRAMMARS[0] + COHERENT_GRAMMARS[0]
     print(f"grammars {grammars}, commands {len(pairs)}")
     for side, label in enumerate(labels):
         counts = Counter(str(pair[side][0]) for pair in pairs.values() if pair[side])
