@@ -18,14 +18,15 @@ table lives with its universe, built on first use, so the grammar reader's
 token memo and the witness lines of the same command's report share one
 list.  The one matrix built from a node vector is the all-ones block over a
 node set, ``bounded_one``, whose bits ``block_bits`` gives to modules that
-compute on ints; the per-cell builders and readers the tests use live in
-``oracle``.
+compute on ints, in the same few int operations for every node set; the
+per-cell builders and readers the tests use live in ``oracle``.
 
 A universe carries its size and its all-ones vector and matrix masks,
 computed once; every vector and matrix construction, ``~`` and ``ones``
 read them, and every construction is still range-checked against them.
-Its edge tokens and its row starts (bit i·n of each row i) are built on
-first use and kept.
+Its edge tokens, its row starts (bit i·n of each row i) and its diagonal
+(bit i·(n + 1) of each node i), which ``block_bits`` builds blocks from,
+are built on first use and kept.
 
 Both kinds share one packed type with ``& | ^`` and a bounded ``~``: the
 complement inside the value's universe (every node for a vector, every
@@ -60,12 +61,13 @@ class NodeUniverse:
     size: int = field(init=False, repr=False, compare=False)
     vector_full: int = field(init=False, repr=False, compare=False)
     matrix_full: int = field(init=False, repr=False, compare=False)
-    # The two below are built on first use (``cell_names``, ``row_starts``).  Every
-    # attribute is set in ``__post_init__``, in one order, so that no universe
-    # materializes an instance ``__dict__`` as ``cached_property`` would: an
-    # attribute read on a universe that has one takes ~50 ns against ~30.
-    _cell_names: list[str] | None = field(init=False, repr=False, compare=False)
-    _row_starts: int | None = field(init=False, repr=False, compare=False)
+    # The three below are built on first use (``cell_names``, ``row_starts``,
+    # ``diagonal``).  Every attribute is set in ``__init__``, in one order, so that
+    # no universe materializes an instance ``__dict__`` as ``cached_property``
+    # would: an attribute read on a universe that has one takes ~50 ns against ~30.
+    _cell_names: list[str] | None = field(default=None, init=False, repr=False, compare=False)
+    _row_starts: int | None = field(default=None, init=False, repr=False, compare=False)
+    _diagonal: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.labels)
@@ -75,8 +77,6 @@ class NodeUniverse:
         object.__setattr__(self, "size", n)
         object.__setattr__(self, "vector_full", (1 << n) - 1)
         object.__setattr__(self, "matrix_full", (1 << n * n) - 1)
-        object.__setattr__(self, "_cell_names", None)
-        object.__setattr__(self, "_row_starts", None)
 
     @classmethod
     def of(cls, *labels: str) -> "NodeUniverse":
@@ -118,15 +118,26 @@ class NodeUniverse:
         """Bit i·n of each row i: a packed matrix's column 0, which ``<< j`` moves to column j.
 
         Built on first use by doubling the rows, not by dividing the full
-        matrix mask by the full vector mask: at 512 nodes ~15 us against ~0.36 ms.
+        matrix mask by the full vector mask, and kept.
         """
         if self._row_starts is None:
-            n, bits, rows = self.size, 1, 1
-            while rows < n:
-                bits |= bits << rows * n
-                rows *= 2
-            object.__setattr__(self, "_row_starts", bits & self.matrix_full)
+            object.__setattr__(self, "_row_starts", self._bit_per_row(self.size))
         return self._row_starts
+
+    @property
+    def diagonal(self) -> int:
+        """Bit i·(n + 1) of each node i: cell (i, i).  Built on first use, like ``row_starts``."""
+        if self._diagonal is None:
+            object.__setattr__(self, "_diagonal", self._bit_per_row(self.size + 1))
+        return self._diagonal
+
+    def _bit_per_row(self, step: int) -> int:
+        """Bit i·step for each row i, by doubling the rows; bits past the last cell are dropped."""
+        n, bits, rows = self.size, 1, 1
+        while rows < n:
+            bits |= bits << rows * step
+            rows *= 2
+        return bits & self.matrix_full
 
 
 def set_bits(bits: int) -> Iterator[int]:
@@ -342,28 +353,26 @@ def complement(a, ambient):
     return ambient & ~a
 
 
-def block_bits(n: int, nodes: int) -> int:
-    """The packed bits of every cell (i, j) with i and j in ``nodes`` (bit i = node i), n nodes.
+def block_bits(u: NodeUniverse, nodes: int) -> int:
+    """The packed bits of every cell (i, j) with i and j in ``nodes`` (bit i = node i) of ``u``.
 
-    Each set bit of ``nodes`` spreads to the start of its row, and the
-    product with ``nodes`` places the node set in each of those rows; rows
-    are n bits apart, so no two terms overlap.  Every node gives every cell.
-    The spread is one string of n² digits, or, from 32 nodes on where the
-    nodes or the absent nodes number at most n/4, one shift per node of the
-    smaller set: the shifts cost a full-width int each, the digits a fixed
-    O(n²), and the shifts win only there (measured at n = 5 to 512).
+    One route for every node set, from the universe's ``row_starts`` and
+    ``diagonal``.  ``cols = row_starts * nodes`` sets every cell in a
+    present node's column (rows are n bits apart, so no two terms overlap),
+    and its diagonal cells mark the present nodes.  ``(v << n) - v`` sets
+    each set bit of ``v`` and the n - 1 bits above it: from cell (i, i),
+    row i from column i on, spilling into row i + 1, so that cell (i, n - 1)
+    is set for present nodes i only and ``>> n - 1`` moves it to bit i·n;
+    from bit i·n, all of row i.  The present rows, cut to ``cols``, are the
+    block.
     """
-    full = (1 << n) - 1
-    if nodes == full:
-        return (1 << n * n) - 1
-    if n >= 32:
-        k = nodes.bit_count()
-        if 4 * k <= n:
-            return sum(1 << i * n for i in set_bits(nodes)) * nodes
-        if 4 * (n - k) <= n:  # bit i·n of every row, less the absent nodes' rows
-            spread = ((1 << n * n) - 1) // full - sum(1 << i * n for i in set_bits(full ^ nodes))
-            return spread * nodes
-    return int(("0" * (n - 1)).join(bin(nodes)[2:]), 2) * nodes
+    if nodes == u.vector_full:  # the full set, and every set of the empty universe
+        return u.matrix_full
+    n, row_starts = u.size, u.row_starts
+    cols = row_starts * nodes
+    corners = cols & u.diagonal
+    rows = ((corners << n) - corners) >> n - 1 & row_starts
+    return ((rows << n) - rows) & cols
 
 
 def bounded_one(v: BoolVector) -> BoolMatrix:
@@ -371,7 +380,7 @@ def bounded_one(v: BoolVector) -> BoolMatrix:
 
     ``~bounded_one(kept)`` is every edge incident to a node outside ``kept``.
     """
-    return BoolMatrix(v.universe, block_bits(v.universe.size, v.bits))
+    return BoolMatrix(v.universe, block_bits(v.universe, v.bits))
 
 
 def contains(a, b) -> bool:
@@ -382,7 +391,7 @@ def contains(a, b) -> bool:
 
 def is_compatible(g: Digraph) -> bool:
     """True iff g has no dangling edges (edges touching absent nodes)."""
-    return g.edges.bits & ~block_bits(g.universe.size, g.nodes.bits) == 0
+    return g.edges.bits & ~block_bits(g.universe, g.nodes.bits) == 0
 
 
 def complete_to(x, target: NodeUniverse):

@@ -15,12 +15,10 @@ edge cells in one of two ways, chosen once from the total popcount of its
 matrix masks: at n²/4 cells or more, through the universe's table of all n²
 tokens (``NodeUniverse.cell_names``, which the grammar reader of a
 token-dense file has already built), picked out at C speed by the mask's
-digit string; below that, cell by cell from the mask's set bits.  Node
-cells are always picked out of the universe's labels.  On the incoherent
-64-node benchmark items (12k-13k coherence witnesses) the table route
-renders in 3.4-4.3 ms against 8.5-11.5 ms cell by cell; built for the
-116-456 congruence witnesses of coherent items, it would take 0.6-0.9 ms
-against 0.24-0.39 ms.
+digit string; below that, cell by cell from the mask's set bits.  The rule
+is ``_TABLE_WITNESSES``: the table route when 4 · count >= n².  Node cells
+are always picked out of the universe's labels.  CHANGES.md holds the
+measured times of both routes.
 """
 
 from __future__ import annotations

@@ -81,7 +81,7 @@ class Production:
         # Forbidden: edges incident to a deleted node (outside the block of
         # kept nodes) that the rule does not itself delete, plus every edge
         # the rule adds (parallel edges are not allowed in simple digraphs).
-        kept_block = block_bits(u.size, u.vector_full ^ deleted_nodes)
+        kept_block = block_bits(u, u.vector_full ^ deleted_nodes)
         nihil = added_edges | (u.matrix_full ^ kept_block) & ~deleted_edges
         rhs_nihil = deleted_edges | nihil & ~added_edges
         return cls(

@@ -12,8 +12,9 @@ advance/delay permutations.
 
 Ints inside, wrappers on return: an analysis reads each rule part's ``.bits``
 once, complements against the universe's full masks and combines ints only;
-it wraps the term, witness masks and extras it returns, and the digraphs it
-hands to ``is_compatible``.  ``stepwise_image`` folds on wrappers, as a reference.
+it wraps the term, witness masks and extras it returns.  A digraph dangles
+where its edges leave the ``block_bits`` of its nodes.  ``stepwise_image``
+folds on wrappers, as a reference.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ from operator import and_, or_
 from .boolmat import (
     BoolMatrix,
     BoolVector,
-    Digraph,
     NodeUniverse,
     UniverseMismatchError,
     block_bits,
-    is_compatible,
 )
 from .mcl import ComplexTerm
 from .production import Production
@@ -194,8 +193,8 @@ def t_matrix(p: Production) -> BoolMatrix:
     Cells incident to an added node, minus cells incident to a deleted one.
     """
     u = p.universe
-    unadded = block_bits(u.size, u.vector_full ^ p.added_nodes.bits)
-    undeleted = block_bits(u.size, u.vector_full ^ p.deleted_nodes.bits)
+    unadded = block_bits(u, u.vector_full ^ p.added_nodes.bits)
+    undeleted = block_bits(u, u.vector_full ^ p.deleted_nodes.bits)
     return BoolMatrix(u, undeleted & ~unadded)
 
 
@@ -303,10 +302,10 @@ def sequence_compatibility(s: RuleSequence) -> AnalysisReport:
     literal = BoolMatrix(u, clashes[0])
 
     for m, (cert_edges, _, cert_nodes) in enumerate(prefixes[1:], start=1):
-        if not is_compatible(Digraph(BoolMatrix(u, cert_edges), BoolVector(u, cert_nodes))):
+        if cert_edges & ~block_bits(u, cert_nodes):  # an edge touching an absent node
             notes.append(f"prefix {m} smallest host has dangling edges")
     for m, (cert_edges, _, cert_nodes) in enumerate(_images(s, *prefixes[-1])[1:], start=1):
-        if not is_compatible(Digraph(BoolMatrix(u, cert_edges), BoolVector(u, cert_nodes))):
+        if cert_edges & ~block_bits(u, cert_nodes):
             notes.append(f"image after rule {m} has dangling edges")
 
     # Every note is an incompatible rule or a dangling edge.

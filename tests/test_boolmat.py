@@ -165,28 +165,30 @@ class TestBoundedOne:
         assert rows_of(got) == [[1, 0, 1], [0, 0, 0], [1, 0, 1]]
 
     def test_oracle_all_cells(self):
-        for v in all_vectors(4):
+        # Every node set of up to 6 nodes.
+        for v in all_vectors(6):
             assert bounded_one(v).bits == oracle._block_bits(v)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 13, 64])
+    @pytest.mark.parametrize("n", [0, 1, 2, 13, 31, 32, 33, 64, 127, 128, 129, 256])
     def test_block_bits_empty_partial_and_full(self, n):
-        # A full node set takes its own path: every cell, with no digit string.
-        u = universe_of(n)
-        every_other, last = u.vector_full // 3, u.vector_full >> 1 ^ u.vector_full
-        for nodes in (0, every_other, last, u.vector_full):
-            v = BoolVector(u, nodes)
-            assert block_bits(n, nodes) == oracle._block_bits(v)
-        assert block_bits(n, u.vector_full) == u.matrix_full
+        # Empty, one node, n/4 ± 1, half, all but one and every node, each set
+        # at seeded positions; plus every other node and the last node alone.
+        u, rng = universe_of(n), random.Random(n)
+        counts = {c for c in (0, 1, n // 4 - 1, n // 4 + 1, n // 2, n - 1, n) if 0 <= c <= n}
+        sets = [sum(1 << i for i in rng.sample(range(n), k)) for k in sorted(counts)]
+        for nodes in sets + [u.vector_full // 3, u.vector_full >> 1 ^ u.vector_full]:
+            assert block_bits(u, nodes) == oracle._block_bits(BoolVector(u, nodes)), (n, nodes)
+        assert block_bits(u, u.vector_full) == u.matrix_full
 
     @given(st.data())
     def test_block_bits_at_every_size_and_popcount(self, data):
-        # Both spread routes from 32 nodes on, from the present or the absent
-        # side; the popcount's ends (empty, one present, one absent, full) come up often.
+        # The popcount's ends (empty, one present, one absent, full) come up often.
         n = data.draw(st.integers(0, 70) | st.just(128))
         k = data.draw(st.sampled_from(sorted({0, min(1, n), max(n - 1, 0), n})) | st.integers(0, n))
         order = data.draw(st.permutations(range(n)))
         nodes = sum(1 << i for i in order[:k])
-        assert block_bits(n, nodes) == oracle._block_bits(BoolVector(universe_of(n), nodes))
+        u = universe_of(n)
+        assert block_bits(u, nodes) == oracle._block_bits(BoolVector(u, nodes))
 
     def test_complement_is_incident_to_the_node_set(self):
         # ~bounded_one(~d): every edge with an end in d, as the kept-block sites read it
@@ -322,6 +324,12 @@ class TestCellNames:
         u = universe_of(n)
         assert u.row_starts == sum(1 << i * n for i in range(n))
         assert u.row_starts is u.row_starts
+
+    @pytest.mark.parametrize("n", (0, 1, 2, 3, 7, 8, 9, 64, 65, 129))
+    def test_diagonal_is_cell_i_i(self, n):
+        u = universe_of(n)
+        assert u.diagonal == sum(1 << i * (n + 1) for i in range(n))
+        assert u.diagonal is u.diagonal
 
 
 class TestPackers:

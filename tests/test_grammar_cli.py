@@ -368,6 +368,20 @@ class TestParseErrors:
         assert cli("encode", str(path), "--graph", "h") == (2, f"error {message}\n")
 
 
+    @pytest.mark.parametrize("edge", ["v40->v7", "v7->v40"], ids=["leaves", "enters"])
+    def test_the_one_absent_node_of_64_with_its_only_edge(self, edge):
+        # The edge lies in the absent node's row, or in its column, of the
+        # present-node block; every other edge joins two present nodes.
+        labels = [f"v{i}" for i in range(64)]
+        present = [label for label in labels if label != "v40"]
+        edges = [f"{a}->{present[i * 7 % 63]}" for i, a in enumerate(present)]
+        head = f"nodes {' '.join(labels)}\n\nhost h\n  nodes {' '.join(present)}\n  edges "
+        assert parse_grammar(head + " ".join(edges) + "\n").hosts["h"].edges.count() == 63
+        text = head + " ".join(edges[:30] + [edge] + edges[30:]) + "\n"
+        message = "^line 5: host has an edge touching an absent node$"
+        with pytest.raises(GrammarError, match=message):
+            parse_grammar(text)
+
     def test_leading_byte_order_mark_is_skipped(self, tmp_path):
         plain, marked = tmp_path / "plain.mgg", tmp_path / "marked.mgg"
         plain.write_text(SMALL, encoding="utf-8")
