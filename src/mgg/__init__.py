@@ -26,6 +26,7 @@ from .derivation import (
     Match,
     MatchError,
     apply_at,
+    derivations,
     derive,
     derive_all,
     find_matches,

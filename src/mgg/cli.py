@@ -32,8 +32,8 @@ from collections.abc import Iterator
 from itertools import compress
 from pathlib import Path
 
-from .boolmat import BoolMatrix, BoolVector, Digraph
-from .derivation import DerivationError, derive, derive_all
+from .boolmat import BoolMatrix, BoolVector, Digraph, NodeUniverse
+from .derivation import DerivationError, derivations, derive
 from .encoding import ell_complex, gasket_raster
 from .grammar import GrammarError, GrammarFile, parse_grammar
 from .mcl import ComplexTerm
@@ -73,10 +73,13 @@ _SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 
 class _Rows(dict):
-    """Rendered rows: the cells of a matrix row or a vector (a ``str``) -> ``[c0,c1,...]``."""
+    """Rendered rows: the cells of a matrix row or a vector (a ``str``) -> ``[c0,c1,...]``.
+
+    ``cells.replace('', ',')`` puts a comma before, between and after the cells.
+    """
 
     def __missing__(self, cells: str) -> str:
-        text = self[cells] = "[" + ",".join(cells) + "]"
+        text = self[cells] = f"[{cells.replace('', ',')[1:-1]}]"
         return text
 
 
@@ -95,6 +98,13 @@ class Report:
         # Rows repeat within a report (the graphs of a derivation share most of
         # theirs): each distinct one is joined once.
         self.rows = _Rows()
+        self._labels = None, ""  # the last universe whose labels were joined, and the text
+
+    def labels(self, u: NodeUniverse) -> str:
+        """u's labels, space-separated, joined once per run of graphs over one universe object."""
+        if self._labels[0] is not u:
+            self._labels = u, " ".join(u.labels)
+        return self._labels[1]
 
     def matrix(self, m: BoolMatrix) -> str:
         """``[[c00,c01,...],[c10,...],...]``, row by row, each row read from ``rows``."""
@@ -203,7 +213,7 @@ def cmd_analyze(args, out) -> int:
 
 
 def _add_graph(report: Report, gid: str, g: Digraph) -> None:
-    report.add(f"graph {gid} universe", " ".join(g.universe.labels))
+    report.add(f"graph {gid} universe", report.labels(g.universe))
     report.add(f"graph {gid} nodes", report.rows[g.nodes.cells()])
     report.add(f"graph {gid} edges", report.matrix(g.edges))
 
@@ -223,15 +233,22 @@ def cmd_derive(args, out) -> int:
     report.add("select", args.select)
 
     if args.select == "all":
-        traces = derive_all(host, rules)
-        report.add("traces", str(len(traces)))
-        for t, trace in enumerate(traces):
-            steps = [f"{step.production} match {step.match.render()}" for step in trace.steps]
+        # Each trace renders as the walk yields it; the traces line is filled in after.
+        # Only the steps a trace does not share (as objects) with the last are rendered.
+        count, trail, steps, t = len(report.lines), (), [], -1
+        report.add("traces")
+        for t, trace in enumerate(derivations(host, rules)):
+            k = 0
+            while k < len(trail) and trace.steps[k] is trail[k]:
+                k += 1
+            trail = trace.steps
+            steps[k:] = [f"{step.production} match {step.match.render()}" for step in trail[k:]]
             report.add_all(f"trace {t} step", steps)
             _add_graph(report, f"trace-{t}-result", trace.result)
-        report.add("ok", _bool_str(bool(traces)))
+        report.lines[count] = f"traces {t + 1}"
+        report.add("ok", _bool_str(t >= 0))
         report.emit(out)
-        return EXIT_OK if traces else EXIT_FAIL
+        return EXIT_OK if t >= 0 else EXIT_FAIL
 
     selector: object = "first" if args.select == "first" else int(args.select)
     try:
@@ -295,7 +312,9 @@ def cmd_census(args, out) -> int:
 
 def cmd_gasket(args, out) -> int:
     bitmap = gasket_raster(args.bits)
-    Path(args.out).write_text(bitmap.to_p1(), encoding="utf-8")
+    # Row by row, so memory grows with the width, not the area.
+    with open(args.out, "w", encoding="utf-8") as f:
+        f.writelines(bitmap.p1_lines())
     report = Report("gasket")
     report.add("bits", str(args.bits))
     report.add("size", f"{bitmap.width}x{bitmap.height}")

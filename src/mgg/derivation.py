@@ -23,19 +23,22 @@ The search is a generator, so ``derive`` stops as soon as the selector has
 its match: "first" takes one match and index K takes K + 1 (an index out
 of range enumerates the rest, to count them); a map or Match selector
 takes the first, which rules out m_L and m_K, and is then checked cell by
-cell as ``apply_at`` checks a given match.  ``find_matches`` and
-``derive_all`` take every match.
+cell as ``apply_at`` checks a given match.  ``find_matches``,
+``derivations`` and ``derive_all`` take every match.
 
-A step rewrites through a plan (``_plan``) built once per rule and host,
-and only for a host the rule matches: the fresh labels and their universe,
-one object that every match shares, the host's edge bits at the new width
-(new nodes get zero rows), the new nodes' bits, and the rule's deleted
-nodes and edited cells named by slot (lhs nodes, then added nodes).  A
-match, given by host indices that the walker takes from its own search
-unchecked, fills in the slots: the edge bits lose each deleted node's row
-and column and each deleted edge in one AND-NOT, then gain the added edges
-in one OR.  The wipe keeps derivation steps dangling-free whenever the
-rule is.
+A step rewrites through a plan (``_plan``) built once per rule and host
+universe, when a host over it first has a match: the fresh labels and their
+universe, one object that every rewrite of the plan shares, the new nodes'
+bits, and the rule's deleted nodes and edited cells named by slot (lhs
+nodes, then added nodes).  Every host a walk reaches at one depth is over
+the universe of the plan one step before, so the walk builds at most one
+plan per step.  A host's edge bits are re-strided to the new width once (new
+nodes get zero rows); a match, given by host indices that the walker takes from
+its own search unchecked, fills in the slots: the edge bits lose each
+deleted node's row and column and each deleted edge in one AND-NOT, then
+gain the added edges in one OR.  The wipe keeps derivation steps
+dangling-free whenever the rule is.  ``derivations`` yields the traces as
+the walk finds them, and ``derive_all`` lists them.
 
 The search reads a host's neighbour masks (``_cut``).  A walk cuts them
 from the bits once, for its starting host; every host a later step searches
@@ -60,6 +63,7 @@ from .boolmat import (
     BoolMatrix,
     BoolVector,
     Digraph,
+    NodeUniverse,
     bounded_one,
     complement,
     is_compatible,
@@ -267,20 +271,18 @@ def apply_at(p: Production, g: Digraph, m: Match, step: int = 1) -> Digraph:
     keeping the result dangling-free.
     """
     hosts = _validate_match(p, g, m)
-    return _plan(p, g, step)(hosts)[0]
+    return _plan(p, g.universe, step)(g)(hosts)[0]
 
 
-def _plan(p: Production, g: Digraph, step: int, masks=None):
-    """p's rewrite of g at step ``step``, as a function of a match's lhs host indices.
+def _plan(p: Production, u: NodeUniverse, step: int):
+    """p's rewrite at step ``step`` of any host over ``u``, as ``plan(g, masks)(hosts, carry)``.
 
-    The indices are the matched host nodes of p's lhs nodes, in rule-universe
-    order.  Every match of p in g shares what the match does not change: the
-    fresh labels and their universe, the host's edge bits at the new width
-    and the rule's edits, each end of an edited cell named by its slot in
-    the lhs nodes followed by the added nodes.  ``masks`` are g's neighbour
-    masks (see ``_cut``); without them g's rows are cut from its bits where
-    the universe widens.  ``rewrite(hosts, carry)`` returns the new host and,
-    if ``carry``, its neighbour masks, made from ``masks`` by the same edits.
+    Built once for every host over ``u``: the fresh labels and their universe,
+    and the rule's edits, each end of an edited cell named by its slot in the
+    lhs nodes followed by the added nodes.  ``plan`` re-strides a host g's
+    edge bits to the new width, from its neighbour masks (see ``_cut``) if
+    given.  ``rewrite`` maps a match's lhs host indices, in rule-universe
+    order, to the new host and, if ``carry``, its masks edited from ``masks``.
     """
     n, rule = p.universe.size, p.universe.labels
     added = list(set_bits(p.added_nodes.bits))
@@ -297,65 +299,70 @@ def _plan(p: Production, g: Digraph, step: int, masks=None):
     # only where the rule adds an edge at a node it deletes.
     may_dangle = any(s in deleted or t in deleted for s, t in puts)
     # Labels of distinct rule nodes differ before the last "#", so only host labels clash.
-    fresh = [fresh_label(p, rule[i], step, g.universe) for i in added]
+    fresh = [fresh_label(p, rule[i], step, u) for i in added]
     # A rule that adds no node keeps the host's universe and bits; each new node gets a zero row.
-    universe = g.universe.extended(fresh) if fresh else g.universe
-    if fresh:
-        rows = masks[0] if masks else g.edges.row_masks()
-        bits = BoolMatrix.from_row_masks(universe, rows).bits
-    else:
-        bits = g.edges.bits
+    universe = u.extended(fresh) if fresh else u
     w = universe.size
-    born_at = tuple(range(g.universe.size, w))
-    nodes, born = g.nodes.bits, universe.vector_full ^ g.universe.vector_full
+    born_at = tuple(range(u.size, w))
+    born = universe.vector_full ^ u.vector_full
     # A deleted node h loses row h (row << h * w) and column h (column << h), where
     # column has bit i·w for each row i, built once per universe.
     row = universe.vector_full
     column = universe.row_starts if deleted else 0
     pad = [0] * len(born_at)
 
-    def rewrite(hosts: tuple[int, ...], carry: bool = False):
-        at = hosts + born_at
-        gone = cut = put = 0
-        for s in deleted:
-            h = at[s]
-            gone |= 1 << h
-            cut |= row << h * w | column << h
-        for s, t in cuts:
-            cut |= 1 << at[s] * w + at[t]
-        for s, t in puts:
-            put |= 1 << at[s] * w + at[t]
-        child = Digraph(
-            BoolMatrix(universe, bits & ~cut | put), BoolVector(universe, nodes & ~gone | born)
-        )
-        if not carry:
-            return child, None
-        # The same edits on the masks: a deleted node leaves its neighbours' masks.  Its
-        # self-loop is forbidden unless the rule deletes it, so the cuts clear it.
-        out, inn, loops = masks[0] + pad, masks[1] + pad, masks[2]
-        for s in deleted:
-            h = at[s]
-            keep = ~(1 << h)
-            for j in set_bits(out[h]):
-                inn[j] &= keep
-            for i in set_bits(inn[h]):
-                out[i] &= keep
-            out[h] = inn[h] = 0
-        for s, t in cuts:
-            i, j = at[s], at[t]
-            out[i] &= ~(1 << j)
-            inn[j] &= ~(1 << i)
-            if i == j:
-                loops &= ~(1 << i)
-        for s, t in puts:
-            i, j = at[s], at[t]
-            out[i] |= 1 << j
-            inn[j] |= 1 << i
-            if i == j:
-                loops |= 1 << i
-        return child, (out, inn, loops, may_dangle)
+    def plan(g: Digraph, masks=None):
+        if fresh:
+            rows = masks[0] if masks else g.edges.row_masks()
+            bits = BoolMatrix.from_row_masks(universe, rows).bits
+        else:
+            bits = g.edges.bits
+        nodes = g.nodes.bits
 
-    return rewrite
+        def rewrite(hosts: tuple[int, ...], carry: bool = False):
+            at = hosts + born_at
+            gone = cut = put = 0
+            for s in deleted:
+                h = at[s]
+                gone |= 1 << h
+                cut |= row << h * w | column << h
+            for s, t in cuts:
+                cut |= 1 << at[s] * w + at[t]
+            for s, t in puts:
+                put |= 1 << at[s] * w + at[t]
+            child = Digraph(
+                BoolMatrix(universe, bits & ~cut | put), BoolVector(universe, nodes & ~gone | born)
+            )
+            if not carry:
+                return child, None
+            # The same edits on the masks: a deleted node leaves its neighbours' masks.  Its
+            # self-loop is forbidden unless the rule deletes it, so the cuts clear it.
+            out, inn, loops = masks[0] + pad, masks[1] + pad, masks[2]
+            for s in deleted:
+                h = at[s]
+                keep = ~(1 << h)
+                for j in set_bits(out[h]):
+                    inn[j] &= keep
+                for i in set_bits(inn[h]):
+                    out[i] &= keep
+                out[h] = inn[h] = 0
+            for s, t in cuts:
+                i, j = at[s], at[t]
+                out[i] &= ~(1 << j)
+                inn[j] &= ~(1 << i)
+                if i == j:
+                    loops &= ~(1 << i)
+            for s, t in puts:
+                i, j = at[s], at[t]
+                out[i] |= 1 << j
+                inn[j] |= 1 << i
+                if i == j:
+                    loops |= 1 << i
+            return child, (out, inn, loops, may_dangle)
+
+        return rewrite
+
+    return plan
 
 
 @dataclass(frozen=True)
@@ -424,6 +431,7 @@ def _walk(g: Digraph, steps) -> Iterator[DerivationTrace]:
     parent's, edited by the step that built it.
     """
     stack = [((), (g,), None)]
+    plans = [(None, None)] * len(steps)  # the (host universe, plan) of each step
     while stack:
         trail, graphs, masks = stack.pop()
         k = len(trail)
@@ -437,7 +445,9 @@ def _walk(g: Digraph, steps) -> Iterator[DerivationTrace]:
         else:
             found = [_select(p, host, masks, selector, k + 1)]
         # A host without a match builds no plan, so its rule's errors do not show.
-        rewrite = _plan(p, host, k + 1, masks) if found else None
+        if found and plans[k][0] is not host.universe:
+            plans[k] = host.universe, _plan(p, host.universe, k + 1)
+        rewrite = plans[k][1](host, masks) if found else None
         carry = k + 1 < len(steps)
         for hosts, m in zip(found, _matches(p, host, found)):
             step = DerivationStep(p.name, m, f"g{k}", f"g{k + 1}")
@@ -457,6 +467,14 @@ def derive(g: Digraph, steps) -> DerivationTrace:
     return next(_walk(g, list(steps)))
 
 
+def derivations(g: Digraph, productions) -> Iterator[DerivationTrace]:
+    """Every complete derivation trace over all per-step match choices, in match order, lazily.
+
+    Consecutive traces share the steps and graphs of their common prefix, as objects.
+    """
+    return _walk(g, [(p, _EVERY) for p in productions])
+
+
 def derive_all(g: Digraph, productions) -> list[DerivationTrace]:
     """Every complete derivation trace over all per-step match choices."""
-    return list(_walk(g, [(p, _EVERY) for p in productions]))
+    return list(derivations(g, productions))

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from typing import Iterator
 
 from .boolmat import BoolMatrix
 from .mcl import ComplexTerm, cmul
@@ -164,11 +165,15 @@ class Bitmap:
     def pixel(self, x: int, y: int) -> int:
         return (self.rows[y] >> x) & 1
 
+    def p1_lines(self) -> Iterator[str]:
+        """Portable bitmap text, line by line: the header line pair, then one row per line."""
+        yield f"P1\n{self.width} {self.height}\n"
+        for row in self.rows:
+            yield format(row, f"0{self.width}b")[::-1] + "\n"
+
     def to_p1(self) -> str:
-        """Portable bitmap text: header line pair, then one row per line."""
-        lines = ["P1", f"{self.width} {self.height}"]
-        lines += [format(row, f"0{self.width}b")[::-1] for row in self.rows]
-        return "\n".join(lines) + "\n"
+        """Portable bitmap text, in one string."""
+        return "".join(self.p1_lines())
 
 
 def gasket_raster(bits: int) -> Bitmap:

@@ -751,32 +751,48 @@ class TestCarriedMasks:
     def test_carried_masks_equal_the_built_hosts_masks(self, monkeypatch):
         # Every rewrite the walker plans also derives the new host's neighbour
         # masks from its parent's; they must equal the masks cut from its bits,
-        # and a host they leave unchecked must be dangling-free.
+        # and a host they leave unchecked must be dangling-free.  A walk builds
+        # at most one rule plan per depth, and every host at that depth uses it.
         rng = random.Random(39)
         plan = derivation._plan
         tally = dict.fromkeys(("hosts", "deleted", "widened", "loops", "wide", "checked"), 0)
+        # Plans whose rule adds nodes, adds none, or deletes nodes, used by more than one host.
+        shared = dict.fromkeys(("adding", "keeping", "deleting"), 0)
+        built = []  # the step of each plan the current walk builds
 
-        def checked_plan(p, g, step, masks=None):
-            rewrite = plan(p, g, step, masks)
+        def checked_plan(p, u, step):
+            on_host = plan(p, u, step)
+            built.append(step)
+            used = []
 
-            def checked(hosts, carry=False):
-                child, carried = rewrite(hosts, True)
-                out, inn, loops, unchecked = carried
-                assert out == child.edges.row_masks()
-                assert inn == child.edges.column_masks()
-                assert loops == sum(row & 1 << i for i, row in enumerate(out))
-                assert unchecked or is_compatible(child)
-                if p.compatible:
-                    assert is_compatible(child)
-                tally["hosts"] += 1
-                tally["deleted"] += not p.deleted_nodes.is_zero()
-                tally["widened"] += len(child.universe) > len(g.universe)
-                tally["loops"] += loops != masks[2]
-                tally["wide"] += len(child.universe) > 64
-                tally["checked"] += unchecked
-                return child, carried if carry else None
+            def checked_host(g, masks=None):
+                assert g.universe is u
+                rewrite = on_host(g, masks)
+                used.append(g)
+                if len(used) == 2:
+                    shared["adding" if not p.added_nodes.is_zero() else "keeping"] += 1
+                    shared["deleting"] += not p.deleted_nodes.is_zero()
 
-            return checked
+                def checked(hosts, carry=False):
+                    child, carried = rewrite(hosts, True)
+                    out, inn, loops, unchecked = carried
+                    assert out == child.edges.row_masks()
+                    assert inn == child.edges.column_masks()
+                    assert loops == sum(row & 1 << i for i, row in enumerate(out))
+                    assert unchecked or is_compatible(child)
+                    if p.compatible:
+                        assert is_compatible(child)
+                    tally["hosts"] += 1
+                    tally["deleted"] += not p.deleted_nodes.is_zero()
+                    tally["widened"] += len(child.universe) > len(g.universe)
+                    tally["loops"] += loops != masks[2]
+                    tally["wide"] += len(child.universe) > 64
+                    tally["checked"] += unchecked
+                    return child, carried if carry else None
+
+                return checked
+
+            return checked_host
 
         monkeypatch.setattr(derivation, "_plan", checked_plan)
         for case in range(1000):
@@ -795,9 +811,12 @@ class TestCarriedMasks:
             if not wide:
                 walks.append(lambda: derive_all(g, rules[:3]))
             for walk in walks:
+                built.clear()
                 try:
                     walk()
                 except (DerivationError, ValueError):
                     pass
+                assert len(built) == len(set(built)), built
         assert tally["hosts"] > 4000 and tally["deleted"] > 1500 and tally["widened"] > 1200, tally
         assert tally["loops"] > 1500 and tally["wide"] > 30 and tally["checked"] > 100, tally
+        assert min(shared.values()) > 40, shared

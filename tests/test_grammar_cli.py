@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from mgg import (
     AnalysisReport,
@@ -19,6 +20,8 @@ from mgg import (
     Production,
     RuleSequence,
     coherence,
+    derive_all,
+    gasket_raster,
     parse_grammar,
     random_digraph,
     random_production,
@@ -30,6 +33,7 @@ from mgg.cli import (
     _TABLE_WITNESSES,
     Report,
     _add_analysis,
+    _add_graph,
     _load_grammar,
     build_parser,
     run,
@@ -728,6 +732,53 @@ class TestDeriveCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("host", ["trio", "pair", "none"])
+    def test_select_all_report_equals_one_rendered_from_the_trace_list(self, host, tmp_path):
+        # Traces are rendered as the walk yields them, each step once per trail,
+        # under a traces line filled in afterwards; the report is the one rendered
+        # from derive_all's list with every step of every trace rendered.
+        path = tmp_path / "grow.mgg"
+        path.write_text(
+            "nodes a b c\n\nproduction grow\n  lhs nodes a\n  rhs nodes a b\n  rhs edges a->b\n\n"
+            "production drop\n  lhs nodes a b\n  lhs edges a->b\n  rhs nodes a\n\n"
+            "sequence trek grow grow drop\n\n"
+            "host trio\n  nodes a b c\n  edges a->b\n\n"
+            "host pair\n  nodes a b\n\nhost none\n  nodes\n",
+            encoding="utf-8",
+        )
+        argv = ["derive", str(path), "--host", host, "--sequence", "trek", "--select", "all"]
+        code, text = cli(*argv)
+        gf = parse_grammar(path.read_text(encoding="utf-8"))
+        traces = derive_all(gf.hosts[host], [gf.productions[r] for r in gf.sequences["trek"]])
+        report = Report("derive")
+        for key, value in zip(("grammar", "host", "sequence", "select"), argv[1::2]):
+            report.add(key, value)
+        report.add("traces", str(len(traces)))
+        for t, trace in enumerate(traces):
+            for step in trace.steps:
+                report.add(f"trace {t} step", f"{step.production} match {step.match.render()}")
+            _add_graph(report, f"trace-{t}-result", trace.result)
+        report.add("ok", "yes" if traces else "no")
+        expected = io.StringIO()
+        report.emit(expected)
+        assert (code, text) == (0 if traces else 1, expected.getvalue())
+        # grow matches each present node; drop each edge, the host's edges plus the grown ones.
+        assert len(traces) == {"trio": 3 * 4 * 3, "pair": 2 * 3 * 2, "none": 0}[host]
+
+    def test_select_all_prints_only_the_error_of_a_walk_that_raises(self, monkeypatch):
+        # Traces already rendered are dropped: the report is the error line alone.
+        from mgg import cli as cli_module
+
+        def failing(host, rules):
+            yield from derive_all(host, rules)[:2]
+            raise ValueError("host graph has dangling edges")
+
+        monkeypatch.setattr(cli_module, "derivations", failing)
+        code, text = cli(
+            "derive", DEMO, "--host", "start", "--sequence", "handover", "--select", "all"
+        )
+        assert (code, text) == (2, "error host graph has dangling edges\n")
+
 
 class TestEncodeCommand:
     def test_production_lhs_with_forbidden_loop(self):
@@ -793,6 +844,36 @@ class TestGasketCommand:
 
         assert out_file.read_text() == pascal_mod2(4).to_p1()
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux gives it")
+    def test_writes_row_by_row(self, tmp_path):
+        # The file goes out row by row, so at 12 bits (a 16.8 MB file) the command
+        # peaks within 12 MB of its peak at 4 bits.  A process started from this one
+        # keeps this one's peak RSS across exec, so each command runs in a process
+        # forked from a fresh interpreter, and reads its own peak there.
+        import subprocess
+
+        child = (
+            "import io, os, resource, sys\n"
+            "if os.fork() == 0:\n"
+            "    from mgg.cli import run\n"
+            "    argv = ['gasket', '--bits', sys.argv[1], '--out', sys.argv[2]]\n"
+            "    code = run(argv, io.StringIO())\n"
+            "    print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, flush=True)\n"
+            "    os._exit(0)\n"
+            "os.wait()\n"
+        )
+        peak = {}
+        for bits in (4, 12):
+            out_file = tmp_path / f"gasket-{bits}.pbm"
+            proc = subprocess.run(
+                [sys.executable, "-c", child, str(bits), str(out_file)],
+                cwd=REPO / "src", capture_output=True, text=True,
+            )
+            assert proc.stdout.split()[:1] == ["0"], proc.stderr
+            peak[bits] = int(proc.stdout.split()[1])
+        assert peak[12] - peak[4] < 12 * 1024, peak  # ru_maxrss is in KiB on Linux
+        assert out_file.read_bytes() == gasket_raster(12).to_p1().encode()
+
     def test_bits_out_of_range(self, tmp_path):
         code, text = cli("gasket", "--bits", "0", "--out", str(tmp_path / "x.pbm"))
         assert code == 2
@@ -835,6 +916,13 @@ class TestRendering:
                 report = Report("analyze")
                 assert report.matrix(m) == rendered_by_cell(m)
                 assert report.rows[v.cells()] == rendered_by_cell(v)
+
+    @given(st.text(alphabet="01", max_size=130))
+    @example("")
+    @example("1" * 130)
+    def test_rows_join_every_cell(self, cells):
+        # The cells of a row or vector of 0 to 130 nodes, the empty universe's too.
+        assert Report("derive").rows[cells] == "[" + ",".join(cells) + "]"
 
     def test_empty_universe(self):
         u = NodeUniverse(())
