@@ -6,7 +6,11 @@ derivation completes, 1 when it fails, 2 for unknown names or bad input.
 
 Every matrix in a report renders row by row through the report's one row
 memo (``Report.matrix``), and a vector as one entry of it, so a row that the
-graphs of a derivation share is joined once per report.
+graphs of a derivation share is joined once per report.  A matrix renders
+by difference from the one before it: over the same universe object, only
+the rows holding a changed cell are read again, so a derived graph costs
+about what its rewrite changed.  A graph's three lines are one report entry
+(``Report.graph``), and a ``--select all`` trace's step lines join them.
 
 A failed analysis lists each set cell of its witness masks as a
 ``witness <part> <position> <cell>`` line, and each mask's lines go into the
@@ -32,7 +36,7 @@ from collections.abc import Iterator
 from itertools import compress
 from pathlib import Path
 
-from .boolmat import BoolMatrix, BoolVector, Digraph, NodeUniverse
+from .boolmat import BoolMatrix, BoolVector, Digraph
 from .derivation import DerivationError, derivations, derive
 from .encoding import ell_complex, gasket_raster
 from .grammar import GrammarError, GrammarFile, parse_grammar
@@ -98,18 +102,52 @@ class Report:
         # Rows repeat within a report (the graphs of a derivation share most of
         # theirs): each distinct one is joined once.
         self.rows = _Rows()
-        self._labels = None, ""  # the last universe whose labels were joined, and the text
+        # The last universe and node vector a graph entry read, and their text.
+        self._universe = self._nodes = None, ""
+        # The last matrix rendered: its universe, bits, row texts and text.
+        self._matrix = None, 0, [], ""
 
-    def labels(self, u: NodeUniverse) -> str:
-        """u's labels, space-separated, joined once per run of graphs over one universe object."""
-        if self._labels[0] is not u:
-            self._labels = u, " ".join(u.labels)
-        return self._labels[1]
+    def graph(self, gid: str, g: Digraph) -> str:
+        """g's universe, nodes and edges lines, as one entry.
+
+        The labels are joined once per run of graphs over one universe object,
+        and the nodes row read once per run over one node vector object.
+        """
+        if self._universe[0] is not g.universe:
+            self._universe = g.universe, " ".join(("universe",) + g.universe.labels)
+        if self._nodes[0] is not g.nodes:
+            self._nodes = g.nodes, self.rows[g.nodes.cells()]
+        return (
+            f"graph {gid} {self._universe[1]}\ngraph {gid} nodes {self._nodes[1]}\n"
+            f"graph {gid} edges {self.matrix(g.edges)}"
+        )
 
     def matrix(self, m: BoolMatrix) -> str:
-        """``[[c00,c01,...],[c10,...],...]``, row by row, each row read from ``rows``."""
-        n, cells, rows = m.universe.size, m.cells(), self.rows
-        return "[" + ",".join([rows[cells[i * n : i * n + n]] for i in range(n)]) + "]"
+        """``[[c00,c01,...],[c10,...],...]``, row by row, each row read from ``rows``.
+
+        Over the universe object of the last matrix rendered, only the rows
+        holding a changed cell may be read again, and the others' texts reused.
+        """
+        u, bits, rows = m.universe, m.bits, self.rows
+        n = u.size
+        last, last_bits, texts, text = self._matrix
+        # The rule: by difference when at most n cells changed.  Past that they may lie
+        # in every row, and slicing every row is cheaper than re-reading each.
+        if u is last and (changed := bits ^ last_bits).bit_count() <= n:
+            if not changed:
+                return text
+            full, spec, i = u.vector_full, f"0{n}b", -1
+            while changed:  # the changed cells of rows i + 1 on, row i + 1 at bit 0
+                skip = ((changed & -changed).bit_length() - 1) // n
+                i += skip + 1
+                texts[i] = rows[format(bits >> i * n & full, spec)[::-1]]
+                changed >>= (skip + 1) * n
+        else:
+            cells = m.cells()
+            texts = [rows[cells[i * n : i * n + n]] for i in range(n)]
+        text = "[" + ",".join(texts) + "]"
+        self._matrix = u, bits, texts, text
+        return text
 
     def add(self, key: str, value: str = "") -> None:
         self.lines.append(f"{key} {value}".rstrip())
@@ -213,9 +251,7 @@ def cmd_analyze(args, out) -> int:
 
 
 def _add_graph(report: Report, gid: str, g: Digraph) -> None:
-    report.add(f"graph {gid} universe", report.labels(g.universe))
-    report.add(f"graph {gid} nodes", report.rows[g.nodes.cells()])
-    report.add(f"graph {gid} edges", report.matrix(g.edges))
+    report.lines.append(report.graph(gid, g))
 
 
 def cmd_derive(args, out) -> int:
@@ -233,8 +269,9 @@ def cmd_derive(args, out) -> int:
     report.add("select", args.select)
 
     if args.select == "all":
-        # Each trace renders as the walk yields it; the traces line is filled in after.
-        # Only the steps a trace does not share (as objects) with the last are rendered.
+        # Each trace renders as the walk yields it, as one entry of its step and graph
+        # lines; the traces line is filled in after.  Only the steps a trace does not
+        # share (as objects) with the last are rendered.
         count, trail, steps, t = len(report.lines), (), [], -1
         report.add("traces")
         for t, trace in enumerate(derivations(host, rules)):
@@ -243,8 +280,10 @@ def cmd_derive(args, out) -> int:
                 k += 1
             trail = trace.steps
             steps[k:] = [f"{step.production} match {step.match.render()}" for step in trail[k:]]
-            report.add_all(f"trace {t} step", steps)
-            _add_graph(report, f"trace-{t}-result", trace.result)
+            report.lines.append(
+                "".join([f"trace {t} step {text}\n" for text in steps])
+                + report.graph(f"trace-{t}-result", trace.result)
+            )
         report.lines[count] = f"traces {t + 1}"
         report.add("ok", _bool_str(t >= 0))
         report.emit(out)

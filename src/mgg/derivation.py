@@ -37,8 +37,12 @@ nodes get zero rows); a match, given by host indices that the walker takes from
 its own search unchecked, fills in the slots: the edge bits lose each
 deleted node's row and column and each deleted edge in one AND-NOT, then
 gain the added edges in one OR.  The wipe keeps derivation steps
-dangling-free whenever the rule is.  ``derivations`` yields the traces as
-the walk finds them, and ``derive_all`` lists them.
+dangling-free whenever the rule is.  A rule that deletes no node gives every
+host one rewrite builds the same nodes, so they share one node vector
+object.  ``derivations`` yields the traces as the walk finds them, and
+``derive_all`` lists them.  The walk keeps a stack of the hosts it has yet
+to search; at the last step it yields each trace as its leaf is rewritten,
+in match order, without pushing it.
 
 The search reads a host's neighbour masks (``_cut``).  A walk cuts them
 from the bits once, for its starting host; every host a later step searches
@@ -318,6 +322,8 @@ def _plan(p: Production, u: NodeUniverse, step: int):
         else:
             bits = g.edges.bits
         nodes = g.nodes.bits
+        # Without a deleted node, every host this rewrite builds has the same nodes.
+        kept = None if deleted else BoolVector(universe, nodes | born)
 
         def rewrite(hosts: tuple[int, ...], carry: bool = False):
             at = hosts + born_at
@@ -331,7 +337,8 @@ def _plan(p: Production, u: NodeUniverse, step: int):
             for s, t in puts:
                 put |= 1 << at[s] * w + at[t]
             child = Digraph(
-                BoolMatrix(universe, bits & ~cut | put), BoolVector(universe, nodes & ~gone | born)
+                BoolMatrix(universe, bits & ~cut | put),
+                BoolVector(universe, nodes & ~gone | born) if kept is None else kept,
             )
             if not carry:
                 return child, None
@@ -425,34 +432,44 @@ def _walk(g: Digraph, steps) -> Iterator[DerivationTrace]:
 
     A selector picks one match (see ``_select``) and ``_EVERY`` each; the
     host is rewritten at the host indices the search found, unchecked.
-    The walk is depth first on a stack, so long sequences need no recursion.
-    Each entry carries the neighbour masks of its last graph if a later step
-    searches it: g's are cut from its bits, every other host's are its
-    parent's, edited by the step that built it.
+    The walk is depth first on a stack, so long sequences need no recursion;
+    the last step's traces are yielded as they are built, not pushed.  Each
+    entry carries the neighbour masks of its last graph: g's are cut from
+    its bits, every other host's are its parent's, edited by the step that
+    built it.
     """
+    if not steps:
+        yield DerivationTrace((), (g,))
+        return
     stack = [((), (g,), None)]
     plans = [(None, None)] * len(steps)  # the (host universe, plan) of each step
+    last = len(steps) - 1
     while stack:
         trail, graphs, masks = stack.pop()
         k = len(trail)
-        if k == len(steps):
-            yield DerivationTrace(trail, graphs)
-            continue
         (p, selector), host = steps[k], graphs[-1]
         masks = masks or _cut(host)
         if selector is _EVERY:
-            found = list(_embeddings(p, host, masks))[::-1]
+            found = list(_embeddings(p, host, masks))
         else:
             found = [_select(p, host, masks, selector, k + 1)]
         # A host without a match builds no plan, so its rule's errors do not show.
-        if found and plans[k][0] is not host.universe:
+        if not found:
+            continue
+        if plans[k][0] is not host.universe:
             plans[k] = host.universe, _plan(p, host.universe, k + 1)
-        rewrite = plans[k][1](host, masks) if found else None
-        carry = k + 1 < len(steps)
+        rewrite = plans[k][1](host, masks)
+        carry = k < last
+        if carry:
+            found.reverse()  # popped in match order
+        ids = f"g{k}", f"g{k + 1}"
         for hosts, m in zip(found, _matches(p, host, found)):
-            step = DerivationStep(p.name, m, f"g{k}", f"g{k + 1}")
+            step = DerivationStep(p.name, m, *ids)
             child, child_masks = rewrite(hosts, carry)
-            stack.append((trail + (step,), graphs + (child,), child_masks))
+            if carry:
+                stack.append((trail + (step,), graphs + (child,), child_masks))
+            else:
+                yield DerivationTrace(trail + (step,), graphs + (child,))
 
 
 def derive(g: Digraph, steps) -> DerivationTrace:

@@ -23,6 +23,7 @@ from mgg import (
     complete_to,
     derive,
     derive_all,
+    derivations,
     find_matches,
     host_complement,
     initial_digraph,
@@ -745,6 +746,114 @@ class TestDerive:
         got = [tuple(step.match for step in t.steps) for t in derive_all(g, [p3, p3])]
         assert got == expected
         assert len(got) == 9
+
+
+def match_order(p, g):
+    """brute_matches in match order: by host index, not by label."""
+    return sorted(brute_matches(p, g), key=lambda m: [g.universe.index(h) for _, h in m.pairs])
+
+
+def reference_fold(rules, trail, graphs):
+    """Every trace that extends ``trail``: oracle.rewrite_at over brute_matches, in match order."""
+    k, g = len(trail), graphs[-1]
+    if k == len(rules):
+        return [derivation.DerivationTrace(trail, graphs)]
+    p, traces = rules[k], []
+    for m in match_order(p, g):
+        step = derivation.DerivationStep(p.name, m, f"g{k}", f"g{k + 1}")
+        traces += reference_fold(rules, trail + (step,), graphs + (rewrite_at(p, g, m, k + 1),))
+    return traces
+
+
+def kind_of(p):
+    """What a rule does to the node set: "deletes" a node, else "adds" one, else "keeps" it."""
+    if not p.deleted_nodes.is_zero():
+        return "deletes"
+    return "keeps" if p.added_nodes.is_zero() else "adds"
+
+
+class TestLeafPath:
+    # The walk yields each trace of its last step as the leaf is rewritten, in
+    # match order; the siblings of a rule that deletes no node share one node vector.
+
+    def test_walks_equal_the_reference_fold_whatever_the_last_rule_does(self):
+        rng = random.Random(40)
+        traces = dict.fromkeys(("adds", "keeps", "deletes"), 0)
+        shared = dict.fromkeys(("adds", "keeps", "deletes"), 0)  # parents of 2+ siblings
+        for case in range(300):
+            kind = ("adds", "keeps", "deletes")[case % 3]
+            u = NodeUniverse(tuple("abc"[: rng.randint(1, 3)]))
+            rules = [
+                random_production(rng, u, f"r{i}", 0.3, node_delete_prob=0.3, node_add_prob=0.4)
+                for i in range(rng.randint(0, 2))
+            ]
+            while True:  # the last rule, drawn again until it does what this case wants
+                last = random_production(
+                    rng, u, f"r{len(rules)}", 0.3, node_delete_prob=0.4, node_add_prob=0.5
+                )
+                if kind_of(last) == kind:
+                    break
+            rules.append(last)
+            g = random_digraph(rng, NodeUniverse(tuple(f"v{i}" for i in range(rng.randint(2, 5)))))
+            try:
+                expected = reference_fold(rules, (), (g,))
+            except ValueError:  # a host grew past brute_matches' 7 present nodes
+                continue
+            assert list(derivations(g, rules)) == expected
+            got = derive_all(g, rules)
+            assert got == expected
+            traces[kind] += len(got)
+            # Siblings: the results of one step on one host object.
+            children = {}
+            for t in got:
+                for k, (parent, child) in enumerate(zip(t.graphs, t.graphs[1:])):
+                    children.setdefault((k, id(parent)), {})[id(child)] = child
+            for (k, _), siblings in children.items():
+                vectors = {id(child.nodes) for child in siblings.values()}
+                keeps_nodes = rules[k].deleted_nodes.is_zero()
+                assert len(vectors) == (1 if keeps_nodes else len(siblings)), (k, kind_of(rules[k]))
+                if k == len(rules) - 1 and len(siblings) > 1:
+                    shared[kind] += 1
+        assert min(traces.values()) > 150 and min(shared.values()) > 25, (traces, shared)
+
+    @pytest.mark.parametrize("pick", ["first", "index", "map"])
+    def test_derive_takes_the_walks_first_trace(self, pick):
+        # Each step's selector picks one match; derive is the first (and only)
+        # trace of that walk, and equals the reference fold along those matches.
+        rng = random.Random(41)
+        tally = dict.fromkeys(("traces", "failed"), 0)
+        for _ in range(300):
+            u = NodeUniverse(tuple("abc"[: rng.randint(1, 3)]))
+            rules = [
+                random_production(rng, u, f"r{i}", 0.3, node_delete_prob=0.4, node_add_prob=0.5)
+                for i in range(rng.randint(1, 3))
+            ]
+            g = random_digraph(rng, NodeUniverse(tuple(f"v{i}" for i in range(rng.randint(2, 5)))))
+            steps, trail, graphs = [], (), (g,)
+            try:
+                for k, p in enumerate(rules):
+                    order = match_order(p, graphs[-1])
+                    if not order:
+                        steps.append((p, "first"))
+                        break
+                    i = 0 if pick == "first" else rng.randrange(len(order))
+                    steps.append((p, {"first": "first", "index": i, "map": order[i].mapping()}[pick]))
+                    trail += (derivation.DerivationStep(p.name, order[i], f"g{k}", f"g{k + 1}"),)
+                    graphs += (rewrite_at(p, graphs[-1], order[i], k + 1),)
+            except ValueError:  # a host grew past brute_matches' 7 present nodes
+                continue
+            if len(trail) < len(steps):
+                with pytest.raises(DerivationError) as err:
+                    derive(g, steps)
+                assert err.value.step == len(steps)
+                tally["failed"] += 1
+                continue
+            trace = derive(g, steps)
+            assert trace == derivation.DerivationTrace(trail, graphs)
+            if pick == "first":
+                assert trace == next(derivations(g, rules))
+            tally["traces"] += 1
+        assert tally["traces"] > 100 and tally["failed"] > 20, tally
 
 
 class TestCarriedMasks:

@@ -32,6 +32,7 @@ from mgg import grammar
 from mgg.cli import (
     _TABLE_WITNESSES,
     Report,
+    _Rows,
     _add_analysis,
     _add_graph,
     _load_grammar,
@@ -943,6 +944,65 @@ class TestRendering:
                 v = BoolVector(u, sum(1 << i for i in range(n) if rng.random() < density))
                 assert report.matrix(m) == rendered_by_cell(m)
                 assert report.rows[v.cells()] == rendered_by_cell(v)
+
+    def test_rendered_by_difference_from_the_last_matrix(self, monkeypatch):
+        # One report renders seeded edits of its last matrix; each render equals
+        # the cell-by-cell one.  At most n changed cells re-read only the rows
+        # holding one; n + 1, or a new universe object, cut every row from the
+        # whole cell string.  Spies count both: whole cell strings cut, and rows read.
+        cut, reads = [], []
+        cells = BoolMatrix.cells
+        monkeypatch.setattr(BoolMatrix, "cells", lambda m: cut.append(m) or cells(m))
+
+        class Reads(_Rows):
+            def __getitem__(self, row):
+                reads.append(row)
+                return super().__getitem__(row)
+
+        report = Report("derive")
+        report.rows = Reads()
+        rng = random.Random(74)
+        routes = set()
+        last = text = None
+
+        def render(m, route):
+            nonlocal last, text
+            cut.clear()
+            reads.clear()
+            got = report.matrix(m)
+            assert got == rendered_by_cell(m), (len(m.universe), route)
+            n = len(m.universe)
+            if route == "same":
+                assert (cut, reads, got) == ([], [], text) and got is text
+            elif route == "difference":
+                changed = [i for i, (a, b) in enumerate(zip(rows_of(last), rows_of(m))) if a != b]
+                assert cut == [] and len(reads) == len(changed) > 0, (n, route)
+            else:
+                assert (len(cut), len(reads)) == (1, n), (n, route)
+            routes.add((n, route))
+            last, text = m, got
+
+        def flipped(cells_to_flip):
+            return BoolMatrix(last.universe, last.bits ^ sum(1 << c for c in cells_to_flip))
+
+        for n in [0, 1, 2, 3, 7, 13, 64, 65, 0, 13]:
+            labels = tuple(f"v{i}" for i in range(n))
+            # A new universe object, then another with the same labels and bits.
+            render(BoolMatrix(NodeUniverse(labels), rng.getrandbits(n * n)), "slice")
+            render(BoolMatrix(NodeUniverse(labels), last.bits), "slice")
+            render(flipped([]), "same")
+            if not n:
+                continue
+            i, j = rng.randrange(n), rng.randrange(n)
+            render(flipped([i * n + j]), "difference")
+            render(flipped(range(i * n, i * n + n)), "difference")  # one whole row
+            render(flipped(range(j, n * n, n)), "difference")  # one column: every row
+            render(flipped(rng.sample(range(n * n), n)), "difference")
+            if n > 1:
+                render(flipped(rng.sample(range(n * n), n + 1)), "slice")
+            render(flipped([]), "same")
+        assert {(n, "difference") for n in (1, 2, 3, 7, 13, 64, 65)} <= routes
+        assert {(n, "slice") for n in (0, 2, 3, 7, 13, 64, 65)} <= routes
 
     def test_witness_lines_name_each_cell(self):
         # A report names its edge witnesses from a table of every cell name or
