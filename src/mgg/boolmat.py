@@ -8,10 +8,12 @@ is bit ``i * n + j``, ``NodeUniverse.cell``), vectors into an int with bit
 ``i`` for node ``i``; other modules read cells as text only through
 ``cells``, rows and columns for matching and rewriting only as ints
 (``row_masks``, ``column_masks``), and write a matrix only from its rows
-(``from_row_masks``) or from its set cells (``from_cells``).  ``from_cells``
-packs by density: fewer than 2n + 16 cells (384 at most) are ORed in one
-at a time, since each OR costs the width of the int; more go through one
-buffer of n² digits and one ``int(digits, 2)``, a fixed cost of O(n²).
+(``from_row_masks``) or from its set cells (``from_cells``).  Set cells
+and node labels are packed into bits by one packer each, ``cell_bits`` and
+``label_bits``, which the grammar reader calls too.  ``cell_bits`` packs by
+density: fewer than 2n + 16 cells (384 at most) are ORed in one at a time,
+since each OR costs the width of the int; more go through one buffer of n²
+digits and one ``int(digits, 2)``, a fixed cost of O(n²).
 Edge tokens ``src->dst`` are listed in one place, ``NodeUniverse.cell_names``:
 all n² of them in cell order, for callers that name many cells at once.  The
 table lives with its universe, built on first use, so the grammar reader's
@@ -32,6 +34,19 @@ Both kinds share one packed type with ``& | ^`` and a bounded ``~``: the
 complement inside the value's universe (every node for a vector, every
 ordered node pair for a matrix).  ``complement(x, ambient)`` complements
 inside any other ambient, such as the block of a digraph's node set.
+
+The value types built in hot loops (the packed type and ``Digraph`` here;
+``Production``, ``Match``, ``DerivationStep`` and ``DerivationTrace``
+elsewhere) are frozen dataclasses with slots and a hand-written
+``__init__``, in one idiom: the constructor first runs every check the type
+makes (the range check, ``_check_universe``), then sets each slot through
+the field's member descriptor, ``Cls.field.__set__``, bound once at module
+level.  Equality, hashing, ``repr`` and ``__match_args__`` stay generated,
+and assigning a field still raises ``FrozenInstanceError``.  No ``exec``,
+and no second constructor that skips a check.  A frozen dataclass's own
+``__init__`` pays an ``object.__setattr__`` per field and a
+``__post_init__`` call: ``BoolMatrix(u, 5)`` on 8 nodes took ~530 ns that
+way and takes ~350 ns this way (``timeit``, a shared 2-CPU host).
 """
 
 from __future__ import annotations
@@ -167,7 +182,7 @@ def _check_operand(a, b) -> None:
     _check_universe(a, b)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class _Packed:
     """Cells of a vector or matrix, packed into an int.
 
@@ -180,9 +195,11 @@ class _Packed:
     _full: ClassVar[Callable[[NodeUniverse], int]]
     _kind: ClassVar[str]
 
-    def __post_init__(self) -> None:
-        if self.bits < 0 or self.bits > self._full(self.universe):
+    def __init__(self, universe: NodeUniverse, bits: int) -> None:
+        if bits < 0 or bits > self._full(universe):
             raise ValueError(f"{self._kind} bits out of range for universe")
+        _set_universe(self, universe)
+        _set_bits(self, bits)
 
     @classmethod
     def zeros(cls, universe: NodeUniverse):
@@ -220,6 +237,9 @@ class _Packed:
         return type(self)(self.universe, self.bits ^ self._full(self.universe))
 
 
+_set_universe, _set_bits = _Packed.universe.__set__, _Packed.bits.__set__
+
+
 class BoolVector(_Packed):
     __slots__ = ()
     _full = attrgetter("vector_full")
@@ -227,11 +247,7 @@ class BoolVector(_Packed):
 
     @classmethod
     def from_labels(cls, universe: NodeUniverse, labels: Iterable[str]) -> "BoolVector":
-        index = universe._index
-        bits = 0
-        for l in labels:
-            bits |= 1 << index[l]
-        return cls(universe, bits)
+        return cls(universe, label_bits(universe, labels))
 
     def __getitem__(self, i: int) -> int:
         return (self.bits >> i) & 1
@@ -243,13 +259,36 @@ class BoolVector(_Packed):
         return tuple(self.universe.labels[i] for i in set_bits(self.bits))
 
 
+def label_bits(universe: NodeUniverse, labels: Iterable[str]) -> int:
+    """The packed bits of the nodes named by ``labels`` (labels may repeat)."""
+    index = universe._index
+    bits = 0
+    for l in labels:
+        bits |= 1 << index[l]
+    return bits
+
+
 def _digits_from(n: int) -> int:
-    """The fewest cells ``from_cells`` packs through the digit buffer at n nodes.
+    """The fewest cells ``cell_bits`` packs through the digit buffer at n nodes.
 
     The two packers' times cross near 2n + 16 cells up to n = 128, and
     before 384 cells above it (measured at n = 8 to 512).
     """
     return min(2 * n + 16, 384)
+
+
+def cell_bits(universe: NodeUniverse, cells: Collection[int]) -> int:
+    """The packed bits of ``cells``, each in ``range(n * n)`` (cells may repeat), by density."""
+    n = universe.size
+    if len(cells) < _digits_from(n):
+        bits = 0
+        for cell in cells:
+            bits |= 1 << cell
+        return bits
+    digits = bytearray(b"0") * (n * n)  # highest cell first, as int() reads it
+    for cell in cells:
+        digits[~cell] = 49  # "1"
+    return int(digits, 2)
 
 
 class BoolMatrix(_Packed):
@@ -269,17 +308,7 @@ class BoolMatrix(_Packed):
     @classmethod
     def from_cells(cls, universe: NodeUniverse, cells: Collection[int]) -> "BoolMatrix":
         """The matrix with each of ``cells`` set, a cell in ``range(n * n)`` (cells may repeat)."""
-        n = universe.size
-        if len(cells) < _digits_from(n):
-            bits = 0
-            for cell in cells:
-                bits |= 1 << cell
-        else:
-            digits = bytearray(b"0") * (n * n)  # highest cell first, as int() reads it
-            for cell in cells:
-                digits[~cell] = 49  # "1"
-            bits = int(digits, 2)
-        return cls(universe, bits)
+        return cls(universe, cell_bits(universe, cells))
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -313,15 +342,17 @@ class BoolMatrix(_Packed):
         return [int(digits[n - 1 - j :: n], 2) for j in range(n)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Digraph:
     """Simple digraph: edge matrix plus node-presence vector."""
 
     edges: BoolMatrix
     nodes: BoolVector
 
-    def __post_init__(self) -> None:
-        _check_universe(self.edges, self.nodes)
+    def __init__(self, edges: BoolMatrix, nodes: BoolVector) -> None:
+        _check_universe(edges, nodes)
+        _set_edges(self, edges)
+        _set_nodes(self, nodes)
 
     @property
     def universe(self) -> NodeUniverse:
@@ -342,6 +373,9 @@ class Digraph:
             BoolMatrix.from_edges(universe, edges),
             BoolVector.from_labels(universe, nodes),
         )
+
+
+_set_edges, _set_nodes = Digraph.edges.__set__, Digraph.nodes.__set__
 
 
 def complement(a, ambient):

@@ -96,6 +96,15 @@ def _bool_str(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+# Report lines joined per write, so that a report's text is not held twice: once in
+# its lines and once joined.  Measured (CHANGES.md): ``derive --select all`` on a
+# 4,903-entry, 5.2 MB report to the null device peaks at 19.7 MB writing each line,
+# 20.3 MB at 256, 21.8 MB at 1,024 and 29.7 MB in one join; emitting a 12,074-line
+# analyze report into a ``StringIO`` takes 0.14 ms at 256 to 4,096, 0.19 ms at 64,
+# 0.28 ms in one join and 2.3 ms line by line.
+_EMIT_LINES = 256
+
+
 class Report:
     def __init__(self, command: str):
         self.lines = [f"report {command}"]
@@ -157,7 +166,10 @@ class Report:
         self.lines.extend(map(f"{key} ".__add__, values))
 
     def emit(self, out) -> None:
-        out.write("\n".join(self.lines) + "\n")
+        """Every line, each ended by a newline, joined and written _EMIT_LINES at a time."""
+        lines = self.lines
+        for i in range(0, len(lines), _EMIT_LINES):
+            out.write("\n".join(lines[i : i + _EMIT_LINES]) + "\n")
 
 
 def _load_grammar(path: str) -> GrammarFile:

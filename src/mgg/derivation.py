@@ -90,7 +90,7 @@ class DerivationError(RuntimeError):
         self.failed = failed  # "m_L", "m_K" or "selector"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Match:
     """Injective node map from a rule's lhs nodes into host labels.
 
@@ -100,11 +100,17 @@ class Match:
 
     pairs: tuple[tuple[str, str], ...]
 
+    def __init__(self, pairs: tuple[tuple[str, str], ...]) -> None:
+        _set_pairs(self, pairs)
+
     def mapping(self) -> dict[str, str]:
         return dict(self.pairs)
 
     def render(self) -> str:
         return " ".join(f"{a}->{b}" for a, b in self.pairs) or "(empty)"
+
+
+_set_pairs = Match.pairs.__set__
 
 
 def host_complement(g: Digraph) -> BoolMatrix:
@@ -372,22 +378,39 @@ def _plan(p: Production, u: NodeUniverse, step: int):
     return plan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DerivationStep:
     production: str
     match: Match
     input_id: str
     output_id: str
 
+    def __init__(self, production: str, match: Match, input_id: str, output_id: str) -> None:
+        _set_production(self, production)
+        _set_match(self, match)
+        _set_input_id(self, input_id)
+        _set_output_id(self, output_id)
 
-@dataclass(frozen=True)
+
+_set_production, _set_match = DerivationStep.production.__set__, DerivationStep.match.__set__
+_set_input_id, _set_output_id = DerivationStep.input_id.__set__, DerivationStep.output_id.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class DerivationTrace:
     steps: tuple[DerivationStep, ...]
     graphs: tuple[Digraph, ...]
 
+    def __init__(self, steps: tuple[DerivationStep, ...], graphs: tuple[Digraph, ...]) -> None:
+        _set_steps(self, steps)
+        _set_graphs(self, graphs)
+
     @property
     def result(self) -> Digraph:
         return self.graphs[-1]
+
+
+_set_steps, _set_graphs = DerivationTrace.steps.__set__, DerivationTrace.graphs.__set__
 
 
 # Selector of a derive_all step: every match, in match order.

@@ -34,8 +34,17 @@ C-level ``map``.  The gate is where the table starts to pay on coherent
 files, which repeat more tokens than random ones (see ``_TABLE_TOKENS``).  A
 token missing from a full memo is malformed or names an unknown label, and
 is worded as when a lookup fails, so both routes give the same errors in the
-same order.  Parsing and serialization are mutually inverse on the model
-(serialization canonicalizes label order).
+same order.
+
+Bits first, objects once: a declaration's node labels and edge cells are
+packed into two ints (``boolmat.label_bits``, ``boolmat.cell_bits``), and
+every check runs on those ints, in a fixed order: an unknown label or
+malformed edge, then a repeated node label, then a repeated edge (fewer set
+bits than tokens), then an edge touching an absent node (``edges &
+~block_bits(u, nodes)``).  Only a declaration that passes them all builds
+its ``BoolMatrix``, ``BoolVector`` and ``Digraph``, each once.  Parsing and
+serialization are mutually inverse on the model (serialization canonicalizes
+label order).
 """
 
 from __future__ import annotations
@@ -43,7 +52,15 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .boolmat import BoolMatrix, BoolVector, Digraph, NodeUniverse, is_compatible
+from .boolmat import (
+    BoolMatrix,
+    BoolVector,
+    Digraph,
+    NodeUniverse,
+    block_bits,
+    cell_bits,
+    label_bits,
+)
 from .production import Production
 
 
@@ -167,9 +184,9 @@ class _Parser:
         edge_key = f"{prefix} edges" if prefix else "edges"
         node_line, nodes = fields.pop(node_key, (block_line, []))
         edge_line, edges = fields.pop(edge_key, (block_line, []))
-        memo, cell = self.cells, u.cell
+        memo, index, n = self.cells, u._index, u.size
         try:
-            if len(memo) == u.size * u.size:  # every well-formed token: a miss is an error
+            if len(memo) == n * n:  # every well-formed token: a miss is an error
                 cells = list(map(memo.__getitem__, edges))
             else:
                 cells = []
@@ -177,18 +194,19 @@ class _Parser:
                     at = memo.get(token)
                     if at is None:
                         src, _, dst = token.partition("->")
-                        at = memo[token] = cell(src, dst)
+                        at = memo[token] = index[src] * n + index[dst]  # u.cell(src, dst)
                     cells.append(at)
-            g = Digraph(BoolMatrix.from_cells(u, cells), BoolVector.from_labels(u, nodes))
+            node_bits = label_bits(u, nodes)
         except KeyError:
             raise _bad_token(u, nodes, node_line, edges, edge_line) from None
-        _check_unique(nodes, g.nodes.count(), "node label", node_line)
-        _check_unique(edges, g.edges.count(), "edge", edge_line)
-        if not is_compatible(g):
+        edge_bits = cell_bits(u, cells)
+        _check_unique(nodes, node_bits.bit_count(), "node label", node_line)
+        _check_unique(edges, edge_bits.bit_count(), "edge", edge_line)
+        if edge_bits & ~block_bits(u, node_bits):
             raise GrammarError(
                 edge_line, f"{prefix or 'host'} has an edge touching an absent node"
             )
-        return g
+        return Digraph(BoolMatrix(u, edge_bits), BoolVector(u, node_bits))
 
     def declaration(self, number: int, indented: bool, tokens: list[str]):
         """Parse one top-level declaration; return the line after it (None at the end)."""

@@ -27,7 +27,7 @@ from .boolmat import (
 from .mcl import ComplexTerm, dot
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Production:
     """A rewriting rule with derived dynamic matrices.
 
@@ -46,6 +46,21 @@ class Production:
     added_nodes: BoolVector
     nihilation: BoolMatrix
     rhs_nihilation: BoolMatrix
+
+    def __init__(
+        self, name: str, lhs: Digraph, rhs: Digraph, deleted_edges: BoolMatrix,
+        added_edges: BoolMatrix, deleted_nodes: BoolVector, added_nodes: BoolVector,
+        nihilation: BoolMatrix, rhs_nihilation: BoolMatrix,
+    ) -> None:
+        _set_name(self, name)
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+        _set_deleted_edges(self, deleted_edges)
+        _set_added_edges(self, added_edges)
+        _set_deleted_nodes(self, deleted_nodes)
+        _set_added_nodes(self, added_nodes)
+        _set_nihilation(self, nihilation)
+        _set_rhs_nihilation(self, rhs_nihilation)
 
     @property
     def universe(self) -> NodeUniverse:
@@ -71,9 +86,9 @@ class Production:
         shared universe defines a rule; ``compatible`` tells whether its
         application preserves dangling-edge freedom.
         """
-        if lhs.universe != rhs.universe:
-            raise UniverseMismatchError("lhs and rhs must share a universe")
         u = lhs.universe
+        if rhs.universe is not u and rhs.universe != u:
+            raise UniverseMismatchError("lhs and rhs must share a universe")
         lhs_edges, rhs_edges = lhs.edges.bits, rhs.edges.bits
         deleted_edges = lhs_edges & ~rhs_edges
         added_edges = rhs_edges & ~lhs_edges
@@ -107,6 +122,17 @@ class Production:
         the certainty part alone.
         """
         return ComplexTerm.of(self.lhs.edges, self.nihilation, self.lhs.nodes)
+
+
+_set_name = Production.name.__set__
+_set_lhs = Production.lhs.__set__
+_set_rhs = Production.rhs.__set__
+_set_deleted_edges = Production.deleted_edges.__set__
+_set_added_edges = Production.added_edges.__set__
+_set_deleted_nodes = Production.deleted_nodes.__set__
+_set_added_nodes = Production.added_nodes.__set__
+_set_nihilation = Production.nihilation.__set__
+_set_rhs_nihilation = Production.rhs_nihilation.__set__
 
 
 def apply_production(p: Production, x: Digraph) -> Digraph:

@@ -1,4 +1,6 @@
-"""Shared fixtures: small universes and the worked example rules."""
+"""Shared fixtures: small universes, the worked example rules, the value contract."""
+
+import dataclasses
 
 import pytest
 
@@ -13,6 +15,35 @@ def u2():
 @pytest.fixture(scope="session")
 def u3():
     return NodeUniverse.of("a", "b", "c")
+
+
+@pytest.fixture(scope="session")
+def value_contract():
+    """A check that a value keeps the frozen dataclass contract with slots and no ``__dict__``.
+
+    It is equal to the value its fields build by position and by keyword, hashes and
+    prints as its field values, is rebuilt by ``dataclasses.replace``, and refuses
+    every assignment and deletion of a field.
+    """
+
+    def check(x):
+        cls = type(x)
+        values = {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
+        assert cls(**values) == x and cls(*values.values()) == x
+        assert x != object()
+        assert hash(x) == hash(tuple(values.values()))
+        shown = ", ".join(f"{name}={value!r}" for name, value in values.items())
+        assert repr(x) == f"{cls.__qualname__}({shown})"
+        assert cls.__match_args__ == tuple(values)
+        assert dataclasses.replace(x) == x
+        for name, value in values.items():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, name, value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(x, name)
+        assert not hasattr(x, "__dict__")
+
+    return check
 
 
 def rule(universe, name, lhs_nodes, lhs_edges, rhs_nodes, rhs_edges):

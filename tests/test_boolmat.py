@@ -1,5 +1,6 @@
 """Elementwise algebra, the all-ones block, completion, compatibility."""
 
+import dataclasses
 import operator
 import random
 
@@ -94,6 +95,46 @@ class TestRangeCheck:
         assert repr(BoolVector(NodeUniverse.of("a"), 1)) == (
             "BoolVector(universe=NodeUniverse(labels=('a',)), bits=1)"
         )
+
+
+class TestConstruction:
+    """Packed values and digraphs set their slots only after the checks they always made."""
+
+    def test_value_contract(self, value_contract):
+        m, v = BoolMatrix(universe=U2, bits=0b1001), BoolVector(universe=U2, bits=0b01)
+        assert (m.universe, m.bits, v.bits) == (U2, 0b1001, 0b01)
+        g = Digraph(edges=m, nodes=v)
+        assert (g.edges, g.nodes) == (m, v)
+        for x in (m, v, g, BoolMatrix(universe_of(0), 0), Digraph.empty(U3)):
+            value_contract(x)
+
+    @pytest.mark.parametrize("kind, name", [(BoolMatrix, "matrix"), (BoolVector, "vector")])
+    def test_every_construction_checks_the_range(self, kind, name):
+        full = kind.ones(U2).bits
+        builds = (
+            lambda bits: kind(U2, bits),
+            lambda bits: kind(universe=U2, bits=bits),
+            lambda bits: dataclasses.replace(kind.zeros(U2), bits=bits),
+        )
+        for bits in (-1, full + 1, -(1 << 100), 1 << 100):
+            for build in builds:
+                with pytest.raises(ValueError, match=f"^{name} bits out of range for universe$"):
+                    build(bits)
+        assert [build(full) for build in builds] == [kind.ones(U2)] * 3
+
+    def test_digraph_checks_its_universes(self):
+        edges, nodes = BoolMatrix(U2, 0b0001), BoolVector(U3, 0b001)
+        message = r"^universe mismatch: \('a', 'b'\) vs \('a', 'b', 'c'\)$"
+        with pytest.raises(UniverseMismatchError, match=message):
+            Digraph(edges, nodes)
+        with pytest.raises(UniverseMismatchError, match=message):
+            Digraph(edges=edges, nodes=nodes)
+        g = Digraph(edges, BoolVector(U2, 0b01))
+        with pytest.raises(UniverseMismatchError, match=message):
+            dataclasses.replace(g, nodes=nodes)
+        # An equal universe in another object is the same universe.
+        same = Digraph(edges, BoolVector(NodeUniverse.of("a", "b"), 0b01))
+        assert same == g and same.universe is U2
 
 
 class TestElementwise:

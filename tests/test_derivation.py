@@ -16,6 +16,7 @@ from mgg import (
     MatchError,
     NodeUniverse,
     Production,
+    UniverseMismatchError,
     apply_at,
     apply_production,
     bounded_one,
@@ -42,6 +43,30 @@ def rule(universe, name, lhs_nodes, lhs_edges, rhs_nodes, rhs_edges):
         Digraph.of(universe, lhs_nodes, lhs_edges),
         Digraph.of(universe, rhs_nodes, rhs_edges),
     )
+
+
+class TestConstruction:
+    """Rules, matches, steps and traces keep the value contract of a frozen dataclass."""
+
+    def test_value_contract(self, value_contract):
+        p = rule(U3, "grow", "ab", [("a", "b")], "abc", [("a", "b"), ("b", "c")])
+        assert (p.name, p.added_nodes, p.added_edges.edges()) == (
+            "grow", BoolVector.from_labels(U3, "c"), (("b", "c"),)
+        )
+        trace = derive(Digraph.of(U3, "ab", [("a", "b")]), [(p, "first")])
+        step = trace.steps[0]
+        assert (step.production, step.input_id, step.output_id) == ("grow", "g0", "g1")
+        assert step.match == Match(pairs=(("a", "a"), ("b", "b")))
+        for x in (p, step.match, step, trace, Match(()), derivation.DerivationTrace((), ())):
+            value_contract(x)
+
+    def test_rule_sides_share_a_universe(self):
+        lhs, rhs = Digraph.of(U2, "a"), Digraph.of(U3, "a")
+        with pytest.raises(UniverseMismatchError, match="^lhs and rhs must share a universe$"):
+            Production.from_static("split", lhs, rhs)
+        # An equal universe in another object is the same universe.
+        p = Production.from_static("kept", lhs, Digraph.of(NodeUniverse.of("a", "b"), "a"))
+        assert p.universe is U2 and p == Production.identity("kept", lhs)
 
 
 class TestHostComplement:

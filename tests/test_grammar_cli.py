@@ -30,6 +30,7 @@ from mgg import (
 )
 from mgg import grammar
 from mgg.cli import (
+    _EMIT_LINES,
     _TABLE_WITNESSES,
     Report,
     _Rows,
@@ -230,6 +231,23 @@ PARSE_ERRORS = [
         "order-block-end-hash-first",
         "nodes a\nhost h\n  nodes z\nhost#2\n",
         "line 4: '#' inside a token; comments start at a token boundary",
+    ),
+    # A block with several faults reports the first of: an unknown label or malformed
+    # edge, a duplicate node label, a duplicate edge, a dangling edge.
+    (
+        "order-unknown-before-duplicate",
+        "nodes a b\nhost h\n  nodes a b a\n  edges a->z\n",
+        "line 4: unknown node label 'z'",
+    ),
+    (
+        "order-duplicate-node-before-duplicate-edge",
+        "nodes a b\nhost h\n  nodes a b a\n  edges a->b a->b\n",
+        "line 3: duplicate node label 'a'",
+    ),
+    (
+        "order-duplicate-edge-before-dangling",
+        "nodes a b\nhost h\n  nodes a\n  edges a->a a->b a->a\n",
+        "line 4: duplicate edge 'a->a'",
     ),
 ]
 
@@ -779,6 +797,69 @@ class TestDeriveCommand:
             "derive", DEMO, "--host", "start", "--sequence", "handover", "--select", "all"
         )
         assert (code, text) == (2, "error host graph has dangling edges\n")
+
+
+class TestEmit:
+    @pytest.mark.parametrize(
+        "count", [1, _EMIT_LINES - 1, _EMIT_LINES, _EMIT_LINES + 1, 2 * _EMIT_LINES + 1]
+    )
+    def test_chunks_write_what_one_join_writes(self, count):
+        report = Report("emit")
+        # Entries may hold several lines, as a graph's or a trace's do.
+        report.lines = [f"entry {i}\nline {i}" if i % 3 else f"line {i}" for i in range(count)]
+        writes = []
+
+        class Spy(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        out = Spy()
+        report.emit(out)
+        assert out.getvalue() == "\n".join(report.lines) + "\n"
+        assert len(writes) == -(-count // _EMIT_LINES)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux gives it")
+    def test_select_all_holds_its_report_text_once(self, tmp_path):
+        # ``derive --select all`` of one growing rule thrice over 16 nodes writes
+        # 4,896 traces (~5 MB), and of the rule once 16 traces.  Joined in one
+        # string, the text sat in memory twice and the larger run peaked ~3x its
+        # report size above the smaller; chunked, it peaks ~1.4x above.  Each
+        # run reads its own peak in a process forked from a fresh interpreter, as
+        # in ``TestGasketCommand``.
+        import subprocess
+
+        labels = " ".join(f"v{i}" for i in range(16))
+        path = tmp_path / "grow.mgg"
+        path.write_text(
+            f"nodes {labels}\n\nproduction grow\n  lhs nodes v0\n  rhs nodes v0 v1\n"
+            f"  rhs edges v0->v1\n\nsequence one grow\n\nsequence three grow grow grow\n\n"
+            f"host h\n  nodes {labels}\n"
+        )
+        child = (
+            "import os, resource, sys\n"
+            "if os.fork() == 0:\n"
+            "    from mgg.cli import run\n"
+            "    argv = ['derive', sys.argv[1], '--host', 'h', '--sequence', sys.argv[2],\n"
+            "            '--select', 'all']\n"
+            "    with open(os.devnull, 'w') as out:\n"
+            "        code = run(argv, out)\n"
+            "    print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, flush=True)\n"
+            "    os._exit(0)\n"
+            "os.wait()\n"
+        )
+        peak = {}
+        for sequence in ("one", "three"):
+            proc = subprocess.run(
+                [sys.executable, "-c", child, str(path), sequence],
+                cwd=REPO / "src", capture_output=True, text=True,
+            )
+            assert proc.stdout.split()[:1] == ["0"], proc.stderr
+            peak[sequence] = int(proc.stdout.split()[1])
+        code, text = cli("derive", str(path), "--host", "h", "--sequence", "three", "--select", "all")
+        assert code == 0 and "traces 4896\n" in text
+        # ru_maxrss is in KiB on Linux.
+        assert (peak["three"] - peak["one"]) * 1024 < 2 * len(text), (peak, len(text))
 
 
 class TestEncodeCommand:
