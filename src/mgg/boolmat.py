@@ -37,21 +37,24 @@ inside any other ambient, such as the block of a digraph's node set.
 
 The value types built in hot loops (the packed type and ``Digraph`` here;
 ``Production``, ``Match``, ``DerivationStep`` and ``DerivationTrace``
-elsewhere) are frozen dataclasses with slots and a hand-written
-``__init__``, in one idiom: the constructor first runs every check the type
-makes (the range check, ``_check_universe``), then sets each slot through
-the field's member descriptor, ``Cls.field.__set__``, bound once at module
-level.  Equality, hashing, ``repr`` and ``__match_args__`` stay generated,
-and assigning a field still raises ``FrozenInstanceError``.  No ``exec``,
-and no second constructor that skips a check.  A frozen dataclass's own
-``__init__`` pays an ``object.__setattr__`` per field and a
-``__post_init__`` call: ``BoolMatrix(u, 5)`` on 8 nodes took ~530 ns that
-way and takes ~350 ns this way (``timeit``, a shared 2-CPU host).
+elsewhere) are dataclasses with slots on one frozen base, ``_Frozen``, and
+a hand-written ``__init__``, in one idiom: the constructor first runs every
+check the type makes (the range check, ``_check_universe``), then sets each
+slot through the field's member descriptor, ``Cls.field.__set__``, bound
+once at module level.  Equality, hashing, ``repr`` and ``__match_args__``
+stay generated.  ``_Frozen`` refuses every assignment and deletion, of a
+field or of any other name, with ``FrozenInstanceError``: the
+``__setattr__`` that ``frozen=True`` generates raises a ``TypeError`` for a
+name that is no field once ``slots=True`` has rebuilt the class.  No
+``exec``, and no second constructor that skips a check.  The rule is to set
+slots through their descriptors: a frozen dataclass's own ``__init__`` pays
+an ``object.__setattr__`` per field and a ``__post_init__`` call, which
+measured slower (CHANGES.md, "Value objects at slot speed").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from operator import attrgetter
 from typing import Callable, ClassVar, Collection, Iterable, Iterator
 
@@ -79,7 +82,8 @@ class NodeUniverse:
     # The three below are built on first use (``cell_names``, ``row_starts``,
     # ``diagonal``).  Every attribute is set in ``__init__``, in one order, so that
     # no universe materializes an instance ``__dict__`` as ``cached_property``
-    # would: an attribute read on a universe that has one takes ~50 ns against ~30.
+    # would: every attribute read on a universe with one is slower (measured in
+    # CHANGES.md, "One cell table per universe").
     _cell_names: list[str] | None = field(default=None, init=False, repr=False, compare=False)
     _row_starts: int | None = field(default=None, init=False, repr=False, compare=False)
     _diagonal: int | None = field(default=None, init=False, repr=False, compare=False)
@@ -182,8 +186,26 @@ def _check_operand(a, b) -> None:
     _check_universe(a, b)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class _Packed:
+class _Frozen:
+    """Base of the slotted value types: every assignment and deletion is refused.
+
+    Copies and pickles rebuild a value through its constructor, from its fields.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self.__match_args__))
+
+
+@dataclass(slots=True, init=False, unsafe_hash=True)
+class _Packed(_Frozen):
     """Cells of a vector or matrix, packed into an int.
 
     ``_full`` reads the universe's all-ones mask of the kind; every
@@ -342,8 +364,8 @@ class BoolMatrix(_Packed):
         return [int(digits[n - 1 - j :: n], 2) for j in range(n)]
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Digraph:
+@dataclass(slots=True, init=False, unsafe_hash=True)
+class Digraph(_Frozen):
     """Simple digraph: edge matrix plus node-presence vector."""
 
     edges: BoolMatrix

@@ -3,6 +3,9 @@
 Reports are line-oriented documents with a stable key order so they can be
 diffed byte for byte.  Exit codes: 0 when the requested check passes or the
 derivation completes, 1 when it fails, 2 for unknown names or bad input.
+``run`` makes a command's one report, hands it to the command to fill, and
+emits it once when the command returns its exit code; on bad input it prints
+only the one ``error`` line, and no part of the report.
 
 Every matrix in a report renders row by row through the report's one row
 memo (``Report.matrix``), and a vector as one entry of it, so a row that the
@@ -62,15 +65,14 @@ _SELECT = re.compile(r"first|all|[0-9]+")
 _INTEGER = re.compile(r"-?[0-9]+")
 
 # A report names its witness edges through ``cell_names`` when this many times
-# their count reaches n².  The table costs ~65 ns a cell (~0.26 ms at 64 nodes)
-# where it is not built yet, picking a mask's cells out of it ~12 ns a cell, and
-# naming a set cell from the bits ~0.4 us.  On the 64-node benchmark items the
-# two routes break even near 4 x count = n² when the table must be built
-# (congruence reports with 2 masks: 1.21x the time at 0.85 n²/4 witnesses,
-# 0.95x at 1.06 n²/4); coherence reports of ~11 n²/4 take 0.39x.  The gate does
-# not ask whether the grammar reader built the table already: if it has, the
-# table route is the faster one down to ~0.2 n²/4 (0.81x at 0.22 n²/4, 0.54x at
-# 0.56 n²/4, best of 15, two-mask congruence reports of coherent 64-node files).
+# their count reaches n², and from each mask's set bits below that.  The table
+# costs a build of all n² tokens where the grammar reader has not built it, then
+# little a cell; naming from the bits costs more a cell and nothing up front, so
+# the routes break even near n²/4 witnesses when the table must be built.  The
+# gate does not ask whether it is built: where it is, the table pays from fewer
+# witnesses, and a gate that always took it would pay the build on sparse files
+# (measured in CHANGES.md, "Witness-heavy commands at join speed" and "One report
+# per run").
 _TABLE_WITNESSES = 4
 # A mask's digit string as bytes, read by ``compress`` as one selector per cell.
 _SELECTORS = bytes.maketrans(b"01", b"\0\1")
@@ -96,12 +98,10 @@ def _bool_str(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-# Report lines joined per write, so that a report's text is not held twice: once in
-# its lines and once joined.  Measured (CHANGES.md): ``derive --select all`` on a
-# 4,903-entry, 5.2 MB report to the null device peaks at 19.7 MB writing each line,
-# 20.3 MB at 256, 21.8 MB at 1,024 and 29.7 MB in one join; emitting a 12,074-line
-# analyze report into a ``StringIO`` takes 0.14 ms at 256 to 4,096, 0.19 ms at 64,
-# 0.28 ms in one join and 2.3 ms line by line.
+# Report lines joined per write: a report's text is then not held twice (in its
+# lines and joined), each join stays in cache, and there is no write per line.
+# This is the smallest chunk that emits at the fastest time measured, with a
+# peak near that of a write per line (CHANGES.md, "Value objects at slot speed").
 _EMIT_LINES = 256
 
 
@@ -161,10 +161,6 @@ class Report:
     def add(self, key: str, value: str = "") -> None:
         self.lines.append(f"{key} {value}".rstrip())
 
-    def add_all(self, key: str, values) -> None:
-        """One ``key value`` line per value, in order; no value is empty or ends in a space."""
-        self.lines.extend(map(f"{key} ".__add__, values))
-
     def emit(self, out) -> None:
         """Every line, each ended by a newline, joined and written _EMIT_LINES at a time."""
         lines = self.lines
@@ -184,9 +180,11 @@ def _load_grammar(path: str) -> GrammarFile:
     return parse_grammar(text.removeprefix("\ufeff"))
 
 
-def _sequence_of(gf: GrammarFile, name: str) -> RuleSequence:
-    rules = tuple(gf.productions[r] for r in gf.sequences[name])
-    return RuleSequence(rules)
+def _named(table: dict, kind: str, name: str):
+    """``table[name]``; a name not in ``table`` is a ``LookupError``, worded by ``kind``."""
+    if name not in table:
+        raise LookupError(f"unknown {kind} {name!r}")
+    return table[name]
 
 
 def _add_term(report: Report, prefix: str, term: ComplexTerm) -> None:
@@ -212,69 +210,53 @@ def _add_analysis(report: Report, analysis: AnalysisReport) -> None:
             flagged = [f"{source}->{target}" for source, target in cells.edges()]
         else:
             flagged = _picked(names, cells)
-        report.add_all(key, flagged)
+        # No flagged name is empty or ends in a space: each line is ``key name`` as is.
+        report.lines.extend(map(f"{key} ".__add__, flagged))
 
 
-def cmd_analyze(args, out) -> int:
+def cmd_analyze(args, report: Report) -> int:
     gf = _load_grammar(args.grammar)
-    if args.sequence not in gf.sequences:
-        raise LookupError(f"unknown sequence {args.sequence!r}")
-    s = _sequence_of(gf, args.sequence)
-    report = Report("analyze")
+    rule_names = _named(gf.sequences, "sequence", args.sequence)
+    s = RuleSequence(tuple(gf.productions[r] for r in rule_names))
     report.add("grammar", args.grammar)
     report.add("sequence", args.sequence)
     report.add("applied", " ".join(p.name for p in s.rules))
     report.add("composed", s.composition_order())
     report.add("check", args.check)
-    ok = True
-    if args.check == "coherence":
-        analysis = coherence(s)
-        report.add("c_plus", report.matrix(analysis.term.cert_edges))
-        report.add("c_minus", report.matrix(analysis.term.nihil_edges))
-        _add_analysis(report, analysis)
-        ok = analysis.ok
-    elif args.check == "initial":
+    if args.check in ("initial", "image"):
+        # A term, always ``ok``; only the initial digraph warns (when incoherent).
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", IncoherentSequenceWarning)
-            term = initial_digraph(s)
-        _add_term(report, "initial", term)
+            term = initial_digraph(s) if args.check == "initial" else image_of_sequence(s)
+        _add_term(report, args.check, term)
         for w in caught:
             report.add("note", str(w.message))
-        report.add("ok", _bool_str(True))
-    elif args.check == "image":
-        _add_term(report, "image", image_of_sequence(s))
-        report.add("ok", _bool_str(True))
+        report.add("ok", "yes")
+        return EXIT_OK
+    # A verdict: its term's parts under the check's own keys, then the analysis.
+    if args.check == "coherence":
+        analysis, keys = coherence(s), ("c_plus", "c_minus")
     elif args.check == "compatibility":
-        analysis = sequence_compatibility(s)
-        report.add("violations", report.matrix(analysis.term.cert_edges))
-        _add_analysis(report, analysis)
-        ok = analysis.ok
-    elif args.check == "congruence":
+        analysis, keys = sequence_compatibility(s), ("violations",)
+    else:
         if len(s) < 2:
             raise LookupError("congruence needs a sequence of at least two rules")
-        analysis = g_congruence(s, args.mode)
+        analysis, keys = g_congruence(s, args.mode), ("f_plus", "f_minus")
         report.add("mode", args.mode)
-        report.add("f_plus", report.matrix(analysis.term.cert_edges))
-        report.add("f_minus", report.matrix(analysis.term.nihil_edges))
-        _add_analysis(report, analysis)
-        ok = analysis.ok
-    report.emit(out)
-    return EXIT_OK if ok else EXIT_FAIL
+    for key, part in zip(keys, (analysis.term.cert_edges, analysis.term.nihil_edges)):
+        report.add(key, report.matrix(part))
+    _add_analysis(report, analysis)
+    return EXIT_OK if analysis.ok else EXIT_FAIL
 
 
 def _add_graph(report: Report, gid: str, g: Digraph) -> None:
     report.lines.append(report.graph(gid, g))
 
 
-def cmd_derive(args, out) -> int:
+def cmd_derive(args, report: Report) -> int:
     gf = _load_grammar(args.grammar)
-    if args.host not in gf.hosts:
-        raise LookupError(f"unknown host {args.host!r}")
-    if args.sequence not in gf.sequences:
-        raise LookupError(f"unknown sequence {args.sequence!r}")
-    host = gf.hosts[args.host]
-    rules = [gf.productions[r] for r in gf.sequences[args.sequence]]
-    report = Report("derive")
+    host = _named(gf.hosts, "host", args.host)
+    rules = [gf.productions[r] for r in _named(gf.sequences, "sequence", args.sequence)]
     report.add("grammar", args.grammar)
     report.add("host", args.host)
     report.add("sequence", args.sequence)
@@ -298,7 +280,6 @@ def cmd_derive(args, out) -> int:
             )
         report.lines[count] = f"traces {t + 1}"
         report.add("ok", _bool_str(t >= 0))
-        report.emit(out)
         return EXIT_OK if t >= 0 else EXIT_FAIL
 
     selector: object = "first" if args.select == "first" else int(args.select)
@@ -310,7 +291,6 @@ def cmd_derive(args, out) -> int:
         report.add("failed_production", exc.production)
         report.add("failed_morphism", exc.failed)
         report.add("error", str(exc))
-        report.emit(out)
         return EXIT_FAIL
     _add_graph(report, "g0", host)
     for step in trace.steps:
@@ -322,56 +302,45 @@ def cmd_derive(args, out) -> int:
         _add_graph(report, f"g{k}", g)
     report.add("result", f"g{len(trace.steps)}")
     report.add("ok", "yes")
-    report.emit(out)
     return EXIT_OK
 
 
-def cmd_encode(args, out) -> int:
+def cmd_encode(args, report: Report) -> int:
     gf = _load_grammar(args.grammar)
-    report = Report("encode")
     report.add("grammar", args.grammar)
     if args.production is not None:
-        if args.production not in gf.productions:
-            raise LookupError(f"unknown production {args.production!r}")
-        term = gf.productions[args.production].lhs_term()
+        term = _named(gf.productions, "production", args.production).lhs_term()
         report.add("production", args.production)
         report.add("term", "lhs")
     else:
-        if args.graph not in gf.hosts:
-            raise LookupError(f"unknown host {args.graph!r}")
-        term = ComplexTerm.of(gf.hosts[args.graph].edges)
+        term = ComplexTerm.of(_named(gf.hosts, "host", args.graph).edges)
         report.add("graph", args.graph)
         report.add("term", "certainty")
     point = ell_complex(term)
     report.add("encoding", point.render())
-    report.emit(out)
     return EXIT_OK
 
 
-def cmd_census(args, out) -> int:
+def cmd_census(args, report: Report) -> int:
     table = swap_census(args.nodes)
-    report = Report("census")
     report.add("nodes", str(args.nodes))
     report.add("productions", str(table.production_count))
     report.add("swaps", str(table.swap_count()))
     report.add("histogram", "[" + ",".join(str(c) for c in table.histogram) + "]")
     for swap, size in table.class_sizes:
         report.add("class", f"nihil {report.matrix(swap.nihil_edges)} size {size}")
-    report.emit(out)
     return EXIT_OK
 
 
-def cmd_gasket(args, out) -> int:
+def cmd_gasket(args, report: Report) -> int:
     bitmap = gasket_raster(args.bits)
     # Row by row, so memory grows with the width, not the area.
     with open(args.out, "w", encoding="utf-8") as f:
         f.writelines(bitmap.p1_lines())
-    report = Report("gasket")
     report.add("bits", str(args.bits))
     report.add("size", f"{bitmap.width}x{bitmap.height}")
     report.add("out", args.out)
     report.add("ok", "yes")
-    report.emit(out)
     return EXIT_OK
 
 
@@ -432,8 +401,11 @@ def run(argv=None, out=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "derive" and not _SELECT.fullmatch(args.select):
         parser.error(f"--select must be first, all or an index, not {args.select!r}")
+    report = Report(args.command)
     try:
-        return args.func(args, out)
+        code = args.func(args, report)
+        report.emit(out)
+        return code
     except (GrammarError, LookupError, ValueError, OSError) as exc:
         out.write(f"error {exc}\n")
         return EXIT_USAGE

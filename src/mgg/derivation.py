@@ -68,6 +68,7 @@ from .boolmat import (
     BoolVector,
     Digraph,
     NodeUniverse,
+    _Frozen,
     bounded_one,
     complement,
     is_compatible,
@@ -90,8 +91,8 @@ class DerivationError(RuntimeError):
         self.failed = failed  # "m_L", "m_K" or "selector"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Match:
+@dataclass(slots=True, init=False, unsafe_hash=True)
+class Match(_Frozen):
     """Injective node map from a rule's lhs nodes into host labels.
 
     Pairs are listed in rule-universe order, so matches compare and sort
@@ -378,8 +379,8 @@ def _plan(p: Production, u: NodeUniverse, step: int):
     return plan
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class DerivationStep:
+@dataclass(slots=True, init=False, unsafe_hash=True)
+class DerivationStep(_Frozen):
     production: str
     match: Match
     input_id: str
@@ -396,8 +397,8 @@ _set_production, _set_match = DerivationStep.production.__set__, DerivationStep.
 _set_input_id, _set_output_id = DerivationStep.input_id.__set__, DerivationStep.output_id.__set__
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class DerivationTrace:
+@dataclass(slots=True, init=False, unsafe_hash=True)
+class DerivationTrace(_Frozen):
     steps: tuple[DerivationStep, ...]
     graphs: tuple[Digraph, ...]
 

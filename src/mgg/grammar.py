@@ -82,15 +82,12 @@ class GrammarFile:
 
 # A file fills its token memo from its universe's ``cell_names`` when its text
 # holds at least this many ``->`` per universe cell: where the table starts to
-# pay on coherent files.  Parse times, table against memo alone, interleaved
-# best of 5 x 7 on generated files at 16 to 128 nodes: random rules, which
-# repeat few tokens, gain from ~0.5 n² tokens (0.65-0.97x from 0.7 n²);
-# coherent ones, each rule firing on the graph the ones before it leave, break
-# even at 0.9-1.0 n² (0.90-1.03x), lose up to 1.2x below 0.7 n², and gain
-# 0.80-0.94x from 1.4 n² on 32 nodes or more.  The table costs ~0.6 ms at 64
-# nodes, names and memo, and a report that names its witnesses reuses the
-# names.  Counting is ~0.1 ms on a 61 kB file, ~2 % of its parse, so a file is
-# counted only if it is long enough to hold that many tokens.
+# pay on coherent files.  The table is a build of all n² tokens, which saves a
+# split and a lookup for each distinct token read; coherent files repeat more
+# of their tokens than random ones, so they need more tokens to repay it.  A
+# report that names its witnesses reuses the names.  Counting the arrows is a
+# pass over the text, so a file is counted only if it is long enough to hold
+# that many tokens (measured in CHANGES.md, "One cell table per universe").
 _TABLE_TOKENS = 1
 
 
@@ -180,10 +177,8 @@ class _Parser:
         u = self.universe
         if u is None:
             raise GrammarError(block_line, "the nodes line must come before this declaration")
-        node_key = f"{prefix} nodes" if prefix else "nodes"
-        edge_key = f"{prefix} edges" if prefix else "edges"
-        node_line, nodes = fields.pop(node_key, (block_line, []))
-        edge_line, edges = fields.pop(edge_key, (block_line, []))
+        node_line, nodes = fields.pop(f"{prefix}nodes", (block_line, []))
+        edge_line, edges = fields.pop(f"{prefix}edges", (block_line, []))
         memo, index, n = self.cells, u._index, u.size
         try:
             if len(memo) == n * n:  # every well-formed token: a miss is an error
@@ -204,7 +199,7 @@ class _Parser:
         _check_unique(edges, edge_bits.bit_count(), "edge", edge_line)
         if edge_bits & ~block_bits(u, node_bits):
             raise GrammarError(
-                edge_line, f"{prefix or 'host'} has an edge touching an absent node"
+                edge_line, f"{prefix or 'host '}has an edge touching an absent node"
             )
         return Digraph(BoolMatrix(u, edge_bits), BoolVector(u, node_bits))
 
@@ -220,8 +215,8 @@ class _Parser:
             self.check_fresh(name, number)
             fields, after = self.parse_block()
             if keyword == "production":
-                lhs = self.digraph_from(fields, "lhs", number)
-                rhs = self.digraph_from(fields, "rhs", number)
+                lhs = self.digraph_from(fields, "lhs ", number)
+                rhs = self.digraph_from(fields, "rhs ", number)
                 _check_no_fields(fields, keyword)
                 self.productions[name] = Production.from_static(name, lhs, rhs)
             else:
@@ -274,8 +269,11 @@ def parse_grammar(text: str) -> GrammarFile:
     return _Parser(text).run()
 
 
-def _edge_tokens(g: Digraph) -> str:
-    return " ".join(f"{a}->{b}" for a, b in g.edges.edges())
+def _digraph_lines(prefix: str, g: Digraph) -> Iterator[str]:
+    """g's nodes line, and its edges line if it has an edge, each key after ``prefix``."""
+    yield f"  {prefix}nodes " + " ".join(g.nodes.labels())
+    if not g.edges.is_zero():
+        yield f"  {prefix}edges " + " ".join(f"{a}->{b}" for a, b in g.edges.edges())
 
 
 def serialize_grammar(gf: GrammarFile) -> str:
@@ -283,20 +281,14 @@ def serialize_grammar(gf: GrammarFile) -> str:
     out = ["nodes " + " ".join(gf.universe.labels), ""]
     for name, p in gf.productions.items():
         out.append(f"production {name}")
-        out.append("  lhs nodes " + " ".join(p.lhs.nodes.labels()))
-        if not p.lhs.edges.is_zero():
-            out.append("  lhs edges " + _edge_tokens(p.lhs))
-        out.append("  rhs nodes " + " ".join(p.rhs.nodes.labels()))
-        if not p.rhs.edges.is_zero():
-            out.append("  rhs edges " + _edge_tokens(p.rhs))
+        out.extend(_digraph_lines("lhs ", p.lhs))
+        out.extend(_digraph_lines("rhs ", p.rhs))
         out.append("")
     for name, rules in gf.sequences.items():
         out.append(f"sequence {name} " + " ".join(rules))
         out.append("")
     for name, g in gf.hosts.items():
         out.append(f"host {name}")
-        out.append("  nodes " + " ".join(g.nodes.labels()))
-        if not g.edges.is_zero():
-            out.append("  edges " + _edge_tokens(g))
+        out.extend(_digraph_lines("", g))
         out.append("")
     return "\n".join(out).rstrip("\n") + "\n"

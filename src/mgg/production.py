@@ -21,14 +21,15 @@ from .boolmat import (
     Digraph,
     NodeUniverse,
     UniverseMismatchError,
+    _Frozen,
     block_bits,
     is_compatible,
 )
 from .mcl import ComplexTerm, dot
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Production:
+@dataclass(slots=True, init=False, unsafe_hash=True)
+class Production(_Frozen):
     """A rewriting rule with derived dynamic matrices.
 
     ``deleted_*``/``added_*`` are the rule's actions; ``nihilation`` is the

@@ -1,6 +1,8 @@
 """Shared fixtures: small universes, the worked example rules, the value contract."""
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -22,8 +24,9 @@ def value_contract():
     """A check that a value keeps the frozen dataclass contract with slots and no ``__dict__``.
 
     It is equal to the value its fields build by position and by keyword, hashes and
-    prints as its field values, is rebuilt by ``dataclasses.replace``, and refuses
-    every assignment and deletion of a field.
+    prints as its field values, is rebuilt by ``dataclasses.replace``, by ``copy`` and by
+    ``pickle``, and refuses every assignment and deletion of a field or of any other
+    name with ``FrozenInstanceError``.
     """
 
     def check(x):
@@ -36,11 +39,17 @@ def value_contract():
         assert repr(x) == f"{cls.__qualname__}({shown})"
         assert cls.__match_args__ == tuple(values)
         assert dataclasses.replace(x) == x
+        assert copy.copy(x) == x == copy.deepcopy(x) == pickle.loads(pickle.dumps(x))
         for name, value in values.items():
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(x, name, value)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(x, name)
+        # A name that is no field is refused in the same words, not with a TypeError.
+        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'extra'$"):
+            x.extra = 1
+        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot delete field 'extra'$"):
+            del x.extra
         assert not hasattr(x, "__dict__")
 
     return check

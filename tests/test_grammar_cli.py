@@ -312,6 +312,23 @@ class TestParse:
             assert gf2.sequences == gf.sequences
             assert gf2.hosts == gf.hosts
 
+    def test_serialized_text_is_pinned_byte_for_byte(self):
+        # The round trips compare models; this pins the text itself.  An empty node
+        # list keeps the space after its key, and an empty edge list has no line.
+        text = (
+            "nodes a b c\n\nproduction grow\n  lhs nodes\n  rhs nodes c a\n  rhs edges c->a a->c\n\n"
+            "production drop\n  lhs nodes b a\n  lhs edges b->a a->b a->a\n  rhs nodes a b\n\n"
+            "sequence s grow drop grow\n\nhost empty\n\nhost h\n  nodes c b\n  edges c->b\n"
+        )
+        assert serialize_grammar(parse_grammar(text)) == (
+            "nodes a b c\n\n"
+            "production grow\n  lhs nodes \n  rhs nodes a c\n  rhs edges a->c c->a\n\n"
+            "production drop\n  lhs nodes a b\n  lhs edges a->a a->b b->a\n  rhs nodes a b\n\n"
+            "sequence s grow drop grow\n\n"
+            "host empty\n  nodes \n\n"
+            "host h\n  nodes b c\n  edges c->b\n"
+        )
+
     def test_hash_inside_a_token_rejected(self):
         # A derived fresh label such as p.b#1 must not reparse as p.b.
         text = "nodes a p.b#1\n"
@@ -860,6 +877,85 @@ class TestEmit:
         assert code == 0 and "traces 4896\n" in text
         # ru_maxrss is in KiB on Linux.
         assert (peak["three"] - peak["one"]) * 1024 < 2 * len(text), (peak, len(text))
+
+
+# (case, argv, stdout after ``error``) of each way a command fails with exit 2, run
+# where ``small.mgg`` holds SMALL and a one-rule sequence ``once``.
+USAGE_ERRORS = [
+    (
+        "unknown-sequence",
+        ("analyze", DEMO, "--sequence", "ghost", "--check", "coherence"),
+        "unknown sequence 'ghost'",
+    ),
+    # Raised after the report's first lines are made: none of them is printed.
+    (
+        "congruence-of-one-rule",
+        ("analyze", "small.mgg", "--sequence", "once", "--check", "congruence"),
+        "congruence needs a sequence of at least two rules",
+    ),
+    (
+        "unknown-host",
+        ("derive", DEMO, "--host", "ghost", "--sequence", "handover"),
+        "unknown host 'ghost'",
+    ),
+    ("unknown-production", ("encode", PAIR, "--production", "ghost"), "unknown production 'ghost'"),
+    (
+        "census-negative",
+        ("census", "--nodes", "-1"),
+        "census needs a node count of at least 0, not -1",
+    ),
+    ("gasket-no-bits", ("gasket", "--bits", "0", "--out", "x.pbm"), "bits must be between 1 and 16"),
+    (
+        "missing-file",
+        ("encode", "missing.mgg", "--graph", "line"),
+        "[Errno 2] No such file or directory: 'missing.mgg'",
+    ),
+]
+
+# One command of each kind and outcome that ends with a report.
+REPORTED = [
+    ("analyze", DEMO, "--sequence", "clash", "--check", "coherence"),
+    ("analyze", DEMO, "--sequence", "handover", "--check", "initial"),
+    ("analyze", "small.mgg", "--sequence", "twice", "--check", "congruence"),
+    ("derive", DEMO, "--host", "start", "--sequence", "handover", "--select", "first"),
+    ("derive", DEMO, "--host", "start", "--sequence", "handover", "--select", "all"),
+    ("derive", WIDE, "--host", "field", "--sequence", "trek", "--select", "99"),
+    ("encode", "small.mgg", "--graph", "line"),
+    ("census", "--nodes", "1"),
+    ("gasket", "--bits", "3", "--out", "x.pbm"),
+]
+
+
+class TestOneReportPerRun:
+    @pytest.fixture
+    def emits(self, tmp_path, monkeypatch):
+        """The reports emitted, in a directory holding ``small.mgg``."""
+        (tmp_path / "small.mgg").write_text(SMALL + "\nsequence once flip\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        emitted = []
+        emit = Report.emit
+
+        def spy(report, out):
+            emitted.append(report)
+            emit(report, out)
+
+        monkeypatch.setattr(Report, "emit", spy)
+        return emitted
+
+    @pytest.mark.parametrize(
+        "argv, message", [row[1:] for row in USAGE_ERRORS], ids=[row[0] for row in USAGE_ERRORS]
+    )
+    def test_exit_2_prints_only_the_error_line(self, argv, message, emits, tmp_path):
+        assert cli(*argv) == (2, f"error {message}\n")
+        assert emits == []
+        assert not (tmp_path / "x.pbm").exists()
+
+    @pytest.mark.parametrize("argv", REPORTED, ids=lambda argv: "-".join(argv[:1] + argv[-1:]))
+    def test_every_report_is_emitted_once(self, argv, emits):
+        code, text = cli(*argv)
+        assert code in (0, 1)
+        assert len(emits) == 1
+        assert text.startswith(f"report {argv[0]}\n") and text == "\n".join(emits[0].lines) + "\n"
 
 
 class TestEncodeCommand:
