@@ -41,7 +41,11 @@ elsewhere) are dataclasses with slots on one frozen base, ``_Frozen``, and
 a hand-written ``__init__``, in one idiom: the constructor first runs every
 check the type makes (the range check, ``_check_universe``), then sets each
 slot through the field's member descriptor, ``Cls.field.__set__``, bound
-once at module level.  Equality, hashing, ``repr`` and ``__match_args__``
+once at module level.  ``Production`` lists its ``__slots__`` itself, as
+its six derived parts are slots but not fields: its constructor takes the
+name and the two sides, runs the universe check, derives the rest on ints
+and sets every slot the same way, so a copy, a pickle or ``replace``
+derives them again.  Equality, hashing, ``repr`` and ``__match_args__``
 stay generated.  ``_Frozen`` refuses every assignment and deletion, of a
 field or of any other name, with ``FrozenInstanceError``: the
 ``__setattr__`` that ``frozen=True`` generates raises a ``TypeError`` for a

@@ -5,7 +5,9 @@ diffed byte for byte.  Exit codes: 0 when the requested check passes or the
 derivation completes, 1 when it fails, 2 for unknown names or bad input.
 ``run`` makes a command's one report, hands it to the command to fill, and
 emits it once when the command returns its exit code; on bad input it prints
-only the one ``error`` line, and no part of the report.
+only the one ``error`` line, and no part of the report.  A report that cannot
+be written is no bad input: ``main`` ends a run whose stdout was closed early
+with exit 1 and nothing on stderr.
 
 Every matrix in a report renders row by row through the report's one row
 memo (``Report.matrix``), and a vector as one entry of it, so a row that the
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 import warnings
@@ -249,10 +252,6 @@ def cmd_analyze(args, report: Report) -> int:
     return EXIT_OK if analysis.ok else EXIT_FAIL
 
 
-def _add_graph(report: Report, gid: str, g: Digraph) -> None:
-    report.lines.append(report.graph(gid, g))
-
-
 def cmd_derive(args, report: Report) -> int:
     gf = _load_grammar(args.grammar)
     host = _named(gf.hosts, "host", args.host)
@@ -292,14 +291,14 @@ def cmd_derive(args, report: Report) -> int:
         report.add("failed_morphism", exc.failed)
         report.add("error", str(exc))
         return EXIT_FAIL
-    _add_graph(report, "g0", host)
+    report.lines.append(report.graph("g0", host))
     for step in trace.steps:
         report.add(
             "step",
             f"{step.input_id} {step.production} match {step.match.render()} -> {step.output_id}",
         )
     for k, g in enumerate(trace.graphs[1:], start=1):
-        _add_graph(report, f"g{k}", g)
+        report.lines.append(report.graph(f"g{k}", g))
     report.add("result", f"g{len(trace.steps)}")
     report.add("ok", "yes")
     return EXIT_OK
@@ -404,15 +403,26 @@ def run(argv=None, out=None) -> int:
     report = Report(args.command)
     try:
         code = args.func(args, report)
-        report.emit(out)
-        return code
     except (GrammarError, LookupError, ValueError, OSError) as exc:
         out.write(f"error {exc}\n")
         return EXIT_USAGE
+    report.emit(out)
+    return code
 
 
 def main(argv=None) -> int:
-    return run(argv)
+    """``run`` on stdout; a reader that closes stdout early ends the run with exit 1.
+
+    The closed pipe is answered as CPython's docs advise: stdout is pointed at the
+    null device, so the flush at exit writes nowhere and nothing reaches stderr.
+    """
+    try:
+        code = run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -259,7 +259,6 @@ def census_bruteforce(node_count: int) -> CensusTable:
     cells = node_count * node_count
     full = (1 << cells) - 1
     groups: dict[int, int] = {}
-    total = 0
     for lhs_bits in range(1 << cells):
         del_candidates = _subsets(lhs_bits)
         add_candidates = _subsets(full & ~lhs_bits)
@@ -267,8 +266,7 @@ def census_bruteforce(node_count: int) -> CensusTable:
             for add_bits in add_candidates:
                 touched = del_bits | add_bits
                 groups[touched] = groups.get(touched, 0) + 1
-                total += 1
-    return _census_from_groups(node_count, groups, total)
+    return _census_from_groups(node_count, groups)
 
 
 def _subsets(mask: int) -> list[int]:

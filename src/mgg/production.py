@@ -28,59 +28,29 @@ from .boolmat import (
 from .mcl import ComplexTerm, dot
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
+@dataclass(init=False, unsafe_hash=True)
 class Production(_Frozen):
-    """A rewriting rule with derived dynamic matrices.
+    """A rewriting rule: a name and two sides, and the dynamic form they define.
 
     ``deleted_*``/``added_*`` are the rule's actions; ``nihilation`` is the
     forbidden-edge matrix of the left hand side and ``rhs_nihilation`` its
-    evolution to the right hand side.  All components live on one universe,
-    and ``~`` complements within it.
+    evolution to the right hand side.  These six are slots but not fields:
+    the constructor derives them from the sides, so equality, hashing,
+    ``repr``, ``replace``, copies and pickles go by the name and the sides
+    alone, and no rule carries actions its sides contradict.  All components
+    live on one universe, and ``~`` complements within it.
     """
 
+    __slots__ = (
+        "name", "lhs", "rhs", "deleted_edges", "added_edges", "deleted_nodes", "added_nodes",
+        "nihilation", "rhs_nihilation",
+    )
     name: str
     lhs: Digraph
     rhs: Digraph
-    deleted_edges: BoolMatrix
-    added_edges: BoolMatrix
-    deleted_nodes: BoolVector
-    added_nodes: BoolVector
-    nihilation: BoolMatrix
-    rhs_nihilation: BoolMatrix
 
-    def __init__(
-        self, name: str, lhs: Digraph, rhs: Digraph, deleted_edges: BoolMatrix,
-        added_edges: BoolMatrix, deleted_nodes: BoolVector, added_nodes: BoolVector,
-        nihilation: BoolMatrix, rhs_nihilation: BoolMatrix,
-    ) -> None:
-        _set_name(self, name)
-        _set_lhs(self, lhs)
-        _set_rhs(self, rhs)
-        _set_deleted_edges(self, deleted_edges)
-        _set_added_edges(self, added_edges)
-        _set_deleted_nodes(self, deleted_nodes)
-        _set_added_nodes(self, added_nodes)
-        _set_nihilation(self, nihilation)
-        _set_rhs_nihilation(self, rhs_nihilation)
-
-    @property
-    def universe(self) -> NodeUniverse:
-        return self.lhs.universe
-
-    @property
-    def compatible(self) -> bool:
-        """True iff applying the rule preserves dangling-edge freedom.
-
-        That is no rhs edge in ``rhs_nihilation`` and the rhs a proper digraph; the
-        second implies the first: a deleted edge is not in the rhs, and an rhs edge the
-        rule does not add is an lhs edge, so it meets ``rhs_nihilation`` only at a
-        deleted node, which the rhs lacks.
-        """
-        return is_compatible(self.rhs)
-
-    @classmethod
-    def from_static(cls, name: str, lhs: Digraph, rhs: Digraph) -> "Production":
-        """Derive the dynamic form from a static (lhs, rhs) pair.
+    def __init__(self, name: str, lhs: Digraph, rhs: Digraph) -> None:
+        """Derive the dynamic form from the static pair (lhs, rhs).
 
         The deletion part is whatever the left side has and the right side
         lacks; the addition part the converse.  Any pair of digraphs over a
@@ -99,22 +69,39 @@ class Production(_Frozen):
         # the rule adds (parallel edges are not allowed in simple digraphs).
         kept_block = block_bits(u, u.vector_full ^ deleted_nodes)
         nihil = added_edges | (u.matrix_full ^ kept_block) & ~deleted_edges
-        rhs_nihil = deleted_edges | nihil & ~added_edges
-        return cls(
-            name,
-            lhs,
-            rhs,
-            BoolMatrix(u, deleted_edges),
-            BoolMatrix(u, added_edges),
-            BoolVector(u, deleted_nodes),
-            BoolVector(u, rhs.nodes.bits & ~lhs.nodes.bits),
-            BoolMatrix(u, nihil),
-            BoolMatrix(u, rhs_nihil),
-        )
+        _set_name(self, name)
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+        _set_deleted_edges(self, BoolMatrix(u, deleted_edges))
+        _set_added_edges(self, BoolMatrix(u, added_edges))
+        _set_deleted_nodes(self, BoolVector(u, deleted_nodes))
+        _set_added_nodes(self, BoolVector(u, rhs.nodes.bits & ~lhs.nodes.bits))
+        _set_nihilation(self, BoolMatrix(u, nihil))
+        _set_rhs_nihilation(self, BoolMatrix(u, deleted_edges | nihil & ~added_edges))
+
+    @property
+    def universe(self) -> NodeUniverse:
+        return self.lhs.universe
+
+    @property
+    def compatible(self) -> bool:
+        """True iff applying the rule preserves dangling-edge freedom.
+
+        That is no rhs edge in ``rhs_nihilation`` and the rhs a proper digraph; the
+        second implies the first: a deleted edge is not in the rhs, and an rhs edge the
+        rule does not add is an lhs edge, so it meets ``rhs_nihilation`` only at a
+        deleted node, which the rhs lacks.
+        """
+        return is_compatible(self.rhs)
+
+    @classmethod
+    def from_static(cls, name: str, lhs: Digraph, rhs: Digraph) -> "Production":
+        """The rule of a static (lhs, rhs) pair: the constructor under the paper's name."""
+        return cls(name, lhs, rhs)
 
     @classmethod
     def identity(cls, name: str, graph: Digraph) -> "Production":
-        return cls.from_static(name, graph, graph)
+        return cls(name, graph, graph)
 
     def lhs_term(self) -> ComplexTerm:
         """Left hand side as a complex term: lhs certain, nihilation forbidden.
@@ -194,27 +181,32 @@ def apply_swap(w: Swap, z: ComplexTerm) -> ComplexTerm:
 
 @dataclass(frozen=True)
 class CensusTable:
-    """Swap classes of every production over a small universe."""
+    """Swap classes of every production over a small universe, each with its rule count."""
 
     node_count: int
-    production_count: int
     class_sizes: tuple[tuple[Swap, int], ...]
-    histogram: tuple[int, ...]
+
+    @property
+    def production_count(self) -> int:
+        return sum(size for _, size in self.class_sizes)
+
+    @property
+    def histogram(self) -> tuple[int, ...]:
+        """Entry k: the number of swaps that touch k edge cells, for k = 0..n²."""
+        counts = [0] * (self.node_count * self.node_count + 1)
+        for swap, _ in self.class_sizes:
+            counts[swap.touched_edge_count()] += 1
+        return tuple(counts)
 
     def swap_count(self) -> int:
         return len(self.class_sizes)
 
 
-def _census_from_groups(node_count: int, groups: dict[int, int], total: int) -> CensusTable:
+def _census_from_groups(node_count: int, groups: dict[int, int]) -> CensusTable:
     u = NodeUniverse(tuple(str(i + 1) for i in range(node_count)))
-    cells = node_count * node_count
-    classes = []
-    histogram = [0] * (cells + 1)
-    for nihil_bits in sorted(groups):
-        swap = Swap(BoolMatrix(u, nihil_bits), BoolVector.zeros(u))
-        classes.append((swap, groups[nihil_bits]))
-        histogram[swap.touched_edge_count()] += 1
-    return CensusTable(node_count, total, tuple(classes), tuple(histogram))
+    zeros = BoolVector.zeros(u)
+    classes = tuple((Swap(BoolMatrix(u, bits), zeros), groups[bits]) for bits in sorted(groups))
+    return CensusTable(node_count, classes)
 
 
 def swap_census(node_count: int) -> CensusTable:
@@ -231,7 +223,6 @@ def swap_census(node_count: int) -> CensusTable:
     cells = node_count * node_count
     all_nodes = BoolVector.ones(u)
     groups: dict[int, int] = {}
-    total = 0
     for lhs_bits in range(1 << cells):
         lhs = Digraph(BoolMatrix(u, lhs_bits), all_nodes)
         for rhs_bits in range(1 << cells):
@@ -239,5 +230,4 @@ def swap_census(node_count: int) -> CensusTable:
             p = Production.from_static("census", lhs, rhs)
             w = p_operator(p)
             groups[w.nihil_edges.bits] = groups.get(w.nihil_edges.bits, 0) + 1
-            total += 1
-    return _census_from_groups(node_count, groups, total)
+    return _census_from_groups(node_count, groups)

@@ -1,4 +1,7 @@
-"""Shared fixtures: small universes, the worked example rules, the value contract."""
+"""Shared fixtures: small universes, the worked example rules, the value contract.
+
+Test modules import ``rule``, the one builder of a rule from labels and edge pairs.
+"""
 
 import copy
 import dataclasses
@@ -56,6 +59,7 @@ def value_contract():
 
 
 def rule(universe, name, lhs_nodes, lhs_edges, rhs_nodes, rhs_edges):
+    """The rule ``name`` whose sides hold the given node labels and edges of ``universe``."""
     return Production.from_static(
         name,
         Digraph.of(universe, lhs_nodes, lhs_edges),

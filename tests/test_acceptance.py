@@ -15,7 +15,6 @@ from mgg import (
     ComplexTerm,
     Digraph,
     NodeUniverse,
-    Production,
     applies_at_identity,
     brute_matches,
     cadd,
@@ -42,6 +41,7 @@ from mgg import (
 )
 from mgg.oracle import matrix_of, rows_of
 from mgg.sequence import IncoherentSequenceWarning
+from conftest import rule
 
 U3 = NodeUniverse.of("a", "b", "c")
 
@@ -51,14 +51,6 @@ def report(num: int, description: str, ok: bool, elapsed: float | None = None) -
     timing = f" [{elapsed:.3f}s]" if elapsed is not None else ""
     print(f"ACCEPTANCE {num:02d} {status} {description}{timing}")
     assert ok, f"criterion {num} failed: {description}"
-
-
-def rule(universe, name, lhs_nodes, lhs_edges, rhs_nodes, rhs_edges):
-    return Production.from_static(
-        name,
-        Digraph.of(universe, lhs_nodes, lhs_edges),
-        Digraph.of(universe, rhs_nodes, rhs_edges),
-    )
 
 
 def test_01_coherence_golden(clash):

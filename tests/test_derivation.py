@@ -32,17 +32,10 @@ from mgg import (
     random_digraph,
     random_production,
 )
+from conftest import rule
 
 U2 = NodeUniverse.of("a", "b")
 U3 = NodeUniverse.of("a", "b", "c")
-
-
-def rule(universe, name, lhs_nodes, lhs_edges, rhs_nodes, rhs_edges):
-    return Production.from_static(
-        name,
-        Digraph.of(universe, lhs_nodes, lhs_edges),
-        Digraph.of(universe, rhs_nodes, rhs_edges),
-    )
 
 
 class TestConstruction:

@@ -35,7 +35,6 @@ from mgg.cli import (
     Report,
     _Rows,
     _add_analysis,
-    _add_graph,
     _load_grammar,
     build_parser,
     run,
@@ -793,7 +792,7 @@ class TestDeriveCommand:
         for t, trace in enumerate(traces):
             for step in trace.steps:
                 report.add(f"trace {t} step", f"{step.production} match {step.match.render()}")
-            _add_graph(report, f"trace-{t}-result", trace.result)
+            report.lines.append(report.graph(f"trace-{t}-result", trace.result))
         report.add("ok", "yes" if traces else "no")
         expected = io.StringIO()
         report.emit(expected)
@@ -956,6 +955,71 @@ class TestOneReportPerRun:
         assert code in (0, 1)
         assert len(emits) == 1
         assert text.startswith(f"report {argv[0]}\n") and text == "\n".join(emits[0].lines) + "\n"
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the run with exit 1 and nothing on stderr."""
+
+    def test_a_failed_write_is_no_bad_input(self):
+        # ``run`` lets the write error pass instead of answering it as exit 2 on the
+        # stream that just failed.
+        writes = []
+
+        class Closed(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                raise BrokenPipeError(32, "Broken pipe")
+
+        with pytest.raises(BrokenPipeError):
+            run(["analyze", DEMO, "--sequence", "clash", "--check", "coherence"], out=Closed())
+        assert len(writes) == 1 and writes[0].startswith("report analyze\n")
+
+    @pytest.fixture
+    def commands(self, tmp_path):
+        """A small report (census) and one larger than a pipe holds (derive, ~250 kB)."""
+        labels = " ".join(f"v{i}" for i in range(16))
+        path = tmp_path / "grow.mgg"
+        path.write_text(
+            f"nodes {labels}\n\nproduction grow\n  lhs nodes v0\n  rhs nodes v0 v1\n"
+            f"  rhs edges v0->v1\n\nsequence two grow grow\n\nhost h\n  nodes {labels}\n"
+        )
+        derive = ["derive", str(path), "--host", "h", "--sequence", "two", "--select", "all"]
+        return {"census": ["census", "--nodes", "1"], "derive": derive}
+
+    @pytest.mark.parametrize("command, unbuffered", [("census", ""), ("census", "1"), ("derive", "")])
+    def test_a_closed_pipe_exits_1_without_a_traceback(self, command, unbuffered, commands):
+        # The read end closes before the child starts, so its first write fails: with
+        # buffered stdout and the small report, at the flush ``main`` makes before it
+        # returns; unbuffered (any non-empty PYTHONUNBUFFERED), at the report's write.
+        import os
+        import subprocess
+
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mgg", *commands[command]],
+                cwd=REPO / "src", stdout=write, stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+    def test_a_reader_of_one_line_ends_the_run_quietly(self, commands):
+        # As ``mgg ... | head -1``: the report is larger than a pipe holds, so the
+        # child's write fails whenever the reader closes.
+        import subprocess
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mgg", *commands["derive"]],
+            cwd=REPO / "src", stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        head = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err, head) == (1, b"", b"report derive\n")
 
 
 class TestEncodeCommand:

@@ -10,7 +10,6 @@ from mgg import (
     Digraph,
     Match,
     NodeUniverse,
-    Production,
     RuleSequence,
     applies_at_identity,
     brute_matches,
@@ -27,17 +26,10 @@ from mgg import (
     sequence_compatibility,
     swap_census,
 )
+from conftest import rule
 
 U2 = NodeUniverse.of("a", "b")
 U3 = NodeUniverse.of("a", "b", "c")
-
-
-def rule(universe, name, lhs_nodes, lhs_edges, rhs_nodes, rhs_edges):
-    return Production.from_static(
-        name,
-        Digraph.of(universe, lhs_nodes, lhs_edges),
-        Digraph.of(universe, rhs_nodes, rhs_edges),
-    )
 
 
 class TestBruteMatches:

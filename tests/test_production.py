@@ -1,5 +1,8 @@
 """Static/dynamic rules, nihilation, the swap operator and its census."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from mgg import (
     BoolMatrix,
     BoolVector,
+    CensusTable,
     ComplexTerm,
     Digraph,
     NodeUniverse,
@@ -26,17 +30,10 @@ from mgg import (
     swap_census,
 )
 from mgg.oracle import rows_of, values_of
+from conftest import rule
 
 U2 = NodeUniverse.of("a", "b")
 U3 = NodeUniverse.of("a", "b", "c")
-
-
-def rule(universe, name, lhs_nodes, lhs_edges, rhs_nodes, rhs_edges):
-    return Production.from_static(
-        name,
-        Digraph.of(universe, lhs_nodes, lhs_edges),
-        Digraph.of(universe, rhs_nodes, rhs_edges),
-    )
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +74,58 @@ class TestFromStatic:
             assert (p.added_edges & p.lhs.edges).is_zero()
             assert contains(p.deleted_edges, p.lhs.edges)
             assert (p.lhs.edges & p.nihilation).is_zero()
+
+
+def parts(p):
+    """Every slot of a rule: its name and sides, then the six parts derived from them."""
+    return tuple(getattr(p, name) for name in Production.__slots__)
+
+
+class TestOneConstructor:
+    """A rule is built from its name and sides alone; every other part derives from them."""
+
+    def test_fields_are_the_name_and_the_sides(self, renew):
+        assert [f.name for f in dataclasses.fields(Production)] == ["name", "lhs", "rhs"]
+        assert Production.__slots__[3:] == (
+            "deleted_edges", "added_edges", "deleted_nodes", "added_nodes",
+            "nihilation", "rhs_nihilation",
+        )
+        with pytest.raises(TypeError):
+            Production(*parts(renew))
+
+    def test_named_forms_are_the_constructor(self):
+        rng = random.Random(15)
+        for universe in (U2, U3):
+            for _ in range(100):
+                p = random_production(rng, universe)
+                built = Production(p.name, p.lhs, p.rhs)
+                assert built == Production.from_static(p.name, p.lhs, p.rhs) == p
+                assert parts(built) == parts(p)
+                check_dynamic_form(built)
+                identity = Production.identity("noop", p.lhs)
+                assert parts(identity) == parts(Production("noop", p.lhs, p.lhs))
+
+    def test_replace_derives_from_the_new_sides(self, renew):
+        r2 = Digraph.of(U3, "abc", [("b", "c"), ("c", "a")])
+        q = dataclasses.replace(renew, rhs=r2)
+        assert q == Production(renew.name, renew.lhs, r2)
+        assert parts(q) == parts(Production(renew.name, renew.lhs, r2))
+        assert q.added_edges.edges() == (("b", "c"), ("c", "a"))
+        assert rows_of(q.nihilation) == [[0, 0, 0], [0, 0, 1], [1, 0, 0]]
+        assert q.added_nodes == BoolVector.from_labels(U3, "c") and q.deleted_nodes.is_zero()
+        check_dynamic_form(q)
+
+    def test_copies_and_pickles_derive_the_same_parts(self, renew):
+        for q in (copy.copy(renew), copy.deepcopy(renew), pickle.loads(pickle.dumps(renew))):
+            assert parts(q) == parts(renew)
+
+    def test_derived_parts_refuse_assignment_and_deletion(self, renew):
+        for name in Production.__slots__[3:]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(renew, name, renew.deleted_edges)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(renew, name)
+        assert rows_of(renew.nihilation) == [[1, 0, 1], [1, 0, 1], [1, 0, 0]]
 
 
 class TestNihilation:
@@ -305,8 +354,17 @@ class TestCensus:
             swap_census(3)
 
     def test_agrees_with_bruteforce(self):
-        for n in (1, 2):
+        for n in (0, 1, 2):
             assert swap_census(n) == census_bruteforce(n)
+
+    def test_counts_derive_from_the_classes(self):
+        assert [f.name for f in dataclasses.fields(CensusTable)] == ["node_count", "class_sizes"]
+        empty = swap_census(0)
+        assert (empty.production_count, empty.swap_count(), empty.histogram) == (1, 1, (1,))
+        for n in (0, 1, 2):
+            table = swap_census(n)
+            assert table.production_count == sum(size for _, size in table.class_sizes) == 4 ** (n * n)
+            assert sum(table.histogram) == table.swap_count()
 
     def test_surjective_onto_self_adjoint_terms(self):
         # every self-adjoint edge term over 2 nodes is hit by some rule

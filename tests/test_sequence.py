@@ -34,16 +34,9 @@ from mgg import sequence
 from mgg.boolmat import _Packed
 from mgg.oracle import rows_of, values_of
 from mgg.sequence import _lscan, _rscan, _scan
+from conftest import rule
 
 U3 = NodeUniverse.of("a", "b", "c")
-
-
-def rule(universe, name, lhs_nodes, lhs_edges, rhs_nodes, rhs_edges):
-    return Production.from_static(
-        name,
-        Digraph.of(universe, lhs_nodes, lhs_edges),
-        Digraph.of(universe, rhs_nodes, rhs_edges),
-    )
 
 
 def packed(z):
