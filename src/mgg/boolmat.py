@@ -39,9 +39,9 @@ The value types built in hot loops (the packed type and ``Digraph`` here;
 ``Production``, ``Match``, ``DerivationStep`` and ``DerivationTrace``
 elsewhere) are dataclasses with slots on one frozen base, ``_Frozen``, and
 a hand-written ``__init__``, in one idiom: the constructor first runs every
-check the type makes (the range check, ``_check_universe``), then sets each
-slot through the field's member descriptor, ``Cls.field.__set__``, bound
-once at module level.  ``Production`` lists its ``__slots__`` itself, as
+check the type makes (the range check; ``_check_universe`` when two parts'
+universes are not one object), then sets each slot through the field's
+member descriptor, ``Cls.field.__set__``, bound once at module level.  ``Production`` lists its ``__slots__`` itself, as
 its six derived parts are slots but not fields: its constructor takes the
 name and the two sides, runs the universe check, derives the rest on ints
 and sets every slot the same way, so a copy, a pickle or ``replace``
@@ -212,20 +212,16 @@ class _Frozen:
 class _Packed(_Frozen):
     """Cells of a vector or matrix, packed into an int.
 
-    ``_full`` reads the universe's all-ones mask of the kind; every
-    construction checks that the bits lie inside it.
+    ``_full`` reads the universe's all-ones mask of the kind.  Each kind's
+    constructor checks that the bits lie inside that mask, read as the
+    universe's attribute: through ``_full``, a shared constructor paid one
+    more call per value (measured in CHANGES.md, "Small-rule grammars at
+    object speed").
     """
 
     universe: NodeUniverse
     bits: int
     _full: ClassVar[Callable[[NodeUniverse], int]]
-    _kind: ClassVar[str]
-
-    def __init__(self, universe: NodeUniverse, bits: int) -> None:
-        if bits < 0 or bits > self._full(universe):
-            raise ValueError(f"{self._kind} bits out of range for universe")
-        _set_universe(self, universe)
-        _set_bits(self, bits)
 
     @classmethod
     def zeros(cls, universe: NodeUniverse):
@@ -269,7 +265,12 @@ _set_universe, _set_bits = _Packed.universe.__set__, _Packed.bits.__set__
 class BoolVector(_Packed):
     __slots__ = ()
     _full = attrgetter("vector_full")
-    _kind = "vector"
+
+    def __init__(self, universe: NodeUniverse, bits: int) -> None:
+        if bits < 0 or bits > universe.vector_full:
+            raise ValueError("vector bits out of range for universe")
+        _set_universe(self, universe)
+        _set_bits(self, bits)
 
     @classmethod
     def from_labels(cls, universe: NodeUniverse, labels: Iterable[str]) -> "BoolVector":
@@ -322,7 +323,12 @@ class BoolMatrix(_Packed):
 
     __slots__ = ()
     _full = attrgetter("matrix_full")
-    _kind = "matrix"
+
+    def __init__(self, universe: NodeUniverse, bits: int) -> None:
+        if bits < 0 or bits > universe.matrix_full:
+            raise ValueError("matrix bits out of range for universe")
+        _set_universe(self, universe)
+        _set_bits(self, bits)
 
     @classmethod
     def from_edges(
@@ -376,7 +382,8 @@ class Digraph(_Frozen):
     nodes: BoolVector
 
     def __init__(self, edges: BoolMatrix, nodes: BoolVector) -> None:
-        _check_universe(edges, nodes)
+        if edges.universe is not nodes.universe:
+            _check_universe(edges, nodes)
         _set_edges(self, edges)
         _set_nodes(self, nodes)
 

@@ -6,8 +6,9 @@ derivation completes, 1 when it fails, 2 for unknown names or bad input.
 ``run`` makes a command's one report, hands it to the command to fill, and
 emits it once when the command returns its exit code; on bad input it prints
 only the one ``error`` line, and no part of the report.  A report that cannot
-be written is no bad input: ``main`` ends a run whose stdout was closed early
-with exit 1 and nothing on stderr.
+be written is no bad input: ``main`` ends the run with exit 1, with nothing on
+stderr when stdout was closed early and one ``mgg: cannot write the report``
+line for any other write error.
 
 Every matrix in a report renders row by row through the report's one row
 memo (``Report.matrix``), and a vector as one entry of it, so a row that the
@@ -411,17 +412,21 @@ def run(argv=None, out=None) -> int:
 
 
 def main(argv=None) -> int:
-    """``run`` on stdout; a reader that closes stdout early ends the run with exit 1.
+    """``run`` on stdout; a report that cannot be written ends the run with exit 1.
 
-    The closed pipe is answered as CPython's docs advise: stdout is pointed at the
-    null device, so the flush at exit writes nowhere and nothing reaches stderr.
+    A write error is answered as CPython's docs advise for a closed pipe: stdout is
+    pointed at the null device, so the flush at exit writes nowhere.  A closed pipe
+    is the reader's choice and reaches stderr as nothing; any other error (a full
+    disk) as one line.
     """
     try:
         code = run(argv)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
+    except OSError as exc:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            sys.stderr.write(f"mgg: cannot write the report: {exc}\n")
         return EXIT_FAIL
 
 

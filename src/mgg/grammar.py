@@ -22,29 +22,41 @@ and no line may list a label or an edge twice.  Example::
       edges a->a a->b b->b c->a c->b
 
 Every label must be declared in the universe; rules and hosts are completed
-to it at parse time.  Each line is lexed once, and every error is a
-``GrammarError`` carrying the offending line (0 for a file with no ``nodes``
-line).  Edge tokens go to cells through a memo that lives for one parse.  In
-most files each distinct token is split and looked up once, when first read.
-A token-dense file (at least n² ``->`` in its text, n nodes, counted only
-when the text is long enough to hold that many tokens at the labels' mean
-length) instead fills the memo with all n² tokens of its universe's
-``cell_names`` before its first edge line, and reads each line with one
-C-level ``map``.  The gate is where the table starts to pay on coherent
-files, which repeat more tokens than random ones (see ``_TABLE_TOKENS``).  A
-token missing from a full memo is malformed or names an unknown label, and
-is worded as when a lookup fails, so both routes give the same errors in the
-same order.
+to it at parse time.  Each line is lexed once (split at ``#`` only when it
+holds one), and every error is a ``GrammarError`` carrying the offending
+line (0 for a file with no ``nodes`` line).  Edge tokens go to cells through
+a memo that lives for one parse.  In most files each distinct token is split
+and looked up once, when first read.  A token-dense file (at least n² ``->``
+in its text, n nodes, counted only when the text is long enough to hold that
+many tokens at the labels' mean length) instead fills the memo with all n²
+tokens of its universe's ``cell_names`` before its first edge line, and
+reads each line with one C-level ``map``.  The gate is where the table
+starts to pay on coherent files, which repeat more tokens than random ones
+(see ``_TABLE_TOKENS``).  A token missing from a full memo is malformed or
+names an unknown label, and is worded as when a lookup fails, so both routes
+give the same errors in the same order.
 
-Bits first, objects once: a declaration's node labels and edge cells are
-packed into two ints (``boolmat.label_bits``, ``boolmat.cell_bits``), and
-every check runs on those ints, in a fixed order: an unknown label or
-malformed edge, then a repeated node label, then a repeated edge (fewer set
-bits than tokens), then an edge touching an absent node (``edges &
-~block_bits(u, nodes)``).  Only a declaration that passes them all builds
-its ``BoolMatrix``, ``BoolVector`` and ``Digraph``, each once.  Parsing and
-serialization are mutually inverse on the model (serialization canonicalizes
-label order).
+Bits first, objects once.  The checks run in a fixed order:
+
+1. A block is read whole first: a repeated field is reported before any
+   line of the block is checked, even a line above it.
+2. The lhs is checked before the rhs, wherever their lines stand.
+3. Within a side (or a host), its node labels and edge cells are packed
+   into two ints (``boolmat.label_bits``, ``boolmat.cell_bits``) and every
+   check runs on those ints: an unknown label or malformed edge (a nodes
+   line's before an edges line's, whichever comes first in the file), then a
+   repeated node label, then a repeated edge (fewer set bits than tokens),
+   then an edge touching an absent node (``edges & ~block_bits(u, nodes)``).
+   A declaration with no edges skips the two edge checks and builds no
+   block; its labels are still counted for repeats.
+4. Last, the block's unknown fields, the first of them by line.
+
+A check words its error only once its count falls short (or fields remain),
+so a passing declaration pays for no wording.  Only a declaration that passes
+them all builds its ``BoolMatrix``, ``BoolVector`` and ``Digraph``, each
+once, and a rule is built from its two sides through
+``Production.from_static``.  Parsing and serialization are mutually inverse
+on the model (serialization canonicalizes label order).
 """
 
 from __future__ import annotations
@@ -94,16 +106,21 @@ _TABLE_TOKENS = 1
 def _lex(text: str) -> Iterator[tuple[int, bool, list[str]]]:
     """Each line that is not blank or a comment, lexed once: (number, indented, tokens)."""
     for number, raw in enumerate(text.splitlines(), 1):
-        code, hash_, _ = raw.partition("#")
-        if hash_ and code and not code[-1].isspace():
-            raise GrammarError(number, "'#' inside a token; comments start at a token boundary")
+        code = raw
+        if "#" in raw:
+            code = raw.partition("#")[0]
+            if code and not code[-1].isspace():
+                raise GrammarError(number, "'#' inside a token; comments start at a token boundary")
         tokens = code.split()
         if tokens:
             yield number, raw[0].isspace(), tokens
 
 
 def _bad_token(universe: NodeUniverse, nodes, node_line: int, edges, edge_line: int):
-    """Word the first unknown label or malformed edge, in file order, after a lookup failed.
+    """Word the first unknown label or malformed edge after a lookup failed.
+
+    The nodes line's labels are searched first, then the edges line's tokens,
+    each in line order, wherever the two lines stand in the block.
 
     Labels are non-empty and never contain ``->``, so a malformed edge token
     always fails the lookup of one of its two halves.
@@ -120,21 +137,27 @@ def _bad_token(universe: NodeUniverse, nodes, node_line: int, edges, edge_line: 
                 return GrammarError(edge_line, f"unknown node label {label!r}")
 
 
-def _check_unique(tokens: list[str], distinct: int, what: str, line: int) -> None:
-    """``distinct`` counts the cells the tokens set: fewer cells than tokens is a repeat."""
-    if distinct < len(tokens):
-        seen = set()
-        for token in tokens:
-            if token in seen:
-                raise GrammarError(line, f"duplicate {what} {token!r}")
-            seen.add(token)
+def _repeat(tokens: list[str], what: str, line: int) -> GrammarError:
+    """Word the first repeated token, once its bits have counted fewer cells than tokens."""
+    seen = set()
+    for token in tokens:
+        if token in seen:
+            return GrammarError(line, f"duplicate {what} {token!r}")
+        seen.add(token)
 
 
-def _check_no_fields(fields: dict[str, tuple[int, list[str]]], block: str) -> None:
-    """Fields left after the known ones are popped are unknown: report the first."""
-    if fields:
-        line = min(line for line, _ in fields.values())
-        raise GrammarError(line, f"unknown fields in {block} block: {sorted(fields)}")
+def _unknown_fields(fields: dict[str, tuple[int, list[str]]], block: str) -> GrammarError:
+    """Fields left after the known ones are popped are unknown: word the first."""
+    line = min(line for line, _ in fields.values())
+    return GrammarError(line, f"unknown fields in {block} block: {sorted(fields)}")
+
+
+# The two field keys of each side a declaration has, and the side's name in errors.
+_LHS = ("lhs nodes", "lhs edges", "lhs")
+_RHS = ("rhs nodes", "rhs edges", "rhs")
+_HOST = ("nodes", "edges", "host")
+# An absent field holds no token, so no error ever names its line.
+_ABSENT = (0, ())
 
 
 class _Parser:
@@ -172,13 +195,14 @@ class _Parser:
         return fields, None
 
     def digraph_from(
-        self, fields: dict[str, tuple[int, list[str]]], prefix: str, block_line: int
+        self, fields: dict[str, tuple[int, list[str]]], side: tuple[str, str, str], block_line: int
     ) -> Digraph:
         u = self.universe
         if u is None:
             raise GrammarError(block_line, "the nodes line must come before this declaration")
-        node_line, nodes = fields.pop(f"{prefix}nodes", (block_line, []))
-        edge_line, edges = fields.pop(f"{prefix}edges", (block_line, []))
+        nodes_key, edges_key, name = side
+        node_line, nodes = fields.pop(nodes_key, _ABSENT)
+        edge_line, edges = fields.pop(edges_key, _ABSENT)
         memo, index, n = self.cells, u._index, u.size
         try:
             if len(memo) == n * n:  # every well-formed token: a miss is an error
@@ -194,36 +218,41 @@ class _Parser:
             node_bits = label_bits(u, nodes)
         except KeyError:
             raise _bad_token(u, nodes, node_line, edges, edge_line) from None
-        edge_bits = cell_bits(u, cells)
-        _check_unique(nodes, node_bits.bit_count(), "node label", node_line)
-        _check_unique(edges, edge_bits.bit_count(), "edge", edge_line)
-        if edge_bits & ~block_bits(u, node_bits):
-            raise GrammarError(
-                edge_line, f"{prefix or 'host '}has an edge touching an absent node"
-            )
+        if node_bits.bit_count() < len(nodes):
+            raise _repeat(nodes, "node label", node_line)
+        edge_bits = 0
+        if cells:
+            edge_bits = cell_bits(u, cells)
+            if edge_bits.bit_count() < len(edges):
+                raise _repeat(edges, "edge", edge_line)
+            if edge_bits & ~block_bits(u, node_bits):
+                raise GrammarError(edge_line, f"{name} has an edge touching an absent node")
         return Digraph(BoolMatrix(u, edge_bits), BoolVector(u, node_bits))
 
     def declaration(self, number: int, indented: bool, tokens: list[str]):
         """Parse one top-level declaration; return the line after it (None at the end)."""
         if indented:
             raise GrammarError(number, "unexpected indented line outside a block")
-        keyword, rest = tokens[0], tokens[1:]
+        keyword = tokens[0]
         if keyword in ("production", "host"):
-            if len(rest) != 1:
+            if len(tokens) != 2:
                 raise GrammarError(number, f"expected: {keyword} <name>")
-            name = rest[0]
+            name = tokens[1]
             self.check_fresh(name, number)
             fields, after = self.parse_block()
             if keyword == "production":
-                lhs = self.digraph_from(fields, "lhs ", number)
-                rhs = self.digraph_from(fields, "rhs ", number)
-                _check_no_fields(fields, keyword)
+                lhs = self.digraph_from(fields, _LHS, number)
+                rhs = self.digraph_from(fields, _RHS, number)
+                if fields:
+                    raise _unknown_fields(fields, keyword)
                 self.productions[name] = Production.from_static(name, lhs, rhs)
             else:
-                g = self.digraph_from(fields, "", number)
-                _check_no_fields(fields, keyword)
+                g = self.digraph_from(fields, _HOST, number)
+                if fields:
+                    raise _unknown_fields(fields, keyword)
                 self.hosts[name] = g
             return after
+        rest = tokens[1:]
         if keyword == "nodes":
             if self.universe is not None:
                 raise GrammarError(number, "the universe is already declared")

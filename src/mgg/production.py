@@ -57,13 +57,14 @@ class Production(_Frozen):
         shared universe defines a rule; ``compatible`` tells whether its
         application preserves dangling-edge freedom.
         """
-        u = lhs.universe
-        if rhs.universe is not u and rhs.universe != u:
+        u, rhs_universe = lhs.edges.universe, rhs.edges.universe
+        if rhs_universe is not u and rhs_universe != u:
             raise UniverseMismatchError("lhs and rhs must share a universe")
         lhs_edges, rhs_edges = lhs.edges.bits, rhs.edges.bits
+        lhs_nodes, rhs_nodes = lhs.nodes.bits, rhs.nodes.bits
         deleted_edges = lhs_edges & ~rhs_edges
         added_edges = rhs_edges & ~lhs_edges
-        deleted_nodes = lhs.nodes.bits & ~rhs.nodes.bits
+        deleted_nodes = lhs_nodes & ~rhs_nodes
         # Forbidden: edges incident to a deleted node (outside the block of
         # kept nodes) that the rule does not itself delete, plus every edge
         # the rule adds (parallel edges are not allowed in simple digraphs).
@@ -75,7 +76,7 @@ class Production(_Frozen):
         _set_deleted_edges(self, BoolMatrix(u, deleted_edges))
         _set_added_edges(self, BoolMatrix(u, added_edges))
         _set_deleted_nodes(self, BoolVector(u, deleted_nodes))
-        _set_added_nodes(self, BoolVector(u, rhs.nodes.bits & ~lhs.nodes.bits))
+        _set_added_nodes(self, BoolVector(u, rhs_nodes & ~lhs_nodes))
         _set_nihilation(self, BoolMatrix(u, nihil))
         _set_rhs_nihilation(self, BoolMatrix(u, deleted_edges | nihil & ~added_edges))
 

@@ -50,7 +50,7 @@ class RuleSequence:
         if not self.rules:
             raise ValueError("a sequence needs at least one rule")
         u = self.rules[0].universe
-        if any(p.universe != u for p in self.rules):
+        if any(p.universe is not u and p.universe != u for p in self.rules):
             raise UniverseMismatchError("sequence rules must share one universe")
 
     @classmethod

@@ -248,6 +248,63 @@ PARSE_ERRORS = [
         "nodes a b\nhost h\n  nodes a\n  edges a->a a->b a->a\n",
         "line 4: duplicate edge 'a->a'",
     ),
+    # A block is read whole before any of its lines is checked: a repeated field
+    # is reported before a bad token on an earlier line of the same block.
+    (
+        "order-duplicate-field-before-earlier-token",
+        "nodes a\nhost h\n  edges aa\n  nodes a\n  edges a->a\n",
+        "line 5: duplicate field 'edges' in block",
+    ),
+    (
+        "order-duplicate-rhs-field-before-earlier-lhs-token",
+        "nodes a\nproduction p\n  lhs nodes z\n  rhs nodes a\n  rhs nodes a\n",
+        "line 5: duplicate field 'rhs nodes' in block",
+    ),
+    # The lhs is checked before the rhs, wherever their lines stand.
+    (
+        "order-lhs-before-rhs-placed-above-it",
+        "nodes a b\nproduction p\n  rhs nodes z\n  rhs edges ->a\n  lhs nodes a b a\n",
+        "line 5: duplicate node label 'a'",
+    ),
+    (
+        "order-dangling-lhs-before-bad-rhs-token",
+        "nodes a b\nproduction p\n  rhs edges a->a->a\n  lhs nodes a\n  lhs edges b->a\n",
+        "line 5: lhs has an edge touching an absent node",
+    ),
+    # A side's faults come before the block's unknown fields.
+    (
+        "order-side-before-unknown-field",
+        "nodes a\nproduction p\n  colour red\n  lhs nodes a\n  rhs nodes z\n",
+        "line 5: unknown node label 'z'",
+    ),
+    (
+        "unknown-side-field",
+        "nodes a\nproduction p\n  lhs nodes a\n  rhs nodes a\n  lhs colour red\n",
+        "line 5: unknown fields in production block: ['lhs colour']",
+    ),
+    (
+        "order-host-before-unknown-field",
+        "nodes a\nhost h\n  colour red\n  nodes a a\n",
+        "line 4: duplicate node label 'a'",
+    ),
+    # A bad label on a nodes line comes before a malformed token on an edges
+    # line above it.
+    (
+        "order-nodes-label-before-edges-token-above-it",
+        "nodes a\nhost h\n  edges ->a\n  nodes z\n",
+        "line 4: unknown node label 'z'",
+    ),
+    # A declaration with no edges still has its node labels checked for repeats.
+    (
+        "order-repeat-without-edges-host",
+        "nodes a b\nhost h\n  nodes a b b\n",
+        "line 3: duplicate node label 'b'",
+    ),
+    (
+        "order-repeat-without-edges-rhs",
+        "nodes a b\nproduction p\n  lhs nodes a\n  rhs nodes b a b\n",
+        "line 4: duplicate node label 'b'",
+    ),
 ]
 
 
@@ -428,6 +485,47 @@ class TestParseErrors:
         assert _load_grammar(str(marked)) == _load_grammar(str(plain))
         reports = [cli("encode", str(path), "--graph", "line") for path in (marked, plain)]
         assert reports[0] == (0, reports[1][1].replace("plain.mgg", "marked.mgg"))
+
+
+def _grammar_texts():
+    """Every shipped grammar file, and serialized random sequences (which hold no ``#``)."""
+    texts = {path.name: path.read_text() for path in sorted((REPO / "grammars").glob("*.mgg"))}
+    rng = random.Random(11)
+    for n, length in ((1, 1), (3, 4), (8, 32), (20, 6)):
+        u = NodeUniverse(tuple(f"v{i}" for i in range(n)))
+        rules = {p.name: p for p in random_sequence(rng, u, length).rules}
+        host = random_digraph(rng, u, 0.6, 0.3)
+        gf = GrammarFile(u, rules, {"s": tuple(rules)}, {"h": host})
+        texts[f"random-n{n}-L{length}"] = serialize_grammar(gf)
+    return texts
+
+
+class TestLexerAndRuleBuilds:
+    @pytest.mark.parametrize("name, text", list(_grammar_texts().items()))
+    def test_comments_leave_the_model_unchanged(self, name, text):
+        plain = parse_grammar(text)
+        assert parse_grammar(text + "# a trailing comment\n") == plain
+        # A comment after the code of every line: each line takes the lexer's ``#`` branch.
+        noted = "".join(
+            f"{line} # note {i}\n" if line.strip() and "#" not in line else f"{line}\n"
+            for i, line in enumerate(text.splitlines())
+        )
+        assert parse_grammar(noted) == plain
+
+    @pytest.mark.parametrize("name, text", list(_grammar_texts().items()))
+    def test_each_rule_is_built_once_through_from_static(self, name, text, monkeypatch):
+        built = []
+        from_static = Production.from_static.__func__
+
+        def counted(cls, rule, lhs, rhs):
+            p = from_static(cls, rule, lhs, rhs)
+            built.append(p)
+            return p
+
+        monkeypatch.setattr(Production, "from_static", classmethod(counted))
+        gf = parse_grammar(text)
+        assert len(built) == len(gf.productions)
+        assert all(p is q for p, q in zip(built, gf.productions.values()))
 
 
 class TestRoundTripAtScale:
@@ -958,7 +1056,11 @@ class TestOneReportPerRun:
 
 
 class TestClosedStdout:
-    """A reader that closes stdout early ends the run with exit 1 and nothing on stderr."""
+    """A report that cannot be written ends the run with exit 1.
+
+    A reader that closes stdout early gets nothing on stderr; any other write error
+    one worded line.
+    """
 
     def test_a_failed_write_is_no_bad_input(self):
         # ``run`` lets the write error pass instead of answering it as exit 2 on the
@@ -1020,6 +1122,25 @@ class TestClosedStdout:
         err = proc.stderr.read()
         proc.stderr.close()
         assert (proc.wait(), err, head) == (1, b"", b"report derive\n")
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("nodes", ["1", "2"])
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_a_full_device_exits_1_with_one_worded_line(self, nodes, unbuffered):
+        # Any other write error is worded once on stderr: the one-node report fails at
+        # ``main``'s flush when buffered, the two-node one (larger than the buffer) at
+        # its write.
+        import os
+        import subprocess
+
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mgg", "census", "--nodes", nodes],
+                cwd=REPO / "src", stdout=full, stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+            )
+        assert proc.returncode == 1
+        assert proc.stderr == b"mgg: cannot write the report: [Errno 28] No space left on device\n"
 
 
 class TestEncodeCommand:
